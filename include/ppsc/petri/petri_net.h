@@ -18,6 +18,16 @@
 //    truncated to the kept places. This is the dynamics seen on Q when
 //    all other places hold omega many tokens, which is how bottom
 //    components and control-state nets look at a marking (Section 6-7).
+//
+// Every transition is also compiled, once, when add() appends it: its
+// sparse pre list and sparse delta list (post - pre, nonzero entries in
+// increasing place order), and an enabledness index that files it
+// under its lowest pre place (or among the always-candidates when its
+// pre is empty). A transition can only be enabled in a configuration
+// that occupies its lowest pre place, so enabled_transitions() tests
+// just the buckets of the occupied places instead of every transition.
+// The index lives on the net and is shared by every configuration, so
+// explore() and its consumers pay for it once per net, not per marking.
 
 #ifndef PPSC_PETRI_PETRI_NET_H
 #define PPSC_PETRI_PETRI_NET_H
@@ -32,6 +42,12 @@
 namespace ppsc {
 namespace petri {
 
+// One nonzero entry of a sparse pre or delta vector.
+struct Arc {
+  std::size_t place;
+  Count count;
+};
+
 struct Transition {
   Config pre;
   Config post;
@@ -42,7 +58,8 @@ struct Transition {
 
 class PetriNet {
  public:
-  explicit PetriNet(std::size_t num_states = 0) : num_states_(num_states) {}
+  explicit PetriNet(std::size_t num_states = 0)
+      : num_states_(num_states), by_lowest_pre_(num_states) {}
 
   // Adapter from the protocol-level net: same places, same transitions.
   PetriNet(const core::PetriNet& net);
@@ -52,8 +69,9 @@ class PetriNet {
   const Transition& transition(std::size_t i) const { return transitions_[i]; }
   const std::vector<Transition>& transitions() const { return transitions_; }
 
-  // Appends a transition; only dimensions are checked (negative counts
-  // are rejected, identities and non-conservative effects are allowed).
+  // Appends a transition and compiles it into the sparse lists and the
+  // enabledness index; only dimensions are checked (negative counts are
+  // rejected, identities and non-conservative effects are allowed).
   void add(Config pre, Config post);
 
   // Largest entry over all pre and post vectors (||T||_inf).
@@ -65,6 +83,15 @@ class PetriNet {
   bool enabled(std::size_t t, const Config& config) const;
   Config fire(std::size_t t, const Config& config) const;
 
+  // Clears `out` and fills it with the transitions enabled in `config`,
+  // in ascending index order -- the order a dense scan over every
+  // transition would find them in. Only the index's candidates for the
+  // occupied places (plus the empty-pre transitions) are tested against
+  // `config` (which must have num_states() places); returns how many
+  // that was.
+  std::size_t enabled_transitions(const Config& config,
+                                  std::vector<std::size_t>& out) const;
+
   // Sub-net T|Q: keeps the places with keep[p] == true (re-indexed) and
   // only the transitions entirely supported on them.
   PetriNet restrict(const std::vector<bool>& keep) const;
@@ -74,8 +101,20 @@ class PetriNet {
   PetriNet project(const std::vector<bool>& keep) const;
 
  private:
+  bool covers_pre(std::size_t t, const Config& config) const;
+
   std::size_t num_states_;
   std::vector<Transition> transitions_;
+  // Sparse pre and delta lists of transition t:
+  // pre_arcs_[pre_begin_[t] .. pre_begin_[t + 1]), likewise for delta.
+  std::vector<Arc> pre_arcs_;
+  std::vector<std::size_t> pre_begin_ = {0};
+  std::vector<Arc> delta_arcs_;
+  std::vector<std::size_t> delta_begin_ = {0};
+  // by_lowest_pre_[p]: transitions whose lowest pre place is p, in
+  // ascending index order; empty_pre_: transitions with no pre at all.
+  std::vector<std::vector<std::size_t>> by_lowest_pre_;
+  std::vector<std::size_t> empty_pre_;
 };
 
 // One step of the Q-projected dynamics (the Section 6/7 view with

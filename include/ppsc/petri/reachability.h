@@ -40,13 +40,18 @@ struct ReachEdge {
 // a hash bucket with a newly inserted one, and is only collected while
 // the obs registry is runtime-enabled (the bucket scan re-hashes the
 // config, which the hot path should not pay for by default).
+// `enabled_checks` counts the candidate transitions the net's
+// enabledness index tested against a configuration (a dense scan would
+// test configs x transitions); its excess over `edges` is the wasted
+// work.
 struct ExploreStats {
-  std::size_t configs = 0;        // distinct configurations interned
-  std::size_t edges = 0;          // reachability edges recorded
-  std::size_t frontier_peak = 0;  // BFS frontier high-water mark
-  std::uint64_t probes = 0;       // hash-map lookups
-  std::uint64_t collisions = 0;   // bucket neighbours at insertion
-  bool truncated = false;         // == ReachabilityGraph::truncated
+  std::size_t configs = 0;           // distinct configurations interned
+  std::size_t edges = 0;             // reachability edges recorded
+  std::size_t frontier_peak = 0;     // BFS frontier high-water mark
+  std::uint64_t probes = 0;          // hash-map lookups
+  std::uint64_t collisions = 0;      // bucket neighbours at insertion
+  std::uint64_t enabled_checks = 0;  // candidates tested for enabledness
+  bool truncated = false;            // == ReachabilityGraph::truncated
 };
 
 struct ReachabilityGraph {
@@ -64,9 +69,6 @@ struct ReachabilityGraph {
   std::optional<std::size_t> stopped;
   ExploreStats stats;
 
-  // Index of `config` among nodes, or std::nullopt.
-  std::optional<std::size_t> find(const Config& config) const;
-
   // Transition word from this node's root to the node, via the BFS tree.
   std::vector<std::size_t> word_to(std::size_t node) const;
 };
@@ -76,6 +78,14 @@ struct ReachabilityGraph {
 // exploration halts at the first match, recorded in `stopped`. The
 // coverability and bottom-witness engines use this early exit for their
 // shortest-word searches.
+//
+// Successors are emitted in ascending transition index: each node's
+// enabled transitions come from the enabledness index compiled into
+// the net (PetriNet::enabled_transitions, see petri_net.h), which tests
+// only the transitions whose lowest pre place is occupied, and are
+// fired over the sparse delta lists. Node ids, edge order, BFS parents
+// and `stopped` are therefore exactly those of a dense scan over every
+// transition in index order.
 ReachabilityGraph explore(const PetriNet& net, const std::vector<Config>& roots,
                           const ExploreLimits& limits = {},
                           const std::function<bool(const Config&)>& stop = {});

@@ -17,9 +17,11 @@
 // integer weight updates plus an O(R) alias rebuild (R = number of
 // rule cells) -- entirely independent of the population, which is
 // what makes 10^9-agent populations free. Weights are exact 64-bit
-// integers (products c_a * c_b stay below 2^63 for populations up to
-// ~3e9, the same bound AgentSimulator's enabled-pairs accounting
-// lives under), so silence detection is exact: silent iff W == 0.
+// integers (products c_a * c_b and the ordered-pair count n(n-1) stay
+// below 2^63 for populations up to kMaxPopulation ~ 3.04e9, the same
+// bound AgentSimulator's enabled-pairs accounting lives under; larger
+// populations are rejected), so silence detection is exact: silent iff
+// W == 0.
 
 #ifndef PPSC_SIM_CENSUS_H
 #define PPSC_SIM_CENSUS_H
@@ -36,8 +38,13 @@ namespace sim {
 
 class CensusSimulator {
  public:
+  // Largest population n whose ordered-pair count n(n-1) fits in a
+  // long long.
+  static constexpr core::Count kMaxPopulation = 3037000500LL;
+
   // The table must outlive the simulator. `initial` is a configuration
-  // over the protocol's states.
+  // over the protocol's states; std::invalid_argument if its population
+  // exceeds kMaxPopulation.
   CensusSimulator(const PairRuleTable& table, const core::Config& initial,
                   std::uint64_t seed);
 

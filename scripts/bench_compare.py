@@ -8,7 +8,8 @@ two bench families:
 
   * report kind (bench/report.h): compares wall_ms and items_per_sec
     against relative thresholds, and requires *exact* equality for
-    every registry counter except the `*.wall_ns` timing sums -- the
+    every registry counter except the `*.wall_ns` timing sums and the
+    thread-timing-dependent `sim.shard.steals` -- the
     engines are deterministic under fixed seeds, so configs/edges/
     iterations drifting is a correctness change, not noise.
   * gbench kind (--benchmark_out=json, e11/e13): matches benchmarks by
@@ -54,10 +55,12 @@ GBENCH_STANDARD_KEYS = {
     "error_occurred", "error_message",
 }
 
-# Registry counters that are wall-clock sums, not deterministic work
-# counts (obs::ScopedTimer publishes <name>.wall_ns).
+# Registry counters that are not deterministic work counts: wall-clock
+# sums (obs::ScopedTimer publishes <name>.wall_ns) and sim.shard.steals,
+# the shard batches a non-owning worker happened to pick up, which
+# depends on thread timing whenever more than one core runs the pool.
 def is_timing_counter(key):
-    return key.endswith(".wall_ns")
+    return key.endswith(".wall_ns") or key == "sim.shard.steals"
 
 
 class Row:

@@ -8,7 +8,7 @@ namespace ppsc {
 namespace petri {
 
 PetriNet::PetriNet(const core::PetriNet& net)
-    : num_states_(net.num_places()) {
+    : PetriNet(net.num_places()) {
   for (const core::Transition& t : net.transitions()) {
     add(Config(t.pre), Config(t.post));
   }
@@ -22,6 +22,18 @@ void PetriNet::add(Config pre, Config post) {
     if (pre[p] < 0 || post[p] < 0) {
       throw std::invalid_argument("PetriNet::add: negative count");
     }
+  }
+  const std::size_t t = transitions_.size();
+  for (std::size_t p = 0; p < num_states_; ++p) {
+    if (pre[p] != 0) pre_arcs_.push_back({p, pre[p]});
+    if (post[p] != pre[p]) delta_arcs_.push_back({p, post[p] - pre[p]});
+  }
+  pre_begin_.push_back(pre_arcs_.size());
+  delta_begin_.push_back(delta_arcs_.size());
+  if (pre_begin_[t] == pre_begin_[t + 1]) {
+    empty_pre_.push_back(t);
+  } else {
+    by_lowest_pre_[pre_arcs_[pre_begin_[t]].place].push_back(t);
   }
   transitions_.push_back({std::move(pre), std::move(post)});
 }
@@ -42,17 +54,42 @@ Count PetriNet::max_width() const {
   return width;
 }
 
+bool PetriNet::covers_pre(std::size_t t, const Config& config) const {
+  for (std::size_t i = pre_begin_[t]; i < pre_begin_[t + 1]; ++i) {
+    if (config[pre_arcs_[i].place] < pre_arcs_[i].count) return false;
+  }
+  return true;
+}
+
 bool PetriNet::enabled(std::size_t t, const Config& config) const {
-  return config.covers(transitions_[t].pre);
+  if (config.size() != num_states_) {
+    throw std::invalid_argument("PetriNet::enabled: dimension mismatch");
+  }
+  return covers_pre(t, config);
 }
 
 Config PetriNet::fire(std::size_t t, const Config& config) const {
-  const Transition& tr = transitions_[t];
   Config next = config;
-  for (std::size_t p = 0; p < num_states_; ++p) {
-    next[p] += tr.post[p] - tr.pre[p];
+  for (std::size_t i = delta_begin_[t]; i < delta_begin_[t + 1]; ++i) {
+    next[delta_arcs_[i].place] += delta_arcs_[i].count;
   }
   return next;
+}
+
+std::size_t PetriNet::enabled_transitions(const Config& config,
+                                          std::vector<std::size_t>& out) const {
+  out.assign(empty_pre_.begin(), empty_pre_.end());
+  std::size_t tested = empty_pre_.size();
+  for (std::size_t p = 0; p < num_states_; ++p) {
+    if (config[p] <= 0) continue;
+    tested += by_lowest_pre_[p].size();
+    for (const std::size_t t : by_lowest_pre_[p]) {
+      if (covers_pre(t, config)) out.push_back(t);
+    }
+  }
+  // Buckets are ascending individually; restore the global order.
+  std::sort(out.begin(), out.end());
+  return tested;
 }
 
 PetriNet PetriNet::restrict(const std::vector<bool>& keep) const {

@@ -12,13 +12,6 @@
 namespace ppsc {
 namespace petri {
 
-std::optional<std::size_t> ReachabilityGraph::find(const Config& config) const {
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    if (nodes[i] == config) return i;
-  }
-  return std::nullopt;
-}
-
 std::vector<std::size_t> ReachabilityGraph::word_to(std::size_t node) const {
   std::vector<std::size_t> word;
   while (parent[node] != kNoParent) {
@@ -71,6 +64,7 @@ ReachabilityGraph explore(const PetriNet& net, const std::vector<Config>& roots,
     // widening frontier) without per-node events.
     constexpr std::size_t kChunkNodes = 8192;
     std::optional<obs::ScopedSpan> chunk_span;
+    std::vector<std::size_t> enabled;
     for (std::size_t head = 0;
          head < graph.nodes.size() && !graph.stopped; ++head) {
       if (head % kChunkNodes == 0 && graph.nodes.size() > kChunkNodes) {
@@ -83,8 +77,8 @@ ReachabilityGraph explore(const PetriNet& net, const std::vector<Config>& roots,
       // Copy: nodes may reallocate while we append successors.
       // NOLINTNEXTLINE(performance-unnecessary-copy-initialization)
       const Config current = graph.nodes[head];
-      for (std::size_t t = 0; t < net.num_transitions(); ++t) {
-        if (!net.enabled(t, current)) continue;
+      stats.enabled_checks += net.enabled_transitions(current, enabled);
+      for (const std::size_t t : enabled) {
         Config next = net.fire(t, current);
         ++stats.probes;
         auto it = ids.find(next);
@@ -118,6 +112,7 @@ ReachabilityGraph explore(const PetriNet& net, const std::vector<Config>& roots,
     registry.add("explore.configs", stats.configs);
     registry.add("explore.edges", stats.edges);
     registry.add("explore.probes", stats.probes);
+    registry.add("explore.enabled_checks", stats.enabled_checks);
     registry.add("explore.collisions", stats.collisions);
     registry.add("explore.truncated", stats.truncated ? 1 : 0);
     registry.record("explore.frontier_peak", stats.frontier_peak);

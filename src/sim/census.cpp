@@ -1,5 +1,6 @@
 #include "sim/census.h"
 
+#include <climits>
 #include <cmath>
 #include <stdexcept>
 
@@ -7,6 +8,12 @@
 
 namespace ppsc {
 namespace sim {
+
+// kMaxPopulation is exactly the largest n with n(n-1) <= LLONG_MAX.
+static_assert(CensusSimulator::kMaxPopulation - 1 <=
+              LLONG_MAX / CensusSimulator::kMaxPopulation);
+static_assert(CensusSimulator::kMaxPopulation >
+              LLONG_MAX / (CensusSimulator::kMaxPopulation + 1));
 
 CensusSimulator::CensusSimulator(const PairRuleTable& table,
                                  const core::Config& initial,
@@ -19,6 +26,10 @@ CensusSimulator::CensusSimulator(const PairRuleTable& table,
   for (const core::Count c : initial) {
     if (c < 0) {
       throw std::invalid_argument("CensusSimulator: negative count");
+    }
+    if (c > kMaxPopulation - population_) {
+      throw std::invalid_argument(
+          "CensusSimulator: population exceeds kMaxPopulation");
     }
     population_ += c;
   }
@@ -99,8 +110,9 @@ void CensusSimulator::rebuild_alias() {
 bool CensusSimulator::step() {
   if (enabled_pairs_ == 0) return false;
   // Null draws before the next productive one are geometric with
-  // success probability p = W / (n(n-1)); population_ stays below
-  // ~3e9, so the ordered-pair denominator is exact in 64 bits.
+  // success probability p = W / (n(n-1)); the constructor caps
+  // population_ at kMaxPopulation, so the denominator is exact in 64
+  // bits.
   const long long ordered_pairs = population_ * (population_ - 1);
   if (enabled_pairs_ < ordered_pairs) {
     const double p = static_cast<double>(enabled_pairs_) /

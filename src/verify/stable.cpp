@@ -28,12 +28,14 @@ std::string render_config(const core::Protocol& protocol,
   return out + "}";
 }
 
-}  // namespace
-
-Verdict check_input(const core::Protocol& protocol,
-                    const core::Predicate& predicate,
-                    const std::vector<core::Count>& input,
-                    const CheckOptions& options) {
+// check_input over a net compiled once by the caller, so check_up_to
+// builds the protocol's petri::PetriNet (and its enabledness index) once
+// for the whole odometer instead of once per input.
+Verdict check_input_on(const petri::PetriNet& net,
+                       const core::Protocol& protocol,
+                       const core::Predicate& predicate,
+                       const std::vector<core::Count>& input,
+                       const CheckOptions& options) {
   obs::ScopedTimer timer("verify");
   obs::ScopedSpan span("verify", "verify");
   Verdict verdict;
@@ -56,8 +58,7 @@ Verdict check_input(const core::Protocol& protocol,
   limits.max_nodes = options.max_configs;
   const petri::ReachabilityGraph graph = [&] {
     obs::ScopedSpan explore_span("verify.explore", "verify");
-    return petri::explore(petri::PetriNet(protocol.net()),
-                          {petri::Config(initial)}, limits);
+    return petri::explore(net, {petri::Config(initial)}, limits);
   }();
   if (graph.truncated) {
     throw std::runtime_error(
@@ -100,6 +101,16 @@ Verdict check_input(const core::Protocol& protocol,
   return verdict;
 }
 
+}  // namespace
+
+Verdict check_input(const core::Protocol& protocol,
+                    const core::Predicate& predicate,
+                    const std::vector<core::Count>& input,
+                    const CheckOptions& options) {
+  return check_input_on(petri::PetriNet(protocol.net()), protocol, predicate,
+                        input, options);
+}
+
 CheckResult check_up_to(const core::Protocol& protocol,
                         const core::Predicate& predicate, core::Count bound,
                         const CheckOptions& options) {
@@ -109,8 +120,10 @@ CheckResult check_up_to(const core::Protocol& protocol,
   CheckResult result;
   const std::size_t arity = protocol.input_arity();
   std::vector<core::Count> input(arity, 0);
+  const petri::PetriNet net(protocol.net());
   while (true) {
-    result.verdicts.push_back(check_input(protocol, predicate, input, options));
+    result.verdicts.push_back(
+        check_input_on(net, protocol, predicate, input, options));
     // Odometer over [0, bound]^arity.
     std::size_t dim = 0;
     while (dim < arity && input[dim] == bound) {

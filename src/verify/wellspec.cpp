@@ -14,11 +14,12 @@ namespace {
 using core::Config;
 using core::Count;
 
-}  // namespace
-
-WellSpecVerdict classify_input(const core::Protocol& protocol,
-                               const std::vector<core::Count>& input,
-                               const WellSpecOptions& options) {
+// classify_input over a net compiled once by the caller (see
+// check_input_on in stable.cpp).
+WellSpecVerdict classify_input_on(const petri::PetriNet& net,
+                                  const core::Protocol& protocol,
+                                  const std::vector<core::Count>& input,
+                                  const WellSpecOptions& options) {
   obs::ScopedTimer timer("verify.wellspec");
   obs::ScopedSpan span("verify.wellspec", "verify");
   WellSpecVerdict verdict;
@@ -38,8 +39,7 @@ WellSpecVerdict classify_input(const core::Protocol& protocol,
   limits.max_nodes = options.max_configs;
   const petri::ReachabilityGraph graph = [&] {
     obs::ScopedSpan explore_span("verify.wellspec.explore", "verify");
-    return petri::explore(petri::PetriNet(protocol.net()),
-                          {petri::Config(initial)}, limits);
+    return petri::explore(net, {petri::Config(initial)}, limits);
   }();
   if (graph.truncated) {
     throw std::runtime_error(
@@ -90,6 +90,15 @@ WellSpecVerdict classify_input(const core::Protocol& protocol,
   return verdict;
 }
 
+}  // namespace
+
+WellSpecVerdict classify_input(const core::Protocol& protocol,
+                               const std::vector<core::Count>& input,
+                               const WellSpecOptions& options) {
+  return classify_input_on(petri::PetriNet(protocol.net()), protocol, input,
+                           options);
+}
+
 WellSpecResult check_well_specification_up_to(const core::Protocol& protocol,
                                               core::Count bound,
                                               const WellSpecOptions& options) {
@@ -100,8 +109,9 @@ WellSpecResult check_well_specification_up_to(const core::Protocol& protocol,
   WellSpecResult result;
   const std::size_t arity = protocol.input_arity();
   std::vector<core::Count> input(arity, 0);
+  const petri::PetriNet net(protocol.net());
   while (true) {
-    result.verdicts.push_back(classify_input(protocol, input, options));
+    result.verdicts.push_back(classify_input_on(net, protocol, input, options));
     // Odometer over [0, bound]^arity, least-significant dimension first
     // (the same enumeration order as verify::check_up_to).
     std::size_t dim = 0;

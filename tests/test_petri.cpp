@@ -6,8 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <functional>
+#include <map>
+#include <optional>
 #include <set>
+#include <utility>
+#include <vector>
 
+#include "core/combinators.h"
 #include "core/constructions.h"
 #include "petri/bottom.h"
 #include "petri/control_net.h"
@@ -16,6 +23,7 @@
 #include "petri/karp_miller.h"
 #include "petri/reachability.h"
 #include "petri/width_reduction.h"
+#include "util/rng.h"
 
 namespace petri = ppsc::petri;
 using petri::Config;
@@ -93,12 +101,259 @@ TEST(Explore, FiniteGraphIsExact) {
   EXPECT_FALSE(graph.truncated);
   // Multisets of 2 tokens over the chain: (2,0,0) reaches all 6.
   EXPECT_EQ(graph.nodes.size(), 6u);
-  const auto silent = graph.find(Config{0, 0, 2});
-  ASSERT_TRUE(silent.has_value());
-  const auto word = graph.word_to(*silent);
+  const auto silent =
+      std::find(graph.nodes.begin(), graph.nodes.end(), Config{0, 0, 2});
+  ASSERT_NE(silent, graph.nodes.end());
+  const auto word = graph.word_to(
+      static_cast<std::size_t>(silent - graph.nodes.begin()));
   EXPECT_EQ(word.size(), 4u);
   EXPECT_EQ(petri::fire_word(chain3(), Config{2, 0, 0}, word),
             (Config{0, 0, 2}));
+}
+
+TEST(Explore, EnabledChecksCountOnlyIndexCandidates) {
+  // chain3's transitions sit in the buckets of places a and b, so each
+  // config tests one candidate per occupied place in {a, b}:
+  // (2,0,0):1 (1,1,0):2 (1,0,1):1 (0,2,0):1 (0,1,1):1 (0,0,2):0.
+  const auto graph = petri::explore(chain3(), {Config{2, 0, 0}});
+  EXPECT_EQ(graph.stats.enabled_checks, 6u);
+  EXPECT_EQ(graph.stats.edges, 6u);
+}
+
+TEST(Explore, EnabledChecksStayFarBelowADenseScan) {
+  // A wide width-2 product: a dense scan tests every transition
+  // against every config; the index must test under a tenth of that.
+  const auto cp = ppsc::core::interval_counting(2, 4);
+  const PetriNet net(cp.protocol.net());
+  const auto graph =
+      petri::explore(net, {Config(cp.protocol.initial_config({5}))});
+  ASSERT_FALSE(graph.truncated);
+  EXPECT_LT(graph.stats.enabled_checks,
+            graph.stats.configs * net.num_transitions() / 10);
+}
+
+namespace {
+
+// Differential reference for explore(): the same BFS written as a
+// dense scan over every transition in index order, with dense pre/post
+// vectors and an ordered map -- none of the index machinery.
+struct DenseGraph {
+  std::vector<Config> nodes;
+  std::vector<std::vector<std::pair<std::size_t, std::size_t>>> edges;
+  std::vector<std::size_t> parent;
+  std::vector<std::size_t> parent_transition;
+  bool truncated = false;
+  std::optional<std::size_t> stopped;
+};
+
+bool dense_enabled(const PetriNet& net, std::size_t t, const Config& config) {
+  for (std::size_t p = 0; p < net.num_states(); ++p) {
+    if (config[p] < net.transition(t).pre[p]) return false;
+  }
+  return true;
+}
+
+Config dense_fire(const PetriNet& net, std::size_t t, Config config) {
+  for (std::size_t p = 0; p < net.num_states(); ++p) {
+    config[p] += net.transition(t).post[p] - net.transition(t).pre[p];
+  }
+  return config;
+}
+
+DenseGraph dense_explore(const PetriNet& net, const std::vector<Config>& roots,
+                         std::size_t max_nodes,
+                         const std::function<bool(const Config&)>& stop) {
+  DenseGraph graph;
+  std::map<Config, std::size_t> ids;
+  const auto intern = [&](const Config& config, std::size_t parent,
+                          std::size_t transition) {
+    ids.emplace(config, graph.nodes.size());
+    graph.nodes.push_back(config);
+    graph.edges.emplace_back();
+    graph.parent.push_back(parent);
+    graph.parent_transition.push_back(transition);
+    if (!graph.stopped && stop && stop(config)) {
+      graph.stopped = graph.nodes.size() - 1;
+    }
+  };
+  for (const Config& root : roots) {
+    if (ids.count(root) == 0) {
+      intern(root, petri::ReachabilityGraph::kNoParent, 0);
+    }
+  }
+  for (std::size_t head = 0; head < graph.nodes.size() && !graph.stopped;
+       ++head) {
+    const Config current = graph.nodes[head];
+    for (std::size_t t = 0; t < net.num_transitions(); ++t) {
+      if (!dense_enabled(net, t, current)) continue;
+      const Config next = dense_fire(net, t, current);
+      if (ids.count(next) == 0) {
+        if (graph.nodes.size() >= max_nodes) {
+          graph.truncated = true;
+          continue;
+        }
+        intern(next, head, t);
+      }
+      graph.edges[head].emplace_back(ids.at(next), t);
+      if (graph.stopped) break;
+    }
+  }
+  return graph;
+}
+
+// The shapes the enabledness index must get right.
+enum Shape : std::size_t {
+  kNonConservative,
+  kEmptyPre,
+  kWidth3Pre,
+  kDoublePre,  // a + a -> ...
+  kIdentity,
+  kPairwise,
+  kNumShapes,
+};
+
+Config random_tokens(ppsc::util::Xoshiro256& rng, std::size_t dimension,
+                     std::size_t places, std::size_t tokens) {
+  Config config(dimension);
+  for (std::size_t i = 0; i < tokens; ++i) config[rng.below(places)] += 1;
+  return config;
+}
+
+// A random net over 2..5 places whose last place no transition reads;
+// `seen` tallies the shapes drawn.
+PetriNet random_net(ppsc::util::Xoshiro256& rng,
+                    std::array<std::size_t, kNumShapes>& seen) {
+  const std::size_t dimension = 2 + rng.below(4);
+  const std::size_t readable = dimension - 1;
+  PetriNet net(dimension);
+  const std::size_t transitions = 2 + rng.below(9);
+  for (std::size_t i = 0; i < transitions; ++i) {
+    const auto shape = static_cast<Shape>(rng.below(kNumShapes));
+    ++seen[shape];
+    const auto post = [&](std::size_t tokens) {
+      return random_tokens(rng, dimension, dimension, tokens);
+    };
+    switch (shape) {
+      case kNonConservative: {
+        const std::size_t width = 1 + rng.below(2);
+        net.add(random_tokens(rng, dimension, readable, width),
+                post(rng.below(2) == 0 ? width - 1 : width + 1));
+        break;
+      }
+      case kEmptyPre:
+        net.add(Config(dimension), post(rng.below(2)));
+        break;
+      case kWidth3Pre:
+        net.add(random_tokens(rng, dimension, readable, 3), post(3));
+        break;
+      case kDoublePre:
+        net.add(Config::unit(dimension, rng.below(readable), 2), post(2));
+        break;
+      case kIdentity: {
+        const Config both = random_tokens(rng, dimension, readable, 1);
+        net.add(both, both);
+        break;
+      }
+      case kPairwise:
+      case kNumShapes:
+        net.add(random_tokens(rng, dimension, readable, 2), post(2));
+        break;
+    }
+  }
+  return net;
+}
+
+}  // namespace
+
+TEST(Explore, IndexedScanMatchesDenseReferenceOnRandomNets) {
+  ppsc::util::Xoshiro256 rng(2024);
+  std::array<std::size_t, kNumShapes> seen{};
+  std::size_t truncated = 0;
+  std::size_t stopped = 0;
+  std::size_t complete = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const PetriNet net = random_net(rng, seen);
+    const std::size_t d = net.num_states();
+    const std::size_t num_roots = 1 + rng.below(2);
+    std::vector<Config> roots;
+    roots.reserve(num_roots);
+    for (std::size_t r = 0; r < num_roots; ++r) {
+      roots.push_back(random_tokens(rng, d, d, 1 + rng.below(4)));
+    }
+    petri::ExploreLimits limits;
+    limits.max_nodes = 8 + rng.below(120);
+    std::function<bool(const Config&)> stop;
+    if (rng.below(3) == 0) {
+      const petri::Count threshold =
+          2 + static_cast<petri::Count>(rng.below(3));
+      stop = [threshold](const Config& c) { return c[0] >= threshold; };
+    }
+
+    const auto graph = petri::explore(net, roots, limits, stop);
+    const DenseGraph reference =
+        dense_explore(net, roots, limits.max_nodes, stop);
+    ASSERT_EQ(graph.nodes, reference.nodes);
+    ASSERT_EQ(graph.edges.size(), reference.edges.size());
+    std::size_t edges = 0;
+    for (std::size_t u = 0; u < graph.edges.size(); ++u) {
+      std::vector<std::pair<std::size_t, std::size_t>> got;
+      got.reserve(graph.edges[u].size());
+      for (const petri::ReachEdge& e : graph.edges[u]) {
+        got.emplace_back(e.target, e.transition);
+      }
+      EXPECT_EQ(got, reference.edges[u]) << "node " << u;
+      edges += got.size();
+    }
+    EXPECT_EQ(graph.parent, reference.parent);
+    EXPECT_EQ(graph.parent_transition, reference.parent_transition);
+    EXPECT_EQ(graph.truncated, reference.truncated);
+    EXPECT_EQ(graph.stopped, reference.stopped);
+    EXPECT_EQ(graph.stats.edges, edges);
+    EXPECT_LE(graph.stats.edges, graph.stats.enabled_checks);
+    truncated += graph.truncated ? 1 : 0;
+    stopped += graph.stopped ? 1 : 0;
+    complete += graph.truncated || graph.stopped ? 0 : 1;
+
+    for (std::size_t u = 0; u < graph.nodes.size(); ++u) {
+      for (std::size_t t = 0; t < net.num_transitions(); ++t) {
+        ASSERT_EQ(net.enabled(t, graph.nodes[u]),
+                  dense_enabled(net, t, graph.nodes[u]));
+      }
+      // The BFS word replays from the node's root onto the node.
+      std::size_t root = u;
+      while (graph.parent[root] != petri::ReachabilityGraph::kNoParent) {
+        root = graph.parent[root];
+      }
+      EXPECT_EQ(petri::fire_word(net, graph.nodes[root], graph.word_to(u)),
+                graph.nodes[u]);
+    }
+    // Random words (with an out-of-range index now and then) replay as
+    // the dense semantics says, including where they get stuck.
+    for (int w = 0; w < 4; ++w) {
+      std::vector<std::size_t> word;
+      std::optional<Config> expected = roots[0];
+      const std::size_t length = rng.below(6);
+      for (std::size_t i = 0; i < length; ++i) {
+        const std::size_t t = rng.below(net.num_transitions() + 1);
+        word.push_back(t);
+        if (!expected) continue;
+        if (t < net.num_transitions() && dense_enabled(net, t, *expected)) {
+          expected = dense_fire(net, t, *expected);
+        } else {
+          expected = std::nullopt;
+        }
+      }
+      EXPECT_EQ(petri::fire_word(net, roots[0], word), expected);
+    }
+  }
+  // Every shape and every exit path was exercised.
+  for (std::size_t shape = 0; shape < kNumShapes; ++shape) {
+    EXPECT_GT(seen[shape], 50u) << "shape " << shape;
+  }
+  EXPECT_GT(truncated, 20u);
+  EXPECT_GT(stopped, 20u);
+  EXPECT_GT(complete, 20u);
 }
 
 TEST(Explore, TruncatesPumpingNets) {

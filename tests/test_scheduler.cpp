@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <stdexcept>
 
 #include "core/constructions.h"
 #include "sim/census.h"
@@ -497,6 +498,21 @@ TEST(CensusSimulator, TinyPopulationsAreSilent) {
   EXPECT_TRUE(loner.silent());
   EXPECT_FALSE(loner.step());
   EXPECT_EQ(loner.steps(), 0u);
+}
+
+TEST(CensusSimulator, RejectsPopulationsWhosePairCountOverflows) {
+  // n(n-1) must fit in a long long: kMaxPopulation is the last n that
+  // does. The accepted case is only constructed, never stepped.
+  const auto cp = core::unary_counting(2);
+  const auto table = sim::PairRuleTable::build(cp.protocol);
+  ASSERT_TRUE(table.has_value());
+  const core::Count limit = sim::CensusSimulator::kMaxPopulation;
+  const sim::CensusSimulator at_limit(
+      *table, cp.protocol.initial_config({limit}), 1);
+  EXPECT_EQ(at_limit.population(), limit);
+  const core::Config over_limit = cp.protocol.initial_config({limit + 1});
+  EXPECT_THROW(sim::CensusSimulator rejected(*table, over_limit, 1),
+               std::invalid_argument);
 }
 
 TEST(DispatchHeuristic, PicksByPopulationAndStateCount) {
