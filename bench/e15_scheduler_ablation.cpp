@@ -1,7 +1,7 @@
 // E15 — Ablation: the four interchangeable schedulers.
 //
-// All four schedulers (agent-array, sharded agent-array, census alias
-// table, count-based) implement the same productive interaction
+// All four schedulers (agent-array, sharded agent-array, census
+// Fenwick sampler, count-based) implement the same productive interaction
 // distribution (uniform random pair ≙ instantiation-weighted
 // transition sampling on pairwise conservative nets); their
 // convergence statistics must agree within sampling noise while their

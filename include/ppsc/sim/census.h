@@ -1,22 +1,31 @@
-// Census-only scheduler: the alias-table hybrid for small state
-// spaces. When the census fits in L1 (states <= ~64), the productive
-// chain can be sampled without any agent array at all: conditional on
-// drawing a productive interaction, the uniform-pair scheduler fires
-// rule cell (a, b) with probability w(a,b) / W where
-// w(a,b) = c_a * (c_b - [a == b]) counts the enabled ordered pairs of
-// that cell and W is their sum -- so drawing a cell from a Vose alias
-// table over the w's and applying its outcome reproduces
-// AgentSimulator's productive-step chain *exactly* (not just in
-// distribution: it is the same conditional law; the empirical check
-// lives with the other scheduler-equivalence tests). The null draws
-// AgentSimulator spends between productive steps are skipped
-// analytically: their count is geometric with success probability
-// W / (n(n-1)), sampled in O(1) and reported through interactions().
+// Census-only scheduler for small state spaces. When the census fits
+// in L1 (states <= ~64), the productive chain can be sampled without
+// any agent array at all: conditional on drawing a productive
+// interaction, the uniform-pair scheduler fires rule cell (a, b) with
+// probability w(a,b) / W where w(a,b) = c_a * (c_b - [a == b]) counts
+// the enabled ordered pairs of that cell and W is their sum -- so
+// drawing a cell with probability exactly w/W and applying its outcome
+// reproduces AgentSimulator's productive-step chain *exactly* (not
+// just in distribution: it is the same conditional law; the empirical
+// checks live with the other scheduler-equivalence tests). Cells (a, b)
+// and (b, a) fire the same interaction with the outcome swapped, so
+// they are kept as one cell {a, b}, a <= b, of weight
+// w(a,b) + w(b,a) = 2 c_a c_b. The null draws AgentSimulator spends
+// between productive steps are skipped analytically: their count is
+// geometric with success probability W / (n(n-1)), sampled in O(1) and
+// reported through interactions().
 //
-// Per productive step: O(cells touching the <= 4 changed states)
-// integer weight updates plus an O(R) alias rebuild (R = number of
-// rule cells) -- entirely independent of the population, which is
-// what makes 10^9-agent populations free. Weights are exact 64-bit
+// Sampling is exact integer arithmetic: the weights sit in a Fenwick
+// (binary-indexed) tree, and a productive step draws r = below(W) and
+// fires the smallest cell whose weight prefix sum exceeds r, found by
+// one top-down descent. A zero-weight cell can never be drawn. Per
+// productive step the RNG supplies one unit() for the geometric skip
+// (only while some pair is null) and one below(W) for the cell.
+//
+// Per productive step: O(changed cells * log R) work (R = number of
+// rule cells; the changed cells are those touching the <= 4 states
+// whose counts moved) -- entirely independent of the population, which
+// is what makes 10^9-agent populations free. Weights are exact 64-bit
 // integers (products c_a * c_b and the ordered-pair count n(n-1) stay
 // below 2^63 for populations up to kMaxPopulation ~ 3.04e9, the same
 // bound AgentSimulator's enabled-pairs accounting lives under; larger
@@ -42,7 +51,7 @@ class CensusSimulator {
   // long long.
   static constexpr core::Count kMaxPopulation = 3037000500LL;
 
-  // The table must outlive the simulator. `initial` is a configuration
+  // The table is read only here. `initial` is a configuration
   // over the protocol's states; std::invalid_argument if its population
   // exceeds kMaxPopulation.
   CensusSimulator(const PairRuleTable& table, const core::Config& initial,
@@ -61,9 +70,8 @@ class CensusSimulator {
   std::uint64_t interactions() const { return interactions_; }
   // Analytically skipped null draws (subset of interactions()).
   std::uint64_t null_skipped() const { return null_skipped_; }
-  // Alias-table rebuilds so far (one per productive step that changed
-  // any weight; the weight updates themselves are incremental).
-  std::uint64_t rebuilds() const { return rebuilds_; }
+  // Cell weights changed so far, one Fenwick-tree update each.
+  std::uint64_t weight_updates() const { return weight_updates_; }
 
   const core::Config& census() const { return counts_; }
   core::Count population() const { return population_; }
@@ -77,15 +85,16 @@ class CensusSimulator {
  private:
   struct Cell {
     std::uint32_t a = 0;
-    std::uint32_t b = 0;
+    std::uint32_t b = 0;       // a <= b
     std::uint32_t first = 0;   // successor of a
     std::uint32_t second = 0;  // successor of b
   };
 
   long long cell_weight(const Cell& cell) const;
-  void rebuild_alias();
+  // Fenwick-tree primitives over the cell weights (tree_ is 1-based).
+  void tree_add(std::size_t cell, long long delta);
+  std::uint32_t tree_find(long long r) const;
 
-  const PairRuleTable* table_;
   util::Xoshiro256 rng_;
   core::Config counts_;
   core::Count population_ = 0;
@@ -93,24 +102,17 @@ class CensusSimulator {
   std::vector<Cell> cells_;
   // cells_of_state_[q]: indices of cells with a == q or b == q.
   std::vector<std::vector<std::uint32_t>> cells_of_state_;
-  std::vector<std::uint64_t> touched_;
-  std::uint64_t stamp_ = 0;
   std::vector<long long> weights_;
   long long enabled_pairs_ = 0;
-
-  // Vose alias table over cells_, valid while !dirty_. The scratch
-  // vectors are members so the per-step rebuild allocates nothing.
-  std::vector<double> alias_prob_;
-  std::vector<std::uint32_t> alias_of_;
-  std::vector<double> scratch_scaled_;
-  std::vector<std::uint32_t> scratch_small_;
-  std::vector<std::uint32_t> scratch_large_;
-  bool dirty_ = true;
+  // tree_[i] sums weights_ over (i - (i & -i), i]; tree_top_ is the
+  // largest power of two <= cells_.size() (0 without cells).
+  std::vector<long long> tree_;
+  std::size_t tree_top_ = 0;
 
   std::uint64_t steps_ = 0;
   std::uint64_t interactions_ = 0;
   std::uint64_t null_skipped_ = 0;
-  std::uint64_t rebuilds_ = 0;
+  std::uint64_t weight_updates_ = 0;
 };
 
 }  // namespace sim

@@ -52,6 +52,9 @@ namespace sim {
 class PairRuleTable {
  public:
   static constexpr std::uint32_t kNoRule = 0xffffffffu;
+  // Largest state count build() compiles: the dense table holds
+  // kMaxStates^2 = 16.7M cells (128 MiB).
+  static constexpr std::size_t kMaxStates = 4096;
 
   struct Outcome {
     std::uint32_t first = kNoRule;   // successor of the first agent
@@ -63,7 +66,10 @@ class PairRuleTable {
   // or two transitions share a pre pair *with different outcomes* (a
   // duplicated identical transition is still deterministic and compiles;
   // the count scheduler remains the fallback for the genuinely
-  // nondeterministic cases, with the same productive-step law).
+  // nondeterministic cases, with the same productive-step law), or
+  // when the protocol has more than kMaxStates states, where the n^2
+  // table is too large; dispatch then takes the count path the same
+  // way.
   static std::optional<PairRuleTable> build(const core::Protocol& protocol);
 
   std::size_t num_states() const { return num_states_; }
@@ -201,10 +207,6 @@ class CountSimulator {
   std::uint64_t steps_ = 0;
   std::uint64_t weight_updates_ = 0;
 };
-
-// The name the scheduler-architecture docs use for the count-based
-// scheduler; identical type.
-using CountScheduler = CountSimulator;
 
 }  // namespace sim
 }  // namespace ppsc

@@ -1,5 +1,6 @@
 #include "sim/census.h"
 
+#include <algorithm>
 #include <climits>
 #include <cmath>
 #include <stdexcept>
@@ -18,7 +19,7 @@ static_assert(CensusSimulator::kMaxPopulation >
 CensusSimulator::CensusSimulator(const PairRuleTable& table,
                                  const core::Config& initial,
                                  std::uint64_t seed)
-    : table_(&table), rng_(seed), counts_(initial) {
+    : rng_(seed), counts_(initial) {
   if (initial.size() != table.num_states()) {
     throw std::invalid_argument(
         "CensusSimulator: configuration dimension does not match table");
@@ -36,6 +37,7 @@ CensusSimulator::CensusSimulator(const PairRuleTable& table,
   cells_of_state_.assign(table.num_states(), {});
   for (std::uint32_t a = 0; a < table.num_states(); ++a) {
     for (std::uint32_t b : table.partners(a)) {
+      if (b < a) continue;  // (b, a) is the same interaction as (a, b)
       const PairRuleTable::Outcome* outcome = table.rule(a, b);
       Cell cell;
       cell.a = a;
@@ -48,63 +50,47 @@ CensusSimulator::CensusSimulator(const PairRuleTable& table,
       if (b != a) cells_of_state_[b].push_back(index);
     }
   }
-  touched_.assign(cells_.size(), 0);
   weights_.assign(cells_.size(), 0);
   for (std::size_t i = 0; i < cells_.size(); ++i) {
     weights_[i] = cell_weight(cells_[i]);
     enabled_pairs_ += weights_[i];
   }
+  // Linear-time Fenwick build: each node adds its finished sum into
+  // its parent.
+  tree_.assign(cells_.size() + 1, 0);
+  for (std::size_t i = 1; i < tree_.size(); ++i) {
+    tree_[i] += weights_[i - 1];
+    const std::size_t parent = i + (i & (0 - i));
+    if (parent < tree_.size()) tree_[parent] += tree_[i];
+  }
+  tree_top_ = cells_.empty() ? 0 : 1;
+  while (tree_top_ * 2 <= cells_.size()) tree_top_ *= 2;
 }
 
 long long CensusSimulator::cell_weight(const Cell& cell) const {
   const long long ca = counts_[cell.a];
-  return cell.a == cell.b ? ca * (ca - 1) : ca * counts_[cell.b];
+  return cell.a == cell.b ? ca * (ca - 1) : 2 * ca * counts_[cell.b];
 }
 
-void CensusSimulator::rebuild_alias() {
-  ++rebuilds_;
-  const std::size_t num_cells = cells_.size();
-  alias_prob_.assign(num_cells, 1.0);
-  alias_of_.resize(num_cells);
-  // Vose's O(R) construction over the exact integer weights; the
-  // double division only perturbs sampling probabilities by ~1 ulp.
-  std::vector<std::uint32_t>& small = scratch_small_;
-  std::vector<std::uint32_t>& large = scratch_large_;
-  small.clear();
-  large.clear();
-  std::uint32_t some_enabled = 0;
-  const double scale =
-      static_cast<double>(num_cells) / static_cast<double>(enabled_pairs_);
-  std::vector<double>& scaled = scratch_scaled_;
-  scaled.resize(num_cells);
-  for (std::uint32_t i = 0; i < num_cells; ++i) {
-    alias_of_[i] = i;
-    scaled[i] = static_cast<double>(weights_[i]) * scale;
-    if (weights_[i] > 0) some_enabled = i;
-    (scaled[i] < 1.0 ? small : large).push_back(i);
+void CensusSimulator::tree_add(std::size_t cell, long long delta) {
+  for (std::size_t i = cell + 1; i < tree_.size(); i += i & (0 - i)) {
+    tree_[i] += delta;
   }
-  while (!small.empty() && !large.empty()) {
-    const std::uint32_t s = small.back();
-    const std::uint32_t l = large.back();
-    small.pop_back();
-    alias_prob_[s] = scaled[s];
-    alias_of_[s] = l;
-    scaled[l] -= 1.0 - scaled[s];
-    if (scaled[l] < 1.0) {
-      large.pop_back();
-      small.push_back(l);
+}
+
+std::uint32_t CensusSimulator::tree_find(long long r) const {
+  // Top-down descent: `pos` grows to the longest prefix of cells whose
+  // weight sum is <= r, so the cell after it is the smallest one whose
+  // prefix sum exceeds r. A zero-weight cell never ends that search.
+  std::size_t pos = 0;
+  for (std::size_t bit = tree_top_; bit != 0; bit >>= 1) {
+    const std::size_t next = pos + bit;
+    if (next < tree_.size() && tree_[next] <= r) {
+      pos = next;
+      r -= tree_[next];
     }
   }
-  // Leftovers keep probability 1 -- except a disabled cell stranded by
-  // floating-point imbalance, which must still redirect somewhere
-  // enabled.
-  for (const std::uint32_t s : small) {
-    if (weights_[s] == 0) {
-      alias_prob_[s] = 0.0;
-      alias_of_[s] = some_enabled;
-    }
-  }
-  dirty_ = false;
+  return static_cast<std::uint32_t>(pos);
 }
 
 bool CensusSimulator::step() {
@@ -127,28 +113,32 @@ bool CensusSimulator::step() {
   }
   ++interactions_;
 
-  if (dirty_) rebuild_alias();
-  const std::uint64_t slot = rng_.below(cells_.size());
-  const std::uint32_t chosen =
-      rng_.unit() < alias_prob_[slot] ? static_cast<std::uint32_t>(slot)
-                                      : alias_of_[slot];
-  const Cell& cell = cells_[chosen];
+  const Cell& cell = cells_[tree_find(static_cast<long long>(
+      rng_.below(static_cast<std::uint64_t>(enabled_pairs_))))];
   --counts_[cell.a];
   --counts_[cell.b];
   ++counts_[cell.first];
   ++counts_[cell.second];
 
-  ++stamp_;
+  // Only cells touching a state whose count moved can change weight.
+  // A cell touching two such states is visited twice; the second visit
+  // finds its weight already current.
   const std::uint32_t changed[4] = {cell.a, cell.b, cell.first, cell.second};
-  for (const std::uint32_t q : changed) {
+  for (int k = 0; k < 4; ++k) {
+    const std::uint32_t q = changed[k];
+    const int moved = (q == cell.first) + (q == cell.second) -
+                      (q == cell.a) - (q == cell.b);
+    if (moved == 0 || std::find(changed, changed + k, q) != changed + k) {
+      continue;
+    }
     for (const std::uint32_t index : cells_of_state_[q]) {
-      if (touched_[index] == stamp_) continue;
-      touched_[index] = stamp_;
       const long long updated = cell_weight(cells_[index]);
       if (updated != weights_[index]) {
-        enabled_pairs_ += updated - weights_[index];
+        const long long delta = updated - weights_[index];
+        enabled_pairs_ += delta;
         weights_[index] = updated;
-        dirty_ = true;
+        tree_add(index, delta);
+        ++weight_updates_;
       }
     }
   }
@@ -162,7 +152,7 @@ void CensusSimulator::publish_metrics() const {
   registry.add("sim.census.runs", 1);
   registry.add("sim.census.productive", steps_);
   registry.add("sim.census.null_skipped", null_skipped_);
-  registry.add("sim.census.rebuilds", rebuilds_);
+  registry.add("sim.census.weight_updates", weight_updates_);
 }
 
 }  // namespace sim

@@ -113,7 +113,7 @@ SchedulerChoice planned_scheduler(const RunOptions& options, bool has_table,
                                   std::size_t num_states,
                                   core::Count population) {
   // Thresholds (rationale in docs/sim-sharding.md): the census path
-  // needs a small alias table and enough agents that skipping null
+  // needs a small rule-cell table and enough agents that skipping null
   // draws matters; the sharded path only beats the plain agent array
   // once the array has fallen out of cache. All committed goldens and
   // sweep benches run populations far below both cutoffs, so kAuto

@@ -21,6 +21,7 @@ using core::Count;
 std::optional<PairRuleTable> PairRuleTable::build(
     const core::Protocol& protocol) {
   const std::size_t n = protocol.num_states();
+  if (n > kMaxStates) return std::nullopt;
   PairRuleTable table;
   table.num_states_ = n;
   table.cells_.assign(n * n, Outcome{});

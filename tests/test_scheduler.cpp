@@ -1,17 +1,23 @@
 // Scheduler architecture: pair-table compilation, scheduler
 // equivalence across all four schedulers (agent, sharded, census,
 // count), incremental silence detection, the sharded scheduler's
-// determinism contract, the dispatch heuristic, and the deterministic
-// parallel sweep runner.
+// determinism contract, the census sampler's exact law (chi-square and
+// the exact expected-time oracle), the dispatch heuristic, and the
+// deterministic parallel sweep runner.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <map>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/constructions.h"
 #include "sim/census.h"
+#include "sim/expected_time.h"
 #include "sim/parallel.h"
 #include "sim/scheduler.h"
 #include "sim/sharded.h"
@@ -148,6 +154,24 @@ TEST(PairRuleTable, RejectsConflictingRulesOnSamePrePair) {
   b.add_pair_rule("toB", A, B, B, B);
   b.add_pair_rule("toA", A, B, A, A);
   EXPECT_FALSE(sim::PairRuleTable::build(b.build()).has_value());
+}
+
+TEST(PairRuleTable, RejectsStateSpacesAboveTheSizeCap) {
+  // A dense table over kMaxStates + 1 states would hold ~16.8M cells;
+  // build() refuses it up front, and dispatch falls back to the count
+  // path exactly as for a non-pairwise net.
+  core::ProtocolBuilder b;
+  for (std::size_t q = 0; q <= sim::PairRuleTable::kMaxStates; ++q) {
+    b.add_state("q" + std::to_string(q), false);
+  }
+  b.add_input(0);
+  const core::Protocol protocol = b.build();
+  ASSERT_EQ(protocol.num_states(), 4097u);
+  const auto table = sim::PairRuleTable::build(protocol);
+  EXPECT_FALSE(table.has_value());
+  EXPECT_EQ(sim::planned_scheduler(sim::RunOptions{}, table.has_value(),
+                                   protocol.num_states(), 1 << 16),
+            sim::SchedulerChoice::kCount);
 }
 
 TEST(PairRuleTable, CellsMatchTheRules) {
@@ -484,7 +508,133 @@ TEST(CensusSimulator, TracksSilenceExactly) {
   // The geometric null skip accounts at least one draw per productive
   // step, so the sampled raw-draw total dominates the productive one.
   EXPECT_GE(simulator.interactions(), simulator.steps());
-  EXPECT_GT(simulator.rebuilds(), 0u);
+  EXPECT_GT(simulator.weight_updates(), 0u);
+}
+
+TEST(CensusSimulator, SamplesCellsWithExactWeights) {
+  // One productive step from a fixed census on each of kRuns seeded
+  // simulators. The fired cell must follow w(a,b)/W exactly. Cells
+  // (a,b) and (b,a) leave the same census behind, so the histogram is
+  // over successor censuses, each expecting the summed weight of the
+  // cells that produce it. Firing a zero-weight cell would drive some
+  // count negative -- a successor outside the expected set.
+  const auto cp = core::unary_counting(3);
+  const auto table = sim::PairRuleTable::build(cp.protocol);
+  ASSERT_TRUE(table.has_value());
+  const auto& id = cp.protocol.states();
+  core::Config census(cp.protocol.num_states(), 0);
+  census[id.at("1")] = 6;
+  census[id.at("2")] = 3;
+  census[id.at("3")] = 1;
+  census[id.at("0!")] = 2;
+  std::map<core::Config, long long> weight_of;
+  long long total = 0;
+  std::size_t zero_cells = 0;
+  for (std::uint32_t a = 0; a < table->num_states(); ++a) {
+    for (const std::uint32_t b : table->partners(a)) {
+      const long long w =
+          a == b ? census[a] * (census[a] - 1) : census[a] * census[b];
+      if (w == 0) {
+        ++zero_cells;
+        continue;
+      }
+      const sim::PairRuleTable::Outcome* outcome = table->rule(a, b);
+      core::Config next = census;
+      --next[a];
+      --next[b];
+      ++next[outcome->first];
+      ++next[outcome->second];
+      weight_of[next] += w;
+      total += w;
+    }
+  }
+  ASSERT_GE(zero_cells, 10u);
+
+  constexpr std::size_t kRuns = 20000;
+  std::map<core::Config, std::size_t> observed;
+  for (std::size_t r = 0; r < kRuns; ++r) {
+    sim::CensusSimulator simulator(*table, census, 5000 + r);
+    ASSERT_TRUE(simulator.step());
+    ++observed[simulator.census()];
+  }
+  for (const auto& [next, count] : observed) {
+    ASSERT_EQ(weight_of.count(next), 1u) << "fired a zero-weight cell";
+  }
+  // 8 successor censuses (W = 130, weights 4..36) give 7 degrees of
+  // freedom; the 0.001 upper quantile of chi-square(7) is 24.32. The
+  // smallest expected count is kRuns * 4 / 130 ~ 615, far above the
+  // usual 5.
+  ASSERT_EQ(weight_of.size(), 8u);
+  double chi_square = 0.0;
+  for (const auto& [next, w] : weight_of) {
+    const double expected = static_cast<double>(kRuns) *
+                            static_cast<double>(w) /
+                            static_cast<double>(total);
+    const double diff = static_cast<double>(observed[next]) - expected;
+    chi_square += diff * diff / expected;
+  }
+  EXPECT_LT(chi_square, 24.32);
+}
+
+TEST(CensusSimulator, SoleEnabledCellAlwaysFires) {
+  // One enabled cell, (1,1) with weight 2, among the table's other,
+  // disabled cells: every draw must land on it, whatever the seed.
+  // (A floating-point alias table needs a fixup for exactly this
+  // shape.)
+  const auto cp = core::unary_counting(3);
+  const auto table = sim::PairRuleTable::build(cp.protocol);
+  ASSERT_TRUE(table.has_value());
+  const auto& id = cp.protocol.states();
+  core::Config census(cp.protocol.num_states(), 0);
+  census[id.at("0")] = 1000;
+  census[id.at("1")] = 2;
+  core::Config merged = census;
+  merged[id.at("1")] = 0;
+  merged[id.at("0")] = 1001;
+  merged[id.at("2")] = 1;
+  for (std::uint64_t seed = 0; seed < 2000; ++seed) {
+    sim::CensusSimulator simulator(*table, census, seed);
+    ASSERT_EQ(simulator.enabled_pairs(), 2);
+    ASSERT_TRUE(simulator.step());
+    ASSERT_EQ(simulator.census(), merged) << "seed " << seed;
+    ASSERT_TRUE(simulator.silent());
+  }
+}
+
+TEST(CensusSimulator, MeanStepsMatchTheExactOracle) {
+  // The census chain is the exact productive-step chain, so its mean
+  // time to silence must match expected_interactions_to_silence within
+  // 4 standard errors: |mean - E| < 4 s / sqrt(kRuns), s the sample
+  // standard deviation. With kRuns = 4000 that is a relative
+  // tolerance of about 0.6% for unary_counting(3) at 12 agents
+  // (E ~ 15.97) and 1.8% for Example 4.2 with 3 leaders at x = 4
+  // (E ~ 8.47).
+  constexpr std::size_t kRuns = 4000;
+  const auto check = [&](const core::ConstructedProtocol& cp,
+                         const std::vector<core::Count>& input) {
+    const sim::ExpectedTimeResult exact =
+        sim::expected_interactions_to_silence(cp.protocol, input);
+    ASSERT_TRUE(exact.computed);
+    const auto table = sim::PairRuleTable::build(cp.protocol);
+    ASSERT_TRUE(table.has_value());
+    const core::Config initial = cp.protocol.initial_config(input);
+    double sum = 0.0;
+    double sum_sq = 0.0;
+    for (std::size_t r = 0; r < kRuns; ++r) {
+      sim::CensusSimulator simulator(*table, initial, 9000 + r);
+      while (simulator.step()) {
+      }
+      const double steps = static_cast<double>(simulator.steps());
+      sum += steps;
+      sum_sq += steps * steps;
+    }
+    const double n = static_cast<double>(kRuns);
+    const double mean = sum / n;
+    const double sd = std::sqrt((sum_sq - sum * mean) / (n - 1.0));
+    EXPECT_NEAR(mean, exact.expected_steps, 4.0 * sd / std::sqrt(n));
+  };
+  check(core::unary_counting(3), {12});
+  check(core::example_4_2(3), {4});
 }
 
 TEST(CensusSimulator, TinyPopulationsAreSilent) {
