@@ -1,22 +1,19 @@
 // E11 — Simulator throughput (google-benchmark).
 //
 // The repro target: high-throughput agent interaction simulation. Measures
-// interactions/second of the agent-array fast path across population sizes
-// and protocols, the sharded scheduler's large-population sweep
+// raw draws/second of the agent-array kernel at one shard across
+// population sizes and protocols, the kernel's large-population sweep
 // (10^6 -> 10^8 agents across shard counts -- the tentpole trajectory:
-// the 8-shard arm at 10^7+ agents must hold >= 5x the single-thread
-// agent-array items/sec), the census scheduler at populations no agent
-// array can hold (10^9), and the count-based scheduler for comparison.
+// the 8-shard arm at 10^7+ agents must hold >= 5x the one-shard
+// items/sec), the census scheduler at populations no agent array can
+// hold (10^9), and the count-based scheduler for comparison.
 //
 // Before any benchmark runs, main() executes the observability overhead
-// guard: AgentSimulator compiles its step from one template with the
-// metric hooks on or off (sim/scheduler.h), so a single binary holds
-// both the instrumented path and the exact machine code a
-// -DPPSC_OBS=OFF build produces. The guard measures both interleaved
-// and fails the binary when the instrumented median falls more than 5%
-// below the bare one -- the "near-zero overhead" claim, enforced on
-// every smoke-test run. PPSC_SKIP_OVERHEAD_GUARD=1 bypasses it (for
-// heavily loaded or throttled machines).
+// guard: it runs the one-shard kernel with the metric registry off and
+// on, interleaved, and fails the binary when the instrumented median
+// falls more than 5% below the bare one -- the "near-zero overhead"
+// claim, enforced on every smoke-test run. PPSC_SKIP_OVERHEAD_GUARD=1
+// bypasses it (for heavily loaded or throttled machines).
 
 #include <benchmark/benchmark.h>
 
@@ -56,19 +53,21 @@ bool overhead_guard() {
   auto c = ppsc::core::unary_counting(8);
   auto table = ppsc::sim::PairRuleTable::build(c.protocol);
   const ppsc::core::Config initial = c.protocol.initial_config({100000});
-  constexpr int kSteps = 1'000'000;
+  constexpr std::uint64_t kDraws = 1'000'000;
+  ppsc::sim::ShardedOptions one_shard;
+  one_shard.shards = 1;
   const auto measure = [&](bool obs) {
-    // The obs_ flag is latched at construction, so toggling the registry
-    // here selects step_impl<true> or step_impl<false> for the whole run.
+    // The same kernel either way; the instrumented arm publishes its
+    // run totals into the live registry inside the timed region.
     registry.set_enabled(obs);
-    ppsc::sim::AgentSimulator simulator(*table, initial, 42);
+    ppsc::sim::ShardedSimulator simulator(*table, initial, 42, one_shard);
     const auto start = std::chrono::steady_clock::now();
-    for (int i = 0; i < kSteps; ++i) {
-      benchmark::DoNotOptimize(simulator.step());
+    while (simulator.interactions() < kDraws && simulator.epoch()) {
     }
+    simulator.publish_metrics();
     const std::chrono::duration<double> elapsed =
         std::chrono::steady_clock::now() - start;
-    return static_cast<double>(kSteps) / elapsed.count();
+    return static_cast<double>(simulator.interactions()) / elapsed.count();
   };
 
   bool ok = false;
@@ -86,7 +85,7 @@ bool overhead_guard() {
     const double inst_med = median(instrumented);
     const double delta = (bare_med - inst_med) / bare_med;
     std::fprintf(stderr,
-                 "e11 overhead guard: bare %.3e steps/s, instrumented %.3e "
+                 "e11 overhead guard: bare %.3e draws/s, instrumented %.3e "
                  "(delta %+.2f%%, attempt %d)\n",
                  bare_med, inst_med, 100.0 * delta, attempt + 1);
     ok = delta < 0.05;
@@ -94,22 +93,40 @@ bool overhead_guard() {
   registry.set_enabled(was_enabled);
   if (!ok) {
     std::fprintf(stderr,
-                 "e11 overhead guard: FAILED -- instrumented step path is "
-                 ">5%% slower than the bare path in 3 attempts\n");
+                 "e11 overhead guard: FAILED -- the instrumented kernel is "
+                 ">5%% slower than the bare kernel in 3 attempts\n");
   }
   return ok;
 }
 
+// The one-shard agent-array kernel, one epoch per iteration; items
+// count raw draws. A run that falls silent is restarted on the next
+// seed with timing paused, so no timed iteration steps a silent
+// population.
+void run_agent_array(benchmark::State& state,
+                     const ppsc::core::ConstructedProtocol& c,
+                     const ppsc::core::Config& initial, std::uint64_t seed) {
+  auto table = ppsc::sim::PairRuleTable::build(c.protocol);
+  ppsc::sim::ShardedOptions one_shard;
+  one_shard.shards = 1;
+  std::optional<ppsc::sim::ShardedSimulator> simulator;
+  simulator.emplace(*table, initial, seed, one_shard);
+  std::uint64_t draws = 0;
+  for (auto _ : state) {
+    if (!simulator->epoch()) {
+      state.PauseTiming();
+      draws += simulator->interactions();
+      simulator.emplace(*table, initial, ++seed, one_shard);
+      state.ResumeTiming();
+    }
+  }
+  draws += simulator->interactions();
+  state.SetItemsProcessed(static_cast<std::int64_t>(draws));
+}
+
 void BM_AgentArray_Unary(benchmark::State& state) {
   auto c = ppsc::core::unary_counting(8);
-  auto table = ppsc::sim::PairRuleTable::build(c.protocol);
-  const Count population = state.range(0);
-  ppsc::sim::AgentSimulator simulator(
-      *table, c.protocol.initial_config({population}), 42);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(simulator.step());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  run_agent_array(state, c, c.protocol.initial_config({state.range(0)}), 42);
 }
 BENCHMARK(BM_AgentArray_Unary)
     ->Arg(100)
@@ -118,8 +135,8 @@ BENCHMARK(BM_AgentArray_Unary)
     ->Arg(10000000);
 
 // The tentpole sweep: one population, sharded. Each iteration is one
-// epoch (shards * batch draws), so items/sec counts raw draws -- the
-// same unit as the agent-array arms. Only deterministic counters are
+// epoch (shards * K draws), so items/sec counts raw draws -- the same
+// unit as the agent-array arms. Only deterministic counters are
 // attached (bench_compare requires custom counters to be exact).
 void BM_Sharded_Unary(benchmark::State& state) {
   auto c = ppsc::core::unary_counting(8);
@@ -179,26 +196,14 @@ BENCHMARK(BM_Census_Unary)
 
 void BM_AgentArray_Example42(benchmark::State& state) {
   auto c = ppsc::core::example_4_2(state.range(0) / 2);
-  auto table = ppsc::sim::PairRuleTable::build(c.protocol);
-  ppsc::sim::AgentSimulator simulator(
-      *table, c.protocol.initial_config({state.range(0)}), 7);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(simulator.step());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  run_agent_array(state, c, c.protocol.initial_config({state.range(0)}), 7);
 }
 BENCHMARK(BM_AgentArray_Example42)->Arg(1000)->Arg(100000);
 
 void BM_AgentArray_Majority(benchmark::State& state) {
   auto c = ppsc::core::majority();
-  auto table = ppsc::sim::PairRuleTable::build(c.protocol);
   const Count half = state.range(0) / 2;
-  ppsc::sim::AgentSimulator simulator(
-      *table, c.protocol.initial_config({half + 1, half}), 3);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(simulator.step());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  run_agent_array(state, c, c.protocol.initial_config({half + 1, half}), 3);
 }
 BENCHMARK(BM_AgentArray_Majority)->Arg(1000)->Arg(100000);
 
@@ -226,7 +231,7 @@ BENCHMARK(BM_RuleTableBuild)->Arg(8)->Arg(32)->Arg(128);
 int main(int argc, char** argv) {
   // PPSC_TRACE_JSON: arm the span tracer before the guard + benchmarks
   // and export after. The guard toggles only the *metric* registry, so
-  // tracing stays on across it (AgentSimulator::step has no spans --
+  // tracing stays on across it (the kernel's epochs open no spans --
   // tracing cannot perturb the overhead measurement).
   if (ppsc::obs::trace_json_env() != nullptr) {
     ppsc::obs::TraceRegistry::global().set_enabled(true);

@@ -1,15 +1,15 @@
-// E15 — Ablation: the four interchangeable schedulers.
+// E15 — Ablation: the three interchangeable schedulers.
 //
-// All four schedulers (agent-array, sharded agent-array, census
-// Fenwick sampler, count-based) implement the same productive interaction
-// distribution (uniform random pair ≙ instantiation-weighted
-// transition sampling on pairwise conservative nets); their
-// convergence statistics must agree within sampling noise while their
-// throughput characteristics differ by orders of magnitude. Part 1
-// forces each scheduler through measure_convergence on identical
-// protocols, populations and seeds; part 2 reports raw throughput in
-// each scheduler's natural unit; part 3 demonstrates the parallel
-// sweep runner's determinism.
+// The three schedulers (the agent-array kernel, at one shard and
+// sharded; the census Fenwick sampler; the count-based sampler)
+// implement the same productive interaction distribution (uniform
+// random pair ≙ instantiation-weighted transition sampling on pairwise
+// conservative nets); their convergence statistics must agree within
+// sampling noise while their throughput characteristics differ by
+// orders of magnitude. Part 1 forces each scheduler through
+// measure_convergence on identical protocols, populations and seeds;
+// part 2 reports raw throughput in each scheduler's natural unit; part
+// 3 demonstrates the parallel sweep runner's determinism.
 
 #include <chrono>
 #include <cstdio>
@@ -26,31 +26,29 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-double steps_per_second_agent(const ppsc::core::ConstructedProtocol& c,
-                              ppsc::core::Count population,
-                              std::uint64_t steps) {
+// Agent-array kernel: raw draws/second at `shards` shards (0 = the
+// default), accumulated epoch by epoch until the draw budget is met. A
+// run that falls silent restarts on the next seed, construction
+// included like the census and count rows, so no draw is spent on a
+// silent population.
+double draws_per_second(const ppsc::core::ConstructedProtocol& c,
+                        ppsc::core::Count population, std::uint64_t draws,
+                        std::size_t shards) {
   auto table = ppsc::sim::PairRuleTable::build(c.protocol);
-  ppsc::sim::AgentSimulator simulator(
-      *table, c.protocol.initial_config({population}), 17);
+  ppsc::sim::ShardedOptions options;
+  options.shards = shards;
+  std::uint64_t executed = 0;
+  std::uint64_t seed = 17;
   auto start = Clock::now();
-  for (std::uint64_t i = 0; i < steps; ++i) simulator.step();
-  std::chrono::duration<double> elapsed = Clock::now() - start;
-  return static_cast<double>(steps) / elapsed.count();
-}
-
-// Sharded path: raw draws/second (the same unit as the agent-array
-// row), accumulated epoch by epoch until the draw budget is met.
-double steps_per_second_sharded(const ppsc::core::ConstructedProtocol& c,
-                                ppsc::core::Count population,
-                                std::uint64_t draws) {
-  auto table = ppsc::sim::PairRuleTable::build(c.protocol);
-  ppsc::sim::ShardedSimulator simulator(
-      *table, c.protocol.initial_config({population}), 17, {});
-  auto start = Clock::now();
-  while (simulator.interactions() < draws && simulator.epoch()) {
+  while (executed < draws) {
+    ppsc::sim::ShardedSimulator simulator(
+        *table, c.protocol.initial_config({population}), seed++, options);
+    while (executed + simulator.interactions() < draws && simulator.epoch()) {
+    }
+    executed += simulator.interactions();
   }
   std::chrono::duration<double> elapsed = Clock::now() - start;
-  return static_cast<double>(simulator.interactions()) / elapsed.count();
+  return static_cast<double>(executed) / elapsed.count();
 }
 
 // Census path: *productive* steps/second. The protocols converge, so
@@ -91,27 +89,12 @@ double steps_per_second_count(const ppsc::core::ConstructedProtocol& c,
   return static_cast<double>(executed) / elapsed.count();
 }
 
-const char* scheduler_name(ppsc::sim::SchedulerChoice choice) {
-  switch (choice) {
-    case ppsc::sim::SchedulerChoice::kAgent:
-      return "agent-array";
-    case ppsc::sim::SchedulerChoice::kSharded:
-      return "sharded";
-    case ppsc::sim::SchedulerChoice::kCensus:
-      return "census";
-    case ppsc::sim::SchedulerChoice::kCount:
-      return "count-based";
-    default:
-      return "auto";
-  }
-}
-
 }  // namespace
 
 int main() {
   ppsc::bench::Report report("e15_scheduler_ablation");
   std::printf(
-      "E15 part 1: convergence agreement across the four schedulers\n\n");
+      "E15 part 1: convergence agreement across the schedulers\n\n");
   // Identical protocol, populations and seeds for every arm: only the
   // forced scheduler differs, so the mean productive-step counts must
   // agree within sampling noise and every converged run must reach the
@@ -120,22 +103,27 @@ int main() {
   {
     ppsc::util::TablePrinter agreement(
         {"scheduler", "population", "mean steps", "correct"});
-    const ppsc::sim::SchedulerChoice arms[] = {
-        ppsc::sim::SchedulerChoice::kAgent,
-        ppsc::sim::SchedulerChoice::kSharded,
-        ppsc::sim::SchedulerChoice::kCensus,
-        ppsc::sim::SchedulerChoice::kCount,
+    struct Arm {
+      const char* name;
+      ppsc::sim::SchedulerChoice scheduler;
+      std::size_t shards;
+    };
+    const Arm arms[] = {
+        {"agent-array", ppsc::sim::SchedulerChoice::kSharded, 1},
+        {"sharded", ppsc::sim::SchedulerChoice::kSharded, 4},
+        {"census", ppsc::sim::SchedulerChoice::kCensus, 0},
+        {"count-based", ppsc::sim::SchedulerChoice::kCount, 0},
     };
     auto c = ppsc::core::unary_counting(6);
     for (ppsc::core::Count population : {64, 256}) {
-      for (ppsc::sim::SchedulerChoice arm : arms) {
+      for (const Arm& arm : arms) {
         ppsc::sim::RunOptions options;
-        options.scheduler = arm;
-        options.shards = 4;
+        options.scheduler = arm.scheduler;
+        options.shards = arm.shards;
         auto stats =
             ppsc::sim::measure_convergence(c, {population}, 8, options);
         report.add_items(8);
-        agreement.add_row({scheduler_name(arm), std::to_string(population),
+        agreement.add_row({arm.name, std::to_string(population),
                            ppsc::util::format_double(stats.mean_steps, 5),
                            std::to_string(stats.correct) + "/8"});
       }
@@ -174,12 +162,12 @@ int main() {
     throughput.add_row(
         {"agent-array", std::to_string(population), "draws",
          ppsc::util::format_double(
-             steps_per_second_agent(c, population, 2'000'000), 4)});
+             draws_per_second(c, population, 2'000'000, 1), 4)});
   }
   throughput.add_row(
       {"sharded", "1000000", "draws",
-       ppsc::util::format_double(
-           steps_per_second_sharded(c, 1000000, 2'000'000), 4)});
+       ppsc::util::format_double(draws_per_second(c, 1000000, 2'000'000, 0),
+                                 4)});
   throughput.add_row(
       {"census", "1000000", "productive",
        ppsc::util::format_double(steps_per_second_census(c, 1000000, 100'000),

@@ -37,10 +37,8 @@ int main() {
     auto exact = ppsc::sim::expected_interactions_to_silence(
         job.constructed.protocol, {job.population}, 3000);
 
-    ppsc::sim::RunOptions options;
-    options.silence_check_interval = 1;
     auto sampled = ppsc::sim::measure_convergence_parallel(
-        job.constructed, {job.population}, 200, options);
+        job.constructed, {job.population}, 200);
     report.add_items(201);
 
     std::string exact_text = exact.computed
@@ -65,10 +63,7 @@ int main() {
     auto c = ppsc::core::majority();
     auto exact = ppsc::sim::expected_interactions_to_silence(c.protocol,
                                                              {3, 2}, 3000);
-    ppsc::sim::RunOptions options;
-    options.silence_check_interval = 1;
-    auto sampled =
-        ppsc::sim::measure_convergence_parallel(c, {3, 2}, 200, options);
+    auto sampled = ppsc::sim::measure_convergence_parallel(c, {3, 2}, 200);
     report.add_items(201);
     table.add_row({"majority {3,2}", "5",
                    std::to_string(exact.reachable_configs),

@@ -65,7 +65,7 @@ struct TraceArg {
 
 // One closed span. POD-sized so ring slots are assignment-cheap.
 struct TraceEvent {
-  static constexpr std::size_t kMaxArgs = 2;
+  static constexpr std::size_t kMaxArgs = 3;
 
   const char* name = "";
   const char* category = "";

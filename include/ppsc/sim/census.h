@@ -5,12 +5,11 @@
 // probability w(a,b) / W where w(a,b) = c_a * (c_b - [a == b]) counts
 // the enabled ordered pairs of that cell and W is their sum -- so
 // drawing a cell with probability exactly w/W and applying its outcome
-// reproduces AgentSimulator's productive-step chain *exactly* (not
-// just in distribution: it is the same conditional law; the empirical
-// checks live with the other scheduler-equivalence tests). Cells (a, b)
-// and (b, a) fire the same interaction with the outcome swapped, so
-// they are kept as one cell {a, b}, a <= b, of weight
-// w(a,b) + w(b,a) = 2 c_a c_b. The null draws AgentSimulator spends
+// reproduces the agent-array kernel's productive-step chain in law (the
+// empirical checks live with the other scheduler-equivalence tests).
+// Cells (a, b) and (b, a) fire the same interaction with the outcome
+// swapped, so they are kept as one cell {a, b}, a <= b, of weight
+// w(a,b) + w(b,a) = 2 c_a c_b. The null draws the agent array spends
 // between productive steps are skipped analytically: their count is
 // geometric with success probability W / (n(n-1)), sampled in O(1) and
 // reported through interactions().
@@ -28,9 +27,9 @@
 // is what makes 10^9-agent populations free. Weights are exact 64-bit
 // integers (products c_a * c_b and the ordered-pair count n(n-1) stay
 // below 2^63 for populations up to kMaxPopulation ~ 3.04e9, the same
-// bound AgentSimulator's enabled-pairs accounting lives under; larger
-// populations are rejected), so silence detection is exact: silent iff
-// W == 0.
+// bound the agent-array kernel's enabled-pairs count lives under;
+// larger populations are rejected), so silence detection is exact:
+// silent iff W == 0.
 
 #ifndef PPSC_SIM_CENSUS_H
 #define PPSC_SIM_CENSUS_H
@@ -61,6 +60,12 @@ class CensusSimulator {
   // the previous one are skipped analytically and accounted to
   // interactions()). Returns false, firing nothing, iff silent.
   bool step();
+  // Steps until silent or steps() == max_steps; returns steps().
+  std::uint64_t run(std::uint64_t max_steps) {
+    while (steps_ < max_steps && step()) {
+    }
+    return steps_;
+  }
 
   bool silent() const { return enabled_pairs_ == 0; }
   // Productive interactions so far.

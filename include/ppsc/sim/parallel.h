@@ -6,10 +6,12 @@
 // so the statistics are bit-identical for 1 thread and N threads, and
 // independent of how the OS interleaves the workers. Worker threads
 // share one immutable PairRuleTable: planned_scheduler picks one of
-// the four scheduler paths (agent / sharded / census / count) per
-// sweep from RunOptions::scheduler, the population and the state
-// count, degrading to the count scheduler whenever the protocol does
-// not compile to a pair table.
+// the three scheduler paths (the agent-array kernel at S shards /
+// census / count) per sweep from RunOptions, the population and the
+// state count, degrading to the count scheduler whenever the protocol
+// does not compile to a pair table. Every path runs through one
+// driver: run(max_steps), then silent(), steps(), census() and
+// publish_metrics().
 
 #ifndef PPSC_SIM_PARALLEL_H
 #define PPSC_SIM_PARALLEL_H
@@ -31,16 +33,27 @@ ConvergenceStats measure_convergence_parallel(
     std::size_t runs, const RunOptions& options = {},
     unsigned num_threads = 0);
 
-// The scheduler the dispatch heuristic selects for one run: resolves
-// options.scheduler (kAuto picks census for small-state/large-
-// population runs, sharded for very large populations, agent
-// otherwise; every table-based choice degrades to kCount when
-// `has_table` is false). Exposed so the heuristic's thresholds are
-// unit-testable; measure_convergence routes every run through exactly
-// this function.
-SchedulerChoice planned_scheduler(const RunOptions& options, bool has_table,
-                                  std::size_t num_states,
-                                  core::Count population);
+// A resolved dispatch decision.
+struct SchedulerPlan {
+  // kSharded, kCensus or kCount; never kAuto.
+  SchedulerChoice scheduler = SchedulerChoice::kCount;
+  // Agent slices S of the kSharded kernel (before its max(1, n/2)
+  // clamp); 0 on the census and count paths, which keep no agent
+  // array.
+  std::size_t shards = 0;
+};
+
+// The scheduler and shard count the dispatch heuristic selects for one
+// run: resolves options.scheduler (kAuto picks census for small-state/
+// large-population runs and the agent-array kernel otherwise; every
+// table-based choice degrades to kCount when `has_table` is false),
+// then the kernel's S (options.shards when nonzero, else 1 below 2^22
+// agents and ShardedOptions::kDefaultShards at or above). Exposed so
+// the heuristic's thresholds are unit-testable; measure_convergence
+// routes every run through exactly this function.
+SchedulerPlan planned_scheduler(const RunOptions& options, bool has_table,
+                                std::size_t num_states,
+                                core::Count population);
 
 }  // namespace sim
 }  // namespace ppsc

@@ -1,35 +1,36 @@
 // Scheduler architecture for the sim subsystem.
 //
-// Four interchangeable schedulers drive a protocol's interaction
+// Three interchangeable schedulers drive a protocol's interaction
 // dynamics and share one census/output accounting path (see
-// summarize_output in sim/simulator.h). This header holds the two
-// original ones plus the PairRuleTable they all compile against; the
-// large-population ShardedSimulator lives in sim/sharded.h and the
-// small-state CensusSimulator in sim/census.h, and
-// sim/parallel.h's planned_scheduler dispatches among all four:
+// summarize_output in sim/simulator.h); sim/parallel.h's
+// planned_scheduler dispatches among them:
 //
-//  * AgentSimulator -- the classical uniform-random-pair scheduler over
-//    an explicit agent array: each step draws an ordered pair of
-//    distinct agents uniformly at random and fires the width-2 rule
-//    their states enable, if any. O(1) per drawn interaction plus
-//    O(partner-degree) silence bookkeeping per productive one, so
-//    populations of millions of agents are cheap. Requires a
-//    PairRuleTable, i.e. a deterministic pairwise net.
-//  * CountSimulator -- the instantiation-weighted transition sampler
-//    extracted from the original monolithic run_to_silence: each step
-//    fires one enabled transition with probability proportional to its
-//    number of distinct agent instantiations. Works for any
-//    conservative net (arbitrary width), at a per-step cost in the
-//    number of transitions and the population-independent count vector.
+//  * ShardedSimulator (sim/sharded.h) -- the agent-array kernel: the
+//    classical uniform-random-pair scheduler over an explicit agent
+//    array, in S contiguous slices (S = 1 below 2^22 agents). Each
+//    draw picks an ordered pair of distinct agents uniformly at random
+//    and fires the width-2 rule their states enable, if any; silence
+//    is checked exactly at epoch barriers.
+//  * CensusSimulator (sim/census.h) -- the small-state sampler that
+//    draws the productive chain from the census alone, skipping null
+//    draws analytically.
+//  * CountSimulator (below) -- the instantiation-weighted transition
+//    sampler: each step fires one enabled transition with probability
+//    proportional to its number of distinct agent instantiations.
+//    Works for any conservative net (arbitrary width), at a per-step
+//    cost in the number of transitions and the population-independent
+//    count vector.
 //
-// Conditional on drawing a productive interaction, the agent scheduler
-// selects transition t with probability weight(t) / total -- exactly
-// the count scheduler's law -- so the two schedulers' productive-step
-// chains are identical in distribution on deterministic pairwise nets
-// (tests/test_scheduler.cpp checks this empirically). Both report
-// progress in *productive* interactions via steps(), making their
-// convergence statistics directly comparable; the agent scheduler
-// additionally counts raw draws via interactions().
+// The first two compile against the PairRuleTable below, so they
+// require a deterministic pairwise net. Conditional on drawing a
+// productive interaction, the agent-array scheduler selects transition
+// t with probability weight(t) / total -- exactly the count
+// scheduler's law -- so all three productive-step chains are identical
+// in distribution on deterministic pairwise nets (tests/test_scheduler.cpp
+// checks this empirically). All report progress in *productive*
+// interactions via steps(), making their convergence statistics
+// directly comparable, and all expose run(max_steps), which stops
+// exactly at the budget (up to the sharded epoch overshoot at S > 1).
 
 #ifndef PPSC_SIM_SCHEDULER_H
 #define PPSC_SIM_SCHEDULER_H
@@ -82,7 +83,8 @@ class PairRuleTable {
   }
 
   // States b with a rule against a (including b == a), ascending. The
-  // agent scheduler's incremental silence bookkeeping walks these.
+  // agent-array kernel's silence count and the census sampler's cell
+  // list walk these.
   const std::vector<std::uint32_t>& partners(std::size_t a) const {
     return partners_[a];
   }
@@ -91,73 +93,6 @@ class PairRuleTable {
   std::size_t num_states_ = 0;
   std::vector<Outcome> cells_;  // num_states^2, row-major
   std::vector<std::vector<std::uint32_t>> partners_;
-};
-
-// Uniform random-pair scheduler over an explicit agent array. Silence
-// (no unordered agent pair enables a rule) is tracked incrementally:
-// enabled_pairs() maintains the number of enabled *ordered* agent pairs
-// under count updates, so silent() is O(1) at any time.
-//
-// Observability: when the obs registry is runtime-enabled at
-// construction, step() takes an instrumented path that additionally
-// accumulates the silence-bookkeeping work (partner-table entries
-// walked per count update) into scan_work(). The two paths are
-// compiled from one template, so the uninstrumented path carries zero
-// metric code -- it is the same machine code a -DPPSC_OBS=OFF build
-// produces, which is what the e11 overhead guard measures against.
-class AgentSimulator {
- public:
-  // The table must outlive the simulator. `initial` is a configuration
-  // over the protocol's states (agent counts per state).
-  AgentSimulator(const PairRuleTable& table, const core::Config& initial,
-                 std::uint64_t seed);
-
-  // Draws one ordered pair of distinct agents uniformly at random and
-  // fires its rule if one exists. Returns true iff the interaction was
-  // productive. Populations below 2 only ever draw null interactions.
-  bool step() { return obs_ ? step_impl<true>() : step_impl<false>(); }
-
-  bool silent() const { return enabled_pairs_ == 0; }
-  // Productive interactions so far (the unit every convergence
-  // statistic is measured in).
-  std::uint64_t steps() const { return steps_; }
-  // Raw draws so far, null interactions included.
-  std::uint64_t interactions() const { return interactions_; }
-  // Partner-table entries walked by the incremental silence
-  // bookkeeping; 0 unless the obs registry was enabled at construction.
-  std::uint64_t scan_work() const { return scan_work_; }
-
-  // Adds this run's totals to the global registry (sim.agent.*); call
-  // once, after the run. No-op while the registry is disabled.
-  void publish_metrics() const;
-
-  // Current per-state agent counts.
-  const core::Config& census() const { return counts_; }
-  core::Count population() const {
-    return static_cast<core::Count>(agents_.size());
-  }
-
-  // Number of enabled ordered agent pairs (i, j), i != j; 0 iff silent.
-  long long enabled_pairs() const { return enabled_pairs_; }
-
- private:
-  template <bool kObs>
-  bool step_impl();
-  // Sum of enabled ordered pair counts over cells involving `state`.
-  long long pair_contribution(std::size_t state) const;
-  // Applies one count delta while keeping enabled_pairs_ exact.
-  template <bool kObs>
-  void change_count(std::size_t state, core::Count delta);
-
-  const PairRuleTable* table_;
-  util::Xoshiro256 rng_;
-  std::vector<std::uint32_t> agents_;
-  core::Config counts_;
-  long long enabled_pairs_ = 0;
-  std::uint64_t steps_ = 0;
-  std::uint64_t interactions_ = 0;
-  std::uint64_t scan_work_ = 0;
-  bool obs_ = false;
 };
 
 // Instantiation-weighted transition sampler with the incremental
@@ -172,6 +107,12 @@ class CountSimulator {
   // Fires one enabled transition, weighted by instantiation count.
   // Returns false (and fires nothing) iff the configuration is silent.
   bool step();
+  // Steps until silent or steps() == max_steps; returns steps().
+  std::uint64_t run(std::uint64_t max_steps) {
+    while (steps_ < max_steps && step()) {
+    }
+    return steps_;
+  }
 
   bool silent() const { return num_active_ == 0; }
   std::uint64_t steps() const { return steps_; }

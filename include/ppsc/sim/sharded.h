@@ -1,12 +1,13 @@
-// Sharded uniform-random-pair scheduler: one population, split into
-// per-shard contiguous agent slices so the two agent-slot accesses of
-// a draw hit a slice that fits the cache hierarchy, with draws issued
-// in prefetch batches and the slices re-mixed by periodic cross-shard
-// exchanges. This is the large-population path (10^7 .. 10^9 agents):
-// AgentSimulator's two uniform array reads per draw fall out of cache
-// past ~10^6 agents and its throughput collapses by ~4x; the sharded
-// scheduler recovers it with batching + locality and additionally
-// runs the shards on N worker threads when cores are available.
+// The agent-array simulation kernel: the uniform random-pair scheduler
+// over an explicit agent array, split into S contiguous per-shard
+// slices so the two agent-slot accesses of a draw hit a slice that
+// fits the cache hierarchy, with draws issued in prefetch batches and
+// the slices re-mixed by periodic cross-shard exchanges. At S = 1 it
+// is the classical scheduler itself -- one slice, no exchange, one
+// uniform ordered pair of distinct agents per draw -- and it serves
+// every agent-array run, from a few agents to 10^9; at S > 1 the
+// shards additionally run on N worker threads when cores are
+// available.
 //
 // ---------------------------------------------------------------------
 // Why sharded draws preserve the uniform-pair law (mixing argument)
@@ -52,28 +53,41 @@
 //    stationary envelope instead of letting it accumulate across
 //    epochs -- random transpositions are the classical mixing dynamics
 //    for exchangeability, and any constant rate defeats linear drift.
-//    In the regime this scheduler targets (m >= 10^6, K = 8192) the
+//    In the regime sharding targets (m >= 10^6, K = 8192) the
 //    per-draw bias bound K/m is <= 0.8%, and vanishes as populations
 //    grow toward the paper's double-exponential thresholds.
 //
 // The contract is therefore: *exact* equivalence at S = 1 (no
-// exchange, one slice, the very RNG-draw sequence of AgentSimulator --
-// bit-identical chains, pinned by tests/test_scheduler.cpp), and
-// *distributional* equivalence at S > 1 with an O(K/m) per-draw bias
-// that the equivalence test bounds empirically against AgentSimulator.
-// Determinism: the chain is a function of the seed and the shard
-// count alone. Shard s draws from util::Xoshiro256::stream(seed, s)
-// and the exchange stream is the long_jump'd seed generator, so runs
-// with equal (seed, shards) are bit-identical regardless of worker
-// count or OS scheduling -- workers only decide *where* a shard's
-// batch executes, never what it computes.
+// exchange, one slice, one below(n) / below(n-1) draw pair per
+// interaction -- the chain of a per-draw reference loop, pinned by
+// tests/test_scheduler.cpp), and *distributional* equivalence at S > 1
+// with an O(K/m) per-draw bias that the equivalence tests bound
+// empirically. Determinism: the chain is a function of the seed and
+// the shard count alone. Shard s draws from
+// util::Xoshiro256::stream(seed, s) and the exchange stream is the
+// long_jump'd seed generator, so runs with equal (seed, shards) are
+// bit-identical regardless of worker count or OS scheduling -- workers
+// only decide *where* a shard's batch executes, never what it
+// computes.
+//
+// Epoch length. K is derived, not configured: K = clamp(max(m/8, R),
+// 64, 8192) for the smallest slice size m and the table's partner-entry
+// count R. The barrier below costs O(S*states + R), so K >= R keeps it
+// amortised; K <= m/8 (above the floor of 64) bounds the draws a small
+// population spends after falling silent mid-epoch; and every slice of
+// at least 65,536 agents runs the full K = 8192 that keeps a shard's
+// working set resident across the prefetch windows. The shard count is
+// clamped to max(1, n/2), so every slice holds at least two agents and
+// can draw.
 //
 // Silence is detected at epoch barriers from the exact summed census
-// (the same enabled-ordered-pairs count AgentSimulator maintains
-// incrementally); between barriers the shards run free of any shared
-// state. Per-shard counters (draws, productive, prefetch batches) are
-// plain local increments; cross-shard swap and steal counts are
-// published as sim.shard.* metrics by publish_metrics().
+// (the enabled-ordered-pairs count); between barriers the shards run
+// free of any shared state. run(max_steps) stops each shard's batch
+// once its productive steps in the epoch reach the remaining budget,
+// so one shard stops exactly at the budget and S shards overshoot it
+// by less than S*K. Per-shard counters (draws, productive, prefetch
+// batches) are plain local increments; publish_metrics() reports a
+// one-shard run as sim.agent.* and a multi-shard run as sim.shard.*.
 
 #ifndef PPSC_SIM_SHARDED_H
 #define PPSC_SIM_SHARDED_H
@@ -93,18 +107,20 @@ namespace ppsc {
 namespace sim {
 
 struct ShardedOptions {
-  // Number of agent slices; 0 = the default of 8 (chosen so 10^7-agent
-  // slices drop under typical L2/L3 shares; see docs/sim-sharding.md).
-  // 1 disables exchange and reproduces AgentSimulator bit-exactly.
+  // What shards = 0 resolves to: chosen so 10^7-agent slices drop
+  // under typical L2/L3 shares (see docs/sim-sharding.md).
+  static constexpr std::size_t kDefaultShards = 8;
+
+  // Number of agent slices; 0 = kDefaultShards. Clamped to
+  // max(1, population / 2). 1 disables exchange and is the classical
+  // uniform random-pair scheduler.
   std::size_t shards = 0;
   // Worker threads driving the shards; 0 = min(shards, hardware
   // threads). 1 runs everything inline on the calling thread. The
   // result never depends on this value.
   unsigned workers = 0;
-  // Intra-shard draws per shard per epoch (K in the mixing argument).
-  std::uint64_t batch = 8192;
-  // Cross-shard transpositions per epoch = (shards * batch) >> shift;
-  // the default refreshes one slot per eight draw-touched slots --
+  // Cross-shard transpositions per epoch = (shards * K) >> shift; the
+  // default refreshes one slot per eight draw-touched slots --
   // measured as the knee where weaker exchange stops buying throughput
   // (each swap costs four RNG draws plus two far-cache accesses).
   unsigned exchange_shift = 3;
@@ -124,14 +140,13 @@ class ShardedSimulator {
   // Runs one epoch (K draws per shard, then the cross-shard exchange
   // and the census/silence refresh). Returns true iff the
   // configuration is not silent afterwards; a silent configuration
-  // draws nothing. Populations below 2 per shard draw nothing in that
-  // shard (and, unlike AgentSimulator::step, record no interactions).
-  bool epoch();
+  // draws nothing, and neither does a population below 2.
+  bool epoch() { return run_epoch(kUnbounded); }
 
-  // Epochs until silent or steps() >= max_steps; returns steps().
-  // Epoch granularity can overshoot max_steps by < shards * batch
-  // productive steps; callers comparing against a step budget should
-  // clamp (sim/parallel.cpp does).
+  // Epochs until silent or steps() >= max_steps; returns steps(). Each
+  // shard stops its batch once its productive steps in the epoch reach
+  // the remaining budget, so one shard stops exactly at max_steps and
+  // S shards overshoot it by less than S * epoch_length().
   std::uint64_t run(std::uint64_t max_steps);
 
   bool silent() const { return enabled_pairs_ == 0; }
@@ -140,6 +155,9 @@ class ShardedSimulator {
   // Raw intra-shard draws so far, null interactions included.
   std::uint64_t interactions() const { return interactions_; }
   std::uint64_t epochs() const { return epochs_; }
+  // Intra-shard draws per shard per full epoch (K in the mixing
+  // argument), derived from the slice size and the table.
+  std::uint64_t epoch_length() const { return epoch_length_; }
   std::uint64_t cross_swaps() const { return cross_swaps_; }
   std::uint64_t prefetch_batches() const { return prefetch_batches_; }
   std::uint64_t steals() const {
@@ -159,8 +177,9 @@ class ShardedSimulator {
     return static_cast<unsigned>(threads_.size()) + 1;
   }
 
-  // Adds this run's totals to the global registry (sim.shard.*); call
-  // once, after the run. No-op while the registry is disabled.
+  // Adds this run's totals to the global registry -- sim.agent.* for
+  // one shard, sim.shard.* for more; call once, after the run. No-op
+  // while the registry is disabled.
   void publish_metrics() const;
 
  private:
@@ -174,6 +193,11 @@ class ShardedSimulator {
     std::uint64_t batches = 0;
   };
 
+  static constexpr std::uint64_t kUnbounded = ~std::uint64_t{0};
+
+  // One epoch in which each shard fires at most `budget` productive
+  // steps; returns true iff not silent afterwards.
+  bool run_epoch(std::uint64_t budget);
   void run_shard_batch(Shard& shard);
   // Claims shards off next_shard_ until the epoch's work is drained.
   void drain_shards(unsigned worker);
@@ -188,7 +212,10 @@ class ShardedSimulator {
   std::vector<std::uint32_t> agents_;
   std::vector<Shard> shards_;
   util::Xoshiro256 exchange_rng_;
-  std::uint64_t batch_;
+  std::uint64_t epoch_length_ = 0;
+  // Productive steps each shard may still fire in the current epoch;
+  // written before the epoch's workers are released.
+  std::uint64_t epoch_budget_ = kUnbounded;
   unsigned exchange_shift_;
 
   core::Config counts_;

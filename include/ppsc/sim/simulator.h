@@ -1,11 +1,12 @@
-// High-level simulation entry points, built on the scheduler
-// architecture in sim/scheduler.h: run_to_silence drives a
-// CountSimulator (exact silence detection for any conservative net),
-// while measure_convergence routes every run through the agent-array
-// fast path whenever the protocol compiles to a PairRuleTable and
-// falls back to the count scheduler otherwise. Steps always count
-// *productive* interactions -- for width-2 rules both schedulers
-// reproduce the classical uniform random-pair scheduler restricted to
+// High-level simulation entry points, built on the three schedulers in
+// sim/scheduler.h: run_to_silence drives a CountSimulator (exact
+// silence detection for any conservative net), while
+// measure_convergence routes every run through the agent-array kernel
+// (or, for small state spaces and large populations, the census
+// sampler) whenever the protocol compiles to a PairRuleTable and falls
+// back to the count scheduler otherwise. Steps always count
+// *productive* interactions -- for width-2 rules every scheduler
+// reproduces the classical uniform random-pair scheduler restricted to
 // productive interactions -- and a run is silent when no transition is
 // enabled.
 
@@ -23,13 +24,13 @@ namespace sim {
 
 // Which scheduler drives a run. kAuto picks by population and state
 // count (see docs/sim-sharding.md for the heuristic); the explicit
-// values force a path. Paths that require a PairRuleTable (agent,
-// sharded, census) fall back to the count scheduler when the protocol
-// does not compile to one -- every scheduler shares the productive
-// step law, so forcing is an ablation knob, never a semantic change.
+// values force a path. kSharded is the agent-array kernel at any shard
+// count S, one included. Paths that require a PairRuleTable (sharded,
+// census) fall back to the count scheduler when the protocol does not
+// compile to one -- every scheduler shares the productive step law, so
+// forcing is an ablation knob, never a semantic change.
 enum class SchedulerChoice {
   kAuto,
-  kAgent,
   kSharded,
   kCensus,
   kCount,
@@ -40,17 +41,12 @@ struct RunOptions {
   std::uint64_t max_steps = 20000000;
   // Base seed; run r of a measurement uses seed + r.
   std::uint64_t seed = 0x5eed;
-  // Agent-array fast path only: poll the silence flag every this many
-  // drawn interactions. Recorded steps count productive interactions,
-  // which stop occurring once the run is silent, so a larger interval
-  // never distorts statistics -- it only trades a few wasted draws
-  // after silence for a tighter hot loop. The count scheduler detects
-  // silence exactly on every step and ignores this.
-  std::uint64_t silence_check_interval = 16;
   // Scheduler selection for measure_convergence runs; run_to_silence
   // always uses the count scheduler.
   SchedulerChoice scheduler = SchedulerChoice::kAuto;
-  // Sharded path only: shard count (0 = the ShardedOptions default).
+  // Agent-array kernel only: forces the shard count S. 0 picks it by
+  // population: 1 below 2^22 agents, ShardedOptions::kDefaultShards
+  // at or above.
   std::size_t shards = 0;
 };
 

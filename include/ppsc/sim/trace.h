@@ -38,10 +38,11 @@ struct CensusTrace {
   std::vector<CensusPoint> points;
 };
 
-// Runs the protocol on `input` (agent-array fast path when the
-// protocol compiles to a PairRuleTable, count scheduler otherwise) for
-// at most `max_steps` productive interactions, recording censuses on
-// the geometric schedule.
+// Runs the protocol on `input` (the one-shard agent-array kernel when
+// the protocol compiles to a PairRuleTable, the count scheduler
+// otherwise) for at most `max_steps` productive interactions,
+// recording censuses on the geometric schedule: each run(next_sample)
+// stops exactly at the next sample point.
 CensusTrace record_census_trace(const core::Protocol& protocol,
                                 const std::vector<core::Count>& input,
                                 std::uint64_t max_steps, std::uint64_t seed);

@@ -21,121 +21,49 @@ struct RunOutcome {
   OutputSummary output;
 };
 
-RunOutcome run_agent_path(const PairRuleTable& table,
-                          const core::Protocol& protocol,
-                          const core::Config& initial,
-                          const RunOptions& options, std::uint64_t seed) {
-  // One span per run, recorded on whichever worker thread executed it
-  // -- the per-thread tracks in a Perfetto view of a parallel sweep.
-  obs::ScopedSpan span("sim.run", "sim");
-  span.arg("seed", seed);
-  AgentSimulator simulator(table, initial, seed);
-  const std::uint64_t interval =
-      std::max<std::uint64_t>(1, options.silence_check_interval);
-  std::uint64_t since_poll = 0;
+// The one run driver. Every scheduler exposes run(max_steps),
+// silent(), steps(), census() and publish_metrics().
+template <typename Simulator>
+RunOutcome drive(Simulator& simulator, const core::Protocol& protocol,
+                 std::uint64_t max_steps) {
+  simulator.run(max_steps);
   RunOutcome outcome;
   outcome.silent = simulator.silent();
-  while (!outcome.silent && simulator.steps() < options.max_steps) {
-    simulator.step();
-    if (++since_poll >= interval) {
-      since_poll = 0;
-      outcome.silent = simulator.silent();
-    }
-  }
-  outcome.steps = simulator.steps();
+  // A multi-shard epoch can overshoot the budget; report at most the
+  // budget, like the paths that stop exactly.
+  outcome.steps = std::min(simulator.steps(), max_steps);
   outcome.output = summarize_output(protocol, simulator.census());
   simulator.publish_metrics();
-  span.arg("steps", outcome.steps);
-  return outcome;
-}
-
-RunOutcome run_count_path(const core::Protocol& protocol,
-                          const std::vector<core::Count>& input,
-                          const RunOptions& options, std::uint64_t seed) {
-  obs::ScopedSpan span("sim.run", "sim");
-  span.arg("seed", seed);
-  RunOptions per_run = options;
-  per_run.seed = seed;
-  const SilenceRun run = run_to_silence(protocol, input, per_run);
-  span.arg("steps", run.steps);
-  return {run.silent, run.steps, run.final_output};
-}
-
-RunOutcome run_sharded_path(const PairRuleTable& table,
-                            const core::Protocol& protocol,
-                            const core::Config& initial,
-                            const RunOptions& options, std::uint64_t seed,
-                            unsigned sweep_workers) {
-  obs::ScopedSpan span("sim.shard.run", "sim");
-  span.arg("seed", seed);
-  ShardedOptions sharded;
-  sharded.shards = options.shards;
-  // A sweep that already parallelizes across runs keeps each sharded
-  // run single-threaded; sharding still pays via locality + prefetch
-  // batching, and the result is worker-count-independent either way.
-  if (sweep_workers > 1) sharded.workers = 1;
-  ShardedSimulator simulator(table, initial, seed, sharded);
-  simulator.run(options.max_steps);
-  RunOutcome outcome;
-  outcome.silent = simulator.silent();
-  // Epoch granularity can overshoot the budget; report at most the
-  // budget, like the per-step paths.
-  outcome.steps = std::min(simulator.steps(), options.max_steps);
-  outcome.output = summarize_output(protocol, simulator.census());
-  simulator.publish_metrics();
-  span.arg("steps", outcome.steps);
-  return outcome;
-}
-
-RunOutcome run_census_path(const PairRuleTable& table,
-                           const core::Protocol& protocol,
-                           const core::Config& initial,
-                           const RunOptions& options, std::uint64_t seed) {
-  obs::ScopedSpan span("sim.run", "sim");
-  span.arg("seed", seed);
-  CensusSimulator simulator(table, initial, seed);
-  RunOutcome outcome;
-  outcome.silent = simulator.silent();
-  while (!outcome.silent && simulator.steps() < options.max_steps) {
-    simulator.step();
-    outcome.silent = simulator.silent();
-  }
-  outcome.steps = simulator.steps();
-  outcome.output = summarize_output(protocol, simulator.census());
-  simulator.publish_metrics();
-  span.arg("steps", outcome.steps);
   return outcome;
 }
 
 }  // namespace
 
-SchedulerChoice planned_scheduler(const RunOptions& options, bool has_table,
-                                  std::size_t num_states,
-                                  core::Count population) {
+SchedulerPlan planned_scheduler(const RunOptions& options, bool has_table,
+                                std::size_t num_states,
+                                core::Count population) {
   // Thresholds (rationale in docs/sim-sharding.md): the census path
   // needs a small rule-cell table and enough agents that skipping null
-  // draws matters; the sharded path only beats the plain agent array
-  // once the array has fallen out of cache. All committed goldens and
-  // sweep benches run populations far below both cutoffs, so kAuto
-  // changes nothing for them.
+  // draws matters; sharding the agent array only pays once the array
+  // has fallen out of cache. All committed goldens and sweep benches
+  // run populations far below both cutoffs, so kAuto runs them on the
+  // one-shard kernel.
   constexpr std::size_t kCensusMaxStates = 64;
   constexpr core::Count kCensusMinPopulation = 1 << 16;
   constexpr core::Count kShardMinPopulation = core::Count{1} << 22;
-  if (!has_table) return SchedulerChoice::kCount;
-  switch (options.scheduler) {
-    case SchedulerChoice::kAgent:
-    case SchedulerChoice::kSharded:
-    case SchedulerChoice::kCensus:
-    case SchedulerChoice::kCount:
-      return options.scheduler;
-    case SchedulerChoice::kAuto:
-      break;
+  if (!has_table) return {SchedulerChoice::kCount, 0};
+  SchedulerChoice scheduler = options.scheduler;
+  if (scheduler == SchedulerChoice::kAuto) {
+    scheduler = num_states <= kCensusMaxStates &&
+                        population >= kCensusMinPopulation
+                    ? SchedulerChoice::kCensus
+                    : SchedulerChoice::kSharded;
   }
-  if (num_states <= kCensusMaxStates && population >= kCensusMinPopulation) {
-    return SchedulerChoice::kCensus;
-  }
-  if (population >= kShardMinPopulation) return SchedulerChoice::kSharded;
-  return SchedulerChoice::kAgent;
+  if (scheduler != SchedulerChoice::kSharded) return {scheduler, 0};
+  if (options.shards != 0) return {scheduler, options.shards};
+  return {scheduler, population >= kShardMinPopulation
+                         ? ShardedOptions::kDefaultShards
+                         : std::size_t{1}};
 }
 
 ConvergenceStats measure_convergence_parallel(
@@ -151,7 +79,7 @@ ConvergenceStats measure_convergence_parallel(
 
   core::Count population = 0;
   for (const core::Count c : initial) population += c;
-  const SchedulerChoice choice = planned_scheduler(
+  const SchedulerPlan plan = planned_scheduler(
       options, table.has_value(), cp.protocol.num_states(), population);
 
   unsigned workers = num_threads;
@@ -163,26 +91,42 @@ ConvergenceStats measure_convergence_parallel(
       std::min<std::size_t>(workers, std::max<std::size_t>(runs, 1)));
 
   std::vector<RunOutcome> outcomes(runs);
-  const auto run_one = [&, choice, workers](std::size_t r) {
+  const auto run_one = [&, plan, workers](std::size_t r) {
     const std::uint64_t seed = options.seed + r;
-    switch (choice) {
-      case SchedulerChoice::kSharded:
-        outcomes[r] = run_sharded_path(*table, cp.protocol, initial, options,
-                                       seed, workers);
-        return;
-      case SchedulerChoice::kCensus:
-        outcomes[r] =
-            run_census_path(*table, cp.protocol, initial, options, seed);
-        return;
-      case SchedulerChoice::kCount:
-        outcomes[r] = run_count_path(cp.protocol, input, options, seed);
-        return;
-      case SchedulerChoice::kAgent:
-      case SchedulerChoice::kAuto:
+    // One span per run, recorded on whichever worker thread executed
+    // it -- the per-thread tracks in a Perfetto view of a parallel
+    // sweep.
+    obs::ScopedSpan span("sim.run", "sim");
+    span.arg("seed", seed);
+    RunOutcome& outcome = outcomes[r];
+    std::size_t shards = 0;  // 0: the census and count paths
+    switch (plan.scheduler) {
+      case SchedulerChoice::kSharded: {
+        ShardedOptions sharded;
+        sharded.shards = plan.shards;
+        // A sweep that already parallelizes across runs keeps each
+        // sharded run single-threaded; sharding still pays via
+        // locality + prefetch batching, and the result is
+        // worker-count-independent either way.
+        if (workers > 1) sharded.workers = 1;
+        ShardedSimulator simulator(*table, initial, seed, sharded);
+        shards = simulator.num_shards();
+        outcome = drive(simulator, cp.protocol, options.max_steps);
         break;
+      }
+      case SchedulerChoice::kCensus: {
+        CensusSimulator simulator(*table, initial, seed);
+        outcome = drive(simulator, cp.protocol, options.max_steps);
+        break;
+      }
+      default: {
+        CountSimulator simulator(cp.protocol, initial, seed);
+        outcome = drive(simulator, cp.protocol, options.max_steps);
+        break;
+      }
     }
-    outcomes[r] =
-        run_agent_path(*table, cp.protocol, initial, options, seed);
+    span.arg("shards", shards);
+    span.arg("steps", outcome.steps);
   };
   if (workers <= 1) {
     for (std::size_t r = 0; r < runs; ++r) run_one(r);

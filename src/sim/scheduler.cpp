@@ -77,101 +77,6 @@ std::optional<PairRuleTable> PairRuleTable::build(
 }
 
 // ---------------------------------------------------------------------------
-// AgentSimulator
-// ---------------------------------------------------------------------------
-
-AgentSimulator::AgentSimulator(const PairRuleTable& table,
-                               const core::Config& initial,
-                               std::uint64_t seed)
-    : table_(&table),
-      rng_(seed),
-      counts_(initial),
-      obs_(obs::MetricRegistry::global().enabled()) {
-  if (initial.size() != table.num_states()) {
-    throw std::invalid_argument(
-        "AgentSimulator: configuration dimension does not match table");
-  }
-  core::Count population = 0;
-  for (std::size_t q = 0; q < initial.size(); ++q) {
-    if (initial[q] < 0) {
-      throw std::invalid_argument("AgentSimulator: negative count");
-    }
-    population += initial[q];
-  }
-  agents_.reserve(static_cast<std::size_t>(population));
-  for (std::size_t q = 0; q < initial.size(); ++q) {
-    agents_.insert(agents_.end(), static_cast<std::size_t>(initial[q]),
-                   static_cast<std::uint32_t>(q));
-  }
-  for (std::size_t q = 0; q < counts_.size(); ++q) {
-    // Counts each enabled ordered cell exactly once: cell (a, b) is
-    // visited from row a only.
-    for (std::uint32_t b : table_->partners(q)) {
-      enabled_pairs_ += q == b ? counts_[q] * (counts_[q] - 1)
-                               : counts_[q] * counts_[b];
-    }
-  }
-}
-
-long long AgentSimulator::pair_contribution(std::size_t state) const {
-  // Ordered pairs whose cell involves `state` in either position: the
-  // symmetric cells (s, b) and (b, s) contribute twice c_s * c_b, the
-  // diagonal cell (s, s) contributes c_s * (c_s - 1) ordered pairs.
-  long long contribution = 0;
-  const long long cs = counts_[state];
-  for (std::uint32_t b : table_->partners(state)) {
-    contribution += b == state ? cs * (cs - 1) : 2 * cs * counts_[b];
-  }
-  return contribution;
-}
-
-template <bool kObs>
-void AgentSimulator::change_count(std::size_t state, core::Count delta) {
-  if (kObs) {
-    // pair_contribution walks the partner list once per call and is
-    // called twice below -- the silence-detection work the obs layer
-    // reports as sim.agent.scan_work.
-    scan_work_ += 2 * table_->partners(state).size();
-  }
-  enabled_pairs_ -= pair_contribution(state);
-  counts_[state] += delta;
-  enabled_pairs_ += pair_contribution(state);
-}
-
-template <bool kObs>
-bool AgentSimulator::step_impl() {
-  ++interactions_;
-  const std::uint64_t population = agents_.size();
-  if (population < 2) return false;
-  const std::uint64_t i = rng_.below(population);
-  std::uint64_t j = rng_.below(population - 1);
-  if (j >= i) ++j;
-  const PairRuleTable::Outcome* outcome =
-      table_->rule(agents_[i], agents_[j]);
-  if (outcome == nullptr) return false;
-  change_count<kObs>(agents_[i], -1);
-  change_count<kObs>(agents_[j], -1);
-  change_count<kObs>(outcome->first, +1);
-  change_count<kObs>(outcome->second, +1);
-  agents_[i] = outcome->first;
-  agents_[j] = outcome->second;
-  ++steps_;
-  return true;
-}
-
-template bool AgentSimulator::step_impl<false>();
-template bool AgentSimulator::step_impl<true>();
-
-void AgentSimulator::publish_metrics() const {
-  obs::MetricRegistry& registry = obs::MetricRegistry::global();
-  if (!registry.enabled()) return;
-  registry.add("sim.agent.runs", 1);
-  registry.add("sim.agent.draws", interactions_);
-  registry.add("sim.agent.productive", steps_);
-  registry.add("sim.agent.scan_work", scan_work_);
-}
-
-// ---------------------------------------------------------------------------
 // CountSimulator
 // ---------------------------------------------------------------------------
 

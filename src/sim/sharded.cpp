@@ -18,7 +18,9 @@ namespace {
 // time (pair k's application sees every earlier application).
 constexpr std::uint64_t kGroup = 64;
 
-constexpr std::size_t kDefaultShards = 8;
+// Bounds of the derived epoch length K (see sim/sharded.h).
+constexpr std::uint64_t kMinEpoch = 64;
+constexpr std::uint64_t kMaxEpoch = 8192;
 
 }  // namespace
 
@@ -28,7 +30,6 @@ ShardedSimulator::ShardedSimulator(const PairRuleTable& table,
                                    ShardedOptions options)
     : table_(&table),
       exchange_rng_(seed),
-      batch_(std::max<std::uint64_t>(1, options.batch)),
       exchange_shift_(std::min(options.exchange_shift, 63u)),
       counts_(initial.size(), 0) {
   if (initial.size() != table.num_states()) {
@@ -43,9 +44,18 @@ ShardedSimulator::ShardedSimulator(const PairRuleTable& table,
     population += c;
   }
   const std::size_t n = static_cast<std::size_t>(population);
-  const std::size_t num_shards =
-      std::max<std::size_t>(1, options.shards == 0 ? kDefaultShards
-                                                   : options.shards);
+  // Every slice keeps at least two agents, so every shard can draw.
+  const std::size_t num_shards = std::max<std::size_t>(
+      1, std::min(options.shards == 0 ? ShardedOptions::kDefaultShards
+                                      : options.shards,
+                  n / 2));
+  std::uint64_t partner_entries = 0;
+  for (std::size_t q = 0; q < table.num_states(); ++q) {
+    partner_entries += table.partners(q).size();
+  }
+  epoch_length_ = std::clamp<std::uint64_t>(
+      std::max<std::uint64_t>(n / num_shards / 8, partner_entries),
+      kMinEpoch, kMaxEpoch);
   // The exchange stream lives on the long_jump axis, disjoint from the
   // jump-derived shard streams for any draw budget.
   exchange_rng_.long_jump();
@@ -55,11 +65,10 @@ ShardedSimulator::ShardedSimulator(const PairRuleTable& table,
   std::vector<std::uint32_t*> cursor(num_shards);
   {
     // Slice s holds positions {i : i mod S == s} of the state-major
-    // order AgentSimulator uses, made contiguous: sizes differ by at
-    // most one and every state's count stripes across the shards in
-    // floor/ceil shares -- the proportional initial censuses the
-    // mixing argument starts from. At S = 1 this is exactly the
-    // state-major fill.
+    // agent order, made contiguous: sizes differ by at most one and
+    // every state's count stripes across the shards in floor/ceil
+    // shares -- the proportional initial censuses the mixing argument
+    // starts from. At S = 1 this is exactly the state-major fill.
     std::size_t offset = 0;
     for (std::size_t s = 0; s < num_shards; ++s) {
       Shard& shard = shards_[s];
@@ -112,13 +121,16 @@ void ShardedSimulator::run_shard_batch(Shard& shard) {
   std::uint32_t* const slice = shard.base;
   std::uint64_t pi[kGroup];
   std::uint64_t pj[kGroup];
-  std::uint64_t remaining = batch_;
-  while (remaining > 0) {
-    const std::uint64_t group = std::min(remaining, kGroup);
+  std::uint64_t remaining = epoch_length_;
+  std::uint64_t room = epoch_budget_;
+  while (remaining > 0 && room > 0) {
+    // A group never holds more draws than productive steps the budget
+    // has room for, so every pre-drawn pair is applied and the batch
+    // stops right after the draw that exhausts the budget -- the chain
+    // (and the RNG position) of drawing one pair at a time.
+    const std::uint64_t group = std::min({remaining, kGroup, room});
     for (std::uint64_t k = 0; k < group; ++k) {
-      // The very draw sequence of AgentSimulator::step, restricted to
-      // the slice -- at one shard the two chains consume the RNG
-      // identically.
+      // One uniform ordered pair of distinct slots of the slice.
       const std::uint64_t i = shard.rng.below(m);
       std::uint64_t j = shard.rng.below(m - 1);
       if (j >= i) ++j;
@@ -127,6 +139,7 @@ void ShardedSimulator::run_shard_batch(Shard& shard) {
       __builtin_prefetch(slice + i, 1);
       __builtin_prefetch(slice + j, 1);
     }
+    std::uint64_t fired = 0;
     for (std::uint64_t k = 0; k < group; ++k) {
       const PairRuleTable::Outcome* outcome =
           table_->rule(slice[pi[k]], slice[pj[k]]);
@@ -137,12 +150,14 @@ void ShardedSimulator::run_shard_batch(Shard& shard) {
       ++shard.counts[outcome->second];
       slice[pi[k]] = outcome->first;
       slice[pj[k]] = outcome->second;
-      ++shard.productive;
+      ++fired;
     }
+    shard.productive += fired;
+    shard.draws += group;
     ++shard.batches;
+    room -= fired;
     remaining -= group;
   }
-  shard.draws += batch_;
 }
 
 void ShardedSimulator::drain_shards(unsigned worker) {
@@ -177,7 +192,8 @@ void ShardedSimulator::worker_loop(unsigned worker) {
 void ShardedSimulator::exchange() {
   const std::size_t num_shards = shards_.size();
   const std::uint64_t swaps =
-      (static_cast<std::uint64_t>(num_shards) * batch_) >> exchange_shift_;
+      (static_cast<std::uint64_t>(num_shards) * epoch_length_) >>
+      exchange_shift_;
   struct Swap {
     std::uint32_t* a;
     std::uint32_t* b;
@@ -188,7 +204,6 @@ void ShardedSimulator::exchange() {
   std::uint64_t remaining = swaps;
   while (remaining > 0) {
     const std::uint64_t group = std::min(remaining, kGroup);
-    std::uint64_t planned = 0;
     for (std::uint64_t k = 0; k < group; ++k) {
       const std::size_t s =
           static_cast<std::size_t>(exchange_rng_.below(num_shards));
@@ -197,10 +212,7 @@ void ShardedSimulator::exchange() {
       if (t >= s) ++t;
       const std::uint64_t i = exchange_rng_.below(shards_[s].size);
       const std::uint64_t j = exchange_rng_.below(shards_[t].size);
-      // Populations below the shard count leave empty slices; the
-      // draws above still consume the stream deterministically.
-      if (shards_[s].size == 0 || shards_[t].size == 0) continue;
-      Swap& swap = plan[planned++];
+      Swap& swap = plan[k];
       swap.a = shards_[s].base + i;
       swap.b = shards_[t].base + j;
       swap.s = s;
@@ -208,7 +220,7 @@ void ShardedSimulator::exchange() {
       __builtin_prefetch(swap.a, 1);
       __builtin_prefetch(swap.b, 1);
     }
-    for (std::uint64_t k = 0; k < planned; ++k) {
+    for (std::uint64_t k = 0; k < group; ++k) {
       const Swap& swap = plan[k];
       const std::uint32_t qa = *swap.a;
       const std::uint32_t qb = *swap.b;
@@ -242,8 +254,7 @@ void ShardedSimulator::refresh_global() {
   enabled_pairs_ = 0;
   for (std::size_t q = 0; q < counts_.size(); ++q) {
     // Counts each enabled ordered cell exactly once: cell (a, b) is
-    // visited from row a only -- the same sum AgentSimulator maintains
-    // incrementally, recomputed exactly at every barrier.
+    // visited from row a only -- recomputed exactly at every barrier.
     for (std::uint32_t b : table_->partners(q)) {
       enabled_pairs_ += q == b ? counts_[q] * (counts_[q] - 1)
                                : counts_[q] * counts_[b];
@@ -251,9 +262,10 @@ void ShardedSimulator::refresh_global() {
   }
 }
 
-bool ShardedSimulator::epoch() {
+bool ShardedSimulator::run_epoch(std::uint64_t budget) {
   if (enabled_pairs_ == 0) return false;
   ++epochs_;
+  epoch_budget_ = budget;
   next_shard_.store(0, std::memory_order_relaxed);
   if (threads_.empty()) {
     for (Shard& shard : shards_) run_shard_batch(shard);
@@ -276,13 +288,21 @@ bool ShardedSimulator::epoch() {
 }
 
 std::uint64_t ShardedSimulator::run(std::uint64_t max_steps) {
-  while (enabled_pairs_ != 0 && steps_ < max_steps) epoch();
+  while (enabled_pairs_ != 0 && steps_ < max_steps) {
+    run_epoch(max_steps - steps_);
+  }
   return steps_;
 }
 
 void ShardedSimulator::publish_metrics() const {
   obs::MetricRegistry& registry = obs::MetricRegistry::global();
   if (!registry.enabled()) return;
+  if (shards_.size() == 1) {
+    registry.add("sim.agent.runs", 1);
+    registry.add("sim.agent.draws", interactions_);
+    registry.add("sim.agent.productive", steps_);
+    return;
+  }
   registry.add("sim.shard.runs", 1);
   registry.add("sim.shard.epochs", epochs_);
   registry.add("sim.shard.draws", interactions_);

@@ -25,13 +25,8 @@ SilenceRun run_to_silence(const core::Protocol& protocol,
   CountSimulator simulator(protocol, protocol.initial_config(input),
                            options.seed);
   SilenceRun run;
-  while (run.steps < options.max_steps) {
-    if (!simulator.step()) {
-      run.silent = true;
-      break;
-    }
-    ++run.steps;
-  }
+  run.steps = simulator.run(options.max_steps);
+  run.silent = simulator.silent();
   run.final_config = simulator.census();
   run.final_output = summarize_output(protocol, run.final_config);
   simulator.publish_metrics();

@@ -1,7 +1,10 @@
 #include "sim/trace.h"
 
+#include <algorithm>
+
 #include "obs/trace.h"
 #include "sim/scheduler.h"
+#include "sim/sharded.h"
 
 namespace ppsc {
 namespace sim {
@@ -30,20 +33,19 @@ CensusTrace record_census_trace(const core::Protocol& protocol,
   const core::Config initial = protocol.initial_config(input);
   const std::optional<PairRuleTable> table = PairRuleTable::build(protocol);
 
-  // Both schedulers expose the same silent()/steps()/census() surface,
-  // so one driver serves the fast path and the fallback. Records
-  // whenever the productive-step count first reaches the next power of
-  // two, plus the initial and final configurations.
+  // Both schedulers expose the same run()/silent()/steps()/census()
+  // surface, so one driver serves the agent-array kernel and the
+  // fallback. Each run() stops exactly at the next power of two, where
+  // the census is recorded, plus the initial and final configurations.
   const auto drive = [&](auto& simulator) {
-    std::uint64_t next_sample = 0;
-    const auto sample_due = [&](std::uint64_t step) {
-      if (step < next_sample) return;
-      trace.points.push_back(make_point(protocol, step, simulator.census()));
-      next_sample = step == 0 ? 1 : step * 2;
-    };
-    sample_due(0);
+    trace.points.push_back(make_point(protocol, 0, simulator.census()));
+    std::uint64_t next_sample = 1;
     while (!simulator.silent() && simulator.steps() < max_steps) {
-      if (simulator.step()) sample_due(simulator.steps());
+      if (simulator.run(std::min(next_sample, max_steps)) == next_sample) {
+        trace.points.push_back(
+            make_point(protocol, next_sample, simulator.census()));
+        next_sample *= 2;
+      }
     }
     trace.converged = simulator.silent();
     trace.total_steps = simulator.steps();
@@ -51,19 +53,20 @@ CensusTrace record_census_trace(const core::Protocol& protocol,
       trace.points.push_back(
           make_point(protocol, trace.total_steps, simulator.census()));
     }
+    // Both schedulers publish their run totals (sim.agent.* /
+    // sim.count.*), so census traces contribute to bench reports the
+    // same way sweep runs do.
+    simulator.publish_metrics();
   };
 
-  // Both schedulers publish their run totals (sim.agent.* /
-  // sim.count.*), so census traces contribute to bench reports the
-  // same way sweep runs do.
   if (table) {
-    AgentSimulator simulator(*table, initial, seed);
+    ShardedOptions one_shard;
+    one_shard.shards = 1;
+    ShardedSimulator simulator(*table, initial, seed, one_shard);
     drive(simulator);
-    simulator.publish_metrics();
   } else {
     CountSimulator simulator(protocol, initial, seed);
     drive(simulator);
-    simulator.publish_metrics();
   }
   span.arg("steps", trace.total_steps);
   return trace;

@@ -238,10 +238,11 @@ TEST(ConcurrencyParallel, SweepRacesRegistryReaders) {
 // and the global census refresh run on the main thread between epoch
 // barriers while four workers drain the intra-shard batches inside
 // them. Maximal exchange pressure (shift 0: one transposition per
-// intra-shard draw) with the smallest batch keeps the barriers firing
-// as often as possible. Under TSan this proves the mutex/cv barrier
-// orders every slot write; under a plain build it is a determinism
-// and conservation test.
+// intra-shard draw) with short epochs (500-agent slices: K = R = 77,
+// the table's partner entries) keeps the barriers firing as often as
+// possible. Under TSan this proves the mutex/cv barrier orders every
+// slot write; under a plain build it is a determinism and
+// conservation test.
 TEST(ConcurrencySharded, ExchangeRacesIntraShardBatches) {
   const ppsc::core::ConstructedProtocol cp = ppsc::core::unary_counting(4);
   const auto table = ppsc::sim::PairRuleTable::build(cp.protocol);
@@ -251,7 +252,6 @@ TEST(ConcurrencySharded, ExchangeRacesIntraShardBatches) {
   ppsc::sim::ShardedOptions options;
   options.shards = 8;
   options.workers = 4;
-  options.batch = 64;
   options.exchange_shift = 0;
   ppsc::sim::ShardedSimulator threaded(*table, initial, 31, options);
   options.workers = 1;
@@ -301,7 +301,6 @@ TEST(ConcurrencySharded, ReadersRaceShardWorkers) {
   ppsc::sim::ShardedOptions options;
   options.shards = 4;
   options.workers = 4;
-  options.batch = 128;
   ppsc::sim::ShardedSimulator threaded(*table, initial, 77, options);
   for (int e = 0; e < 100; ++e) threaded.epoch();
   threaded.publish_metrics();

@@ -102,15 +102,12 @@ TEST(ExpectedTime, MatchesSampledMeanOnSmallPopulations) {
   // Populations <= 6: the exact expectation and the sampling
   // simulator's mean must agree within standard error (fixed seeds, so
   // the margins are deterministic; they sit near 3 sigma).
-  sim::RunOptions options;
-  options.silence_check_interval = 1;
-
   const auto belief = core::threshold_belief(3);
   const sim::ExpectedTimeResult belief_exact =
       sim::expected_interactions_to_silence(belief.protocol, {6});
   ASSERT_TRUE(belief_exact.computed);
   const sim::ConvergenceStats belief_sampled =
-      sim::measure_convergence_parallel(belief, {6}, 400, options);
+      sim::measure_convergence_parallel(belief, {6}, 400);
   EXPECT_EQ(belief_sampled.converged, 400u);
   EXPECT_NEAR(belief_sampled.mean_steps, belief_exact.expected_steps,
               0.15 * belief_exact.expected_steps);
@@ -120,7 +117,7 @@ TEST(ExpectedTime, MatchesSampledMeanOnSmallPopulations) {
       sim::expected_interactions_to_silence(maj.protocol, {3, 2});
   ASSERT_TRUE(maj_exact.computed);
   const sim::ConvergenceStats maj_sampled =
-      sim::measure_convergence_parallel(maj, {3, 2}, 400, options);
+      sim::measure_convergence_parallel(maj, {3, 2}, 400);
   EXPECT_EQ(maj_sampled.converged, 400u);
   EXPECT_NEAR(maj_sampled.mean_steps, maj_exact.expected_steps,
               0.15 * maj_exact.expected_steps);

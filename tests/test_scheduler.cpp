@@ -1,9 +1,10 @@
 // Scheduler architecture: pair-table compilation, scheduler
-// equivalence across all four schedulers (agent, sharded, census,
-// count), incremental silence detection, the sharded scheduler's
-// determinism contract, the census sampler's exact law (chi-square and
-// the exact expected-time oracle), the dispatch heuristic, and the
-// deterministic parallel sweep runner.
+// equivalence across the three schedulers (the agent-array kernel at
+// one and several shards, census, count) and a per-draw reference
+// loop, the kernel's exact budget stop and determinism contract, the
+// census sampler's exact law (chi-square and the exact expected-time
+// oracle), the dispatch heuristic, and the deterministic parallel
+// sweep runner.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/constructions.h"
@@ -22,6 +24,7 @@
 #include "sim/scheduler.h"
 #include "sim/sharded.h"
 #include "sim/simulator.h"
+#include "util/rng.h"
 
 namespace core = ppsc::core;
 namespace sim = ppsc::sim;
@@ -29,7 +32,7 @@ namespace sim = ppsc::sim;
 namespace {
 
 // Re-derives silence from the census by scanning every table cell --
-// the ground truth the incremental enabled-pair counter must track.
+// the ground truth the enabled-pair counts must track.
 bool brute_force_silent(const sim::PairRuleTable& table,
                         const core::Config& census) {
   const std::size_t n = table.num_states();
@@ -44,17 +47,63 @@ bool brute_force_silent(const sim::PairRuleTable& table,
   return true;
 }
 
+// The classical uniform random-pair scheduler, one draw at a time:
+// the per-draw reference the one-shard kernel must reproduce exactly.
+struct ReferenceChain {
+  ReferenceChain(const sim::PairRuleTable& rules, const core::Config& initial,
+                 std::uint64_t seed)
+      : table(&rules), rng(seed), census(initial) {
+    for (std::size_t q = 0; q < initial.size(); ++q) {
+      agents.insert(agents.end(), static_cast<std::size_t>(initial[q]),
+                    static_cast<std::uint32_t>(q));
+    }
+  }
+  // Draws one ordered pair of distinct agents; fires its rule if any.
+  void draw() {
+    const std::uint64_t i = rng.below(agents.size());
+    std::uint64_t j = rng.below(agents.size() - 1);
+    if (j >= i) ++j;
+    ++draws;
+    const sim::PairRuleTable::Outcome* outcome =
+        table->rule(agents[i], agents[j]);
+    if (outcome == nullptr) return;
+    --census[agents[i]];
+    --census[agents[j]];
+    ++census[outcome->first];
+    ++census[outcome->second];
+    agents[i] = outcome->first;
+    agents[j] = outcome->second;
+    ++steps;
+  }
+  // Draws until silent or `max_steps` productive steps; silence can
+  // only change on a productive draw.
+  void run(std::uint64_t max_steps) {
+    for (bool silent = brute_force_silent(*table, census);
+         !silent && steps < max_steps;) {
+      const std::uint64_t before = steps;
+      draw();
+      if (steps != before) silent = brute_force_silent(*table, census);
+    }
+  }
+
+  const sim::PairRuleTable* table;
+  ppsc::util::Xoshiro256 rng;
+  core::Config census;
+  std::vector<std::uint32_t> agents;
+  std::uint64_t steps = 0;
+  std::uint64_t draws = 0;
+};
+
 struct DirectStats {
   std::size_t converged = 0;
   std::size_t correct = 0;
   double mean_steps = 0.0;
 };
 
-// Drives `runs` seeded agent-array simulations to silence directly
-// through the class API (not the sweep runner).
-DirectStats run_agent_direct(const core::ConstructedProtocol& cp,
-                             const std::vector<core::Count>& input,
-                             std::size_t runs) {
+// Drives `runs` seeded per-draw reference chains to silence.
+DirectStats run_reference_direct(const core::ConstructedProtocol& cp,
+                                 const std::vector<core::Count>& input,
+                                 std::size_t runs) {
   const auto table = sim::PairRuleTable::build(cp.protocol);
   DirectStats stats;
   if (!table) {
@@ -65,17 +114,15 @@ DirectStats run_agent_direct(const core::ConstructedProtocol& cp,
   const core::Config initial = cp.protocol.initial_config(input);
   double total = 0.0;
   for (std::size_t r = 0; r < runs; ++r) {
-    sim::AgentSimulator simulator(*table, initial, 1000 + r);
-    while (!simulator.silent() && simulator.steps() < 2000000) {
-      simulator.step();
-    }
-    if (simulator.silent()) {
+    ReferenceChain reference(*table, initial, 1000 + r);
+    reference.run(2000000);
+    if (brute_force_silent(*table, reference.census)) {
       ++stats.converged;
       const sim::OutputSummary out =
-          sim::summarize_output(cp.protocol, simulator.census());
+          sim::summarize_output(cp.protocol, reference.census);
       if (out.unanimous(expected)) ++stats.correct;
     }
-    total += static_cast<double>(simulator.steps());
+    total += static_cast<double>(reference.steps);
   }
   stats.mean_steps = total / static_cast<double>(runs);
   return stats;
@@ -170,7 +217,8 @@ TEST(PairRuleTable, RejectsStateSpacesAboveTheSizeCap) {
   const auto table = sim::PairRuleTable::build(protocol);
   EXPECT_FALSE(table.has_value());
   EXPECT_EQ(sim::planned_scheduler(sim::RunOptions{}, table.has_value(),
-                                   protocol.num_states(), 1 << 16),
+                                   protocol.num_states(), 1 << 16)
+                .scheduler,
             sim::SchedulerChoice::kCount);
 }
 
@@ -204,48 +252,13 @@ TEST(PairRuleTable, CellsMatchTheRules) {
   EXPECT_EQ(std::max(up->first, up->second), 1u);
 }
 
-TEST(AgentSimulator, TracksSilenceIncrementally) {
-  const auto cp = core::unary_counting(3);
-  const auto table = sim::PairRuleTable::build(cp.protocol);
-  ASSERT_TRUE(table.has_value());
-  sim::AgentSimulator simulator(*table, cp.protocol.initial_config({12}), 7);
-  const core::Count population = simulator.population();
-  ASSERT_EQ(population, 12);
-  ASSERT_FALSE(simulator.silent());
-  while (!simulator.silent()) {
-    if (!simulator.step()) continue;
-    // After every productive interaction the incremental flag must
-    // agree with a brute-force rescan, and the census must conserve
-    // the population.
-    ASSERT_EQ(simulator.silent(),
-              brute_force_silent(*table, simulator.census()));
-    ASSERT_EQ(core::Protocol::population(simulator.census()), population);
-    ASSERT_LT(simulator.steps(), 100000u);
-  }
-  EXPECT_TRUE(brute_force_silent(*table, simulator.census()));
-  EXPECT_GE(simulator.interactions(), simulator.steps());
-}
-
-TEST(AgentSimulator, TinyPopulationsAreSilent) {
-  const auto cp = core::unary_counting(2);
-  const auto table = sim::PairRuleTable::build(cp.protocol);
-  ASSERT_TRUE(table.has_value());
-  sim::AgentSimulator empty(*table, cp.protocol.initial_config({0}), 1);
-  EXPECT_TRUE(empty.silent());
-  EXPECT_FALSE(empty.step());
-  sim::AgentSimulator loner(*table, cp.protocol.initial_config({1}), 1);
-  EXPECT_TRUE(loner.silent());
-  EXPECT_FALSE(loner.step());
-  EXPECT_EQ(loner.steps(), 0u);
-}
-
 TEST(SchedulerEquivalence, UnaryCountingStatsAgree) {
   // The productive-step chains of the two schedulers are identical in
   // distribution, so their means over matched run counts must agree
   // within sampling noise (generous 20% margin; the seeds are fixed,
   // so this is deterministic).
   const auto cp = core::unary_counting(3);
-  const DirectStats agent = run_agent_direct(cp, {24}, 48);
+  const DirectStats agent = run_reference_direct(cp, {24}, 48);
   const DirectStats count = run_count_direct(cp, {24}, 48);
   EXPECT_EQ(agent.converged, 48u);
   EXPECT_EQ(count.converged, 48u);
@@ -257,7 +270,7 @@ TEST(SchedulerEquivalence, UnaryCountingStatsAgree) {
 
 TEST(SchedulerEquivalence, Example42StatsAgree) {
   const auto cp = core::example_4_2(3);
-  const DirectStats agent = run_agent_direct(cp, {5}, 48);
+  const DirectStats agent = run_reference_direct(cp, {5}, 48);
   const DirectStats count = run_count_direct(cp, {5}, 48);
   EXPECT_EQ(agent.converged, 48u);
   EXPECT_EQ(count.converged, 48u);
@@ -371,29 +384,157 @@ DirectStats run_census_direct(const core::ConstructedProtocol& cp,
   return stats;
 }
 
-TEST(ShardedSimulator, OneShardIsBitIdenticalToAgentSimulator) {
-  // The 1-shard contract: one slice, no exchange, the very RNG draw
-  // sequence of AgentSimulator -- the chains must match bit for bit,
-  // epoch after epoch, in census, steps, raw draws and the
-  // enabled-pair count.
+TEST(ShardedSimulator, OneShardMatchesThePerDrawReferenceAtEveryBarrier) {
+  // The 1-shard contract: one slice, no exchange, the reference's very
+  // RNG draw sequence -- census, steps and raw draws must match bit for
+  // bit at every epoch barrier, and the barrier silence flag must
+  // agree with a brute-force rescan.
   const auto cp = core::unary_counting(4);
   const auto table = sim::PairRuleTable::build(cp.protocol);
   ASSERT_TRUE(table.has_value());
   const core::Config initial = cp.protocol.initial_config({1000});
-  sim::AgentSimulator agent(*table, initial, 99);
   sim::ShardedOptions options;
   options.shards = 1;
-  options.workers = 1;
-  options.batch = 512;
-  sim::ShardedSimulator sharded(*table, initial, 99, options);
-  for (int e = 0; e < 20; ++e) {
-    sharded.epoch();
-    for (std::uint64_t k = 0; k < 512; ++k) agent.step();
-    ASSERT_EQ(agent.census(), sharded.census()) << "epoch " << e;
-    ASSERT_EQ(agent.steps(), sharded.steps()) << "epoch " << e;
-    ASSERT_EQ(agent.interactions(), sharded.interactions()) << "epoch " << e;
-    ASSERT_EQ(agent.enabled_pairs(), sharded.enabled_pairs()) << "epoch " << e;
+  sim::ShardedSimulator kernel(*table, initial, 99, options);
+  ASSERT_EQ(kernel.num_shards(), 1u);
+  ReferenceChain reference(*table, initial, 99);
+  for (int e = 0; !kernel.silent(); ++e) {
+    ASSERT_LT(e, 100000);
+    kernel.epoch();
+    for (std::uint64_t k = 0; k < kernel.epoch_length(); ++k) {
+      reference.draw();
+    }
+    ASSERT_EQ(kernel.census(), reference.census) << "epoch " << e;
+    ASSERT_EQ(kernel.steps(), reference.steps) << "epoch " << e;
+    ASSERT_EQ(kernel.interactions(), reference.draws) << "epoch " << e;
+    ASSERT_EQ(kernel.silent(), brute_force_silent(*table, kernel.census()))
+        << "epoch " << e;
   }
+  EXPECT_GT(kernel.epochs(), 1u);
+}
+
+TEST(ShardedSimulator, OneShardRunStopsExactlyAtTheBudget) {
+  // run(max) on one shard stops right after the draw that brings the
+  // productive count to max, even mid-group and mid-epoch, so
+  // successive budgets continue the reference chain without a gap.
+  const auto cp = core::unary_counting(4);
+  const auto table = sim::PairRuleTable::build(cp.protocol);
+  ASSERT_TRUE(table.has_value());
+  const core::Config initial = cp.protocol.initial_config({1000});
+  sim::ShardedOptions options;
+  options.shards = 1;
+  sim::ShardedSimulator kernel(*table, initial, 4242, options);
+  ReferenceChain reference(*table, initial, 4242);
+  for (const std::uint64_t max : {1u, 2u, 3u, 63u, 64u, 65u, 300u, 301u}) {
+    EXPECT_EQ(kernel.run(max), max);
+    reference.run(max);
+    ASSERT_EQ(kernel.steps(), max);
+    ASSERT_EQ(reference.steps, max);
+    ASSERT_EQ(kernel.census(), reference.census) << "budget " << max;
+    ASSERT_EQ(kernel.interactions(), reference.draws) << "budget " << max;
+  }
+  // Past the budgets, both run to the same silent census.
+  kernel.run(~std::uint64_t{0});
+  reference.run(~std::uint64_t{0});
+  EXPECT_TRUE(kernel.silent());
+  EXPECT_EQ(kernel.census(), reference.census);
+  EXPECT_EQ(kernel.steps(), reference.steps);
+}
+
+TEST(ShardedSimulator, MultiShardRunOvershootsByLessThanShardsTimesEpoch) {
+  const auto cp = core::unary_counting(4);
+  const auto table = sim::PairRuleTable::build(cp.protocol);
+  ASSERT_TRUE(table.has_value());
+  const core::Config initial = cp.protocol.initial_config({20000});
+  sim::ShardedOptions options;
+  options.shards = 4;
+  options.workers = 1;
+  for (const std::uint64_t max : {1u, 100u, 1000u, 5000u}) {
+    sim::ShardedSimulator kernel(*table, initial, 11, options);
+    kernel.run(max);
+    ASSERT_FALSE(kernel.silent()) << "budget " << max;
+    EXPECT_GE(kernel.steps(), max);
+    EXPECT_LT(kernel.steps() - max,
+              kernel.num_shards() * kernel.epoch_length())
+        << "budget " << max;
+  }
+}
+
+TEST(ShardedSimulator, EpochLengthIsDerivedFromSliceAndTable) {
+  // K = clamp(max(m / 8, R), 64, 8192) for slice size m and partner
+  // entries R.
+  const auto cp = core::unary_counting(8);
+  const auto table = sim::PairRuleTable::build(cp.protocol);
+  ASSERT_TRUE(table.has_value());
+  std::uint64_t partner_entries = 0;
+  for (std::size_t q = 0; q < table->num_states(); ++q) {
+    partner_entries += table->partners(q).size();
+  }
+  ASSERT_EQ(partner_entries, 277u);
+  const auto epoch_length = [&](core::Count n, std::size_t shards) {
+    sim::ShardedOptions options;
+    options.shards = shards;
+    options.workers = 1;
+    return sim::ShardedSimulator(*table, cp.protocol.initial_config({n}), 1,
+                                 options)
+        .epoch_length();
+  };
+  // R dominates at 1000 agents, m / 8 at 4000; the ceiling holds from
+  // slices of 65,536 agents up.
+  EXPECT_EQ(epoch_length(1000, 1), 277u);
+  EXPECT_EQ(epoch_length(4000, 1), 500u);
+  EXPECT_EQ(epoch_length(1000000, 1), 8192u);
+  EXPECT_EQ(epoch_length(8 * 65536, 8), 8192u);
+  // unary_counting(2) has R = 25: the floor of 64 applies.
+  const auto small = core::unary_counting(2);
+  const auto small_table = sim::PairRuleTable::build(small.protocol);
+  ASSERT_TRUE(small_table.has_value());
+  sim::ShardedOptions one;
+  one.shards = 1;
+  const sim::ShardedSimulator floor(
+      *small_table, small.protocol.initial_config({64}), 1, one);
+  EXPECT_EQ(floor.epoch_length(), 64u);
+}
+
+TEST(ShardedSimulator, TinyPopulationsAreSilent) {
+  const auto cp = core::unary_counting(2);
+  const auto table = sim::PairRuleTable::build(cp.protocol);
+  ASSERT_TRUE(table.has_value());
+  for (const core::Count n : {0, 1}) {
+    sim::ShardedSimulator tiny(*table, cp.protocol.initial_config({n}), 1);
+    EXPECT_EQ(tiny.num_shards(), 1u);
+    EXPECT_TRUE(tiny.silent());
+    EXPECT_FALSE(tiny.epoch());
+    EXPECT_EQ(tiny.run(100), 0u);
+    EXPECT_EQ(tiny.interactions(), 0u);
+  }
+}
+
+TEST(ShardedSimulator, ShardCountIsClampedSoEverySliceCanDraw) {
+  // A slice of fewer than two agents never draws; before the clamp a
+  // forced 8-shard run on 5 agents looped forever on a non-silent
+  // census.
+  const auto cp = core::unary_counting(3);
+  const auto table = sim::PairRuleTable::build(cp.protocol);
+  ASSERT_TRUE(table.has_value());
+  sim::ShardedOptions options;
+  options.shards = 8;
+  options.workers = 1;
+  const sim::ShardedSimulator five(*table, cp.protocol.initial_config({5}), 1,
+                                   options);
+  EXPECT_EQ(five.num_shards(), 2u);
+  const sim::ShardedSimulator three(*table, cp.protocol.initial_config({3}),
+                                    1, options);
+  EXPECT_EQ(three.num_shards(), 1u);
+
+  sim::RunOptions forced;
+  forced.scheduler = sim::SchedulerChoice::kSharded;
+  forced.shards = 8;
+  forced.max_steps = 1000;
+  const sim::ConvergenceStats stats =
+      sim::measure_convergence(cp, {5}, 1, forced);
+  EXPECT_EQ(stats.converged, 1u);
+  EXPECT_EQ(stats.correct, 1u);
 }
 
 TEST(ShardedSimulator, SeedDeterministicAndWorkerCountInvariant) {
@@ -406,7 +547,6 @@ TEST(ShardedSimulator, SeedDeterministicAndWorkerCountInvariant) {
   sim::ShardedOptions serial;
   serial.shards = 4;
   serial.workers = 1;
-  serial.batch = 256;
   sim::ShardedOptions threaded = serial;
   threaded.workers = 4;
   sim::ShardedSimulator a(*table, initial, 7, serial);
@@ -435,7 +575,6 @@ TEST(ShardedSimulator, ConservesPopulationAndDetectsSilence) {
   sim::ShardedOptions options;
   options.shards = 3;
   options.workers = 1;
-  options.batch = 32;
   options.exchange_shift = 0;  // maximal exchange stress
   sim::ShardedSimulator simulator(
       *table, cp.protocol.initial_config({120}), 5, options);
@@ -458,14 +597,13 @@ TEST(SchedulerEquivalence, ShardedMatchesAgentDistribution) {
   // The mixing argument in sim/sharded.h: sharded draws with periodic
   // cross-shard exchange preserve the uniform-pair law up to O(K/m)
   // per-draw bias. Empirically the mean convergence time over matched
-  // run counts must agree with AgentSimulator within sampling noise
-  // (the seeds are fixed, so this is deterministic).
+  // run counts must agree with the per-draw reference within sampling
+  // noise (the seeds are fixed, so this is deterministic).
   const auto cp = core::unary_counting(3);
   sim::ShardedOptions options;
   options.shards = 4;
   options.workers = 1;
-  options.batch = 64;
-  const DirectStats agent = run_agent_direct(cp, {2048}, 12);
+  const DirectStats agent = run_reference_direct(cp, {2048}, 12);
   const DirectStats sharded = run_sharded_direct(cp, {2048}, 12, options);
   EXPECT_EQ(agent.converged, 12u);
   EXPECT_EQ(sharded.converged, 12u);
@@ -477,10 +615,10 @@ TEST(SchedulerEquivalence, ShardedMatchesAgentDistribution) {
 
 TEST(SchedulerEquivalence, CensusMatchesAgentDistribution) {
   // Conditional on productivity the census scheduler samples the very
-  // cell law of the agent scheduler, so the productive chains are
-  // equal in distribution -- not just close.
+  // cell law of the agent-array scheduler, so the productive chains
+  // are equal in distribution -- not just close.
   const auto cp = core::unary_counting(3);
-  const DirectStats agent = run_agent_direct(cp, {500}, 32);
+  const DirectStats agent = run_reference_direct(cp, {500}, 32);
   const DirectStats census = run_census_direct(cp, {500}, 32);
   EXPECT_EQ(agent.converged, 32u);
   EXPECT_EQ(census.converged, 32u);
@@ -666,52 +804,70 @@ TEST(CensusSimulator, RejectsPopulationsWhosePairCountOverflows) {
 }
 
 TEST(DispatchHeuristic, PicksByPopulationAndStateCount) {
+  using sim::SchedulerChoice;
+  const auto plan = [](const sim::RunOptions& options, bool has_table,
+                       std::size_t states, core::Count population) {
+    const sim::SchedulerPlan p =
+        sim::planned_scheduler(options, has_table, states, population);
+    return std::make_pair(p.scheduler, p.shards);
+  };
   const sim::RunOptions automatic;
   // No pair table: everything degrades to the count scheduler.
-  EXPECT_EQ(sim::planned_scheduler(automatic, false, 5, 100),
-            sim::SchedulerChoice::kCount);
-  // Small populations stay on the plain agent array.
-  EXPECT_EQ(sim::planned_scheduler(automatic, true, 5, 100),
-            sim::SchedulerChoice::kAgent);
+  EXPECT_EQ(plan(automatic, false, 5, 100),
+            std::make_pair(SchedulerChoice::kCount, std::size_t{0}));
+  // Small populations run the one-shard agent-array kernel.
+  EXPECT_EQ(plan(automatic, true, 5, 100),
+            std::make_pair(SchedulerChoice::kSharded, std::size_t{1}));
   // Small state space + large population: census path.
-  EXPECT_EQ(sim::planned_scheduler(automatic, true, 5, 1 << 16),
-            sim::SchedulerChoice::kCensus);
-  EXPECT_EQ(sim::planned_scheduler(automatic, true, 5, core::Count{1} << 30),
-            sim::SchedulerChoice::kCensus);
-  // Large state space: census is out; sharded once the agent array
-  // outgrows the cache.
-  EXPECT_EQ(sim::planned_scheduler(automatic, true, 100, 1 << 16),
-            sim::SchedulerChoice::kAgent);
-  EXPECT_EQ(sim::planned_scheduler(automatic, true, 100, core::Count{1} << 22),
-            sim::SchedulerChoice::kSharded);
+  EXPECT_EQ(plan(automatic, true, 5, 1 << 16),
+            std::make_pair(SchedulerChoice::kCensus, std::size_t{0}));
+  EXPECT_EQ(plan(automatic, true, 5, core::Count{1} << 30),
+            std::make_pair(SchedulerChoice::kCensus, std::size_t{0}));
+  // Large state space: census is out; the kernel shards once the agent
+  // array outgrows the cache.
+  EXPECT_EQ(plan(automatic, true, 100, 1 << 16),
+            std::make_pair(SchedulerChoice::kSharded, std::size_t{1}));
+  EXPECT_EQ(plan(automatic, true, 100, (core::Count{1} << 22) - 1),
+            std::make_pair(SchedulerChoice::kSharded, std::size_t{1}));
+  EXPECT_EQ(plan(automatic, true, 100, core::Count{1} << 22),
+            std::make_pair(SchedulerChoice::kSharded, std::size_t{8}));
   // Forcing overrides the heuristic but never conjures a pair table.
   sim::RunOptions forced;
-  forced.scheduler = sim::SchedulerChoice::kSharded;
-  EXPECT_EQ(sim::planned_scheduler(forced, true, 5, 100),
-            sim::SchedulerChoice::kSharded);
-  EXPECT_EQ(sim::planned_scheduler(forced, false, 5, 100),
-            sim::SchedulerChoice::kCount);
-  forced.scheduler = sim::SchedulerChoice::kCount;
-  EXPECT_EQ(sim::planned_scheduler(forced, true, 5, core::Count{1} << 30),
-            sim::SchedulerChoice::kCount);
+  forced.scheduler = SchedulerChoice::kSharded;
+  EXPECT_EQ(plan(forced, true, 5, 100),
+            std::make_pair(SchedulerChoice::kSharded, std::size_t{1}));
+  forced.shards = 4;
+  EXPECT_EQ(plan(forced, true, 5, 100),
+            std::make_pair(SchedulerChoice::kSharded, std::size_t{4}));
+  EXPECT_EQ(plan(forced, false, 5, 100),
+            std::make_pair(SchedulerChoice::kCount, std::size_t{0}));
+  forced.scheduler = SchedulerChoice::kCount;
+  EXPECT_EQ(plan(forced, true, 5, core::Count{1} << 30),
+            std::make_pair(SchedulerChoice::kCount, std::size_t{0}));
 }
 
 TEST(DispatchHeuristic, ForcedSchedulersAgreeOnOutcomes) {
-  // All four schedulers share the productive-step law, so forcing any
-  // of them through the sweep must reproduce the same convergence and
-  // correctness verdicts on a protocol every path can run.
+  // Every scheduler shares the productive-step law, so forcing any of
+  // them through the sweep -- the kernel at one and at two shards
+  // included -- must reproduce the same convergence and correctness
+  // verdicts on a protocol every path can run.
   const auto cp = core::unary_counting(3);
-  for (const sim::SchedulerChoice choice :
-       {sim::SchedulerChoice::kAgent, sim::SchedulerChoice::kSharded,
-        sim::SchedulerChoice::kCensus, sim::SchedulerChoice::kCount}) {
+  const std::pair<sim::SchedulerChoice, std::size_t> arms[] = {
+      {sim::SchedulerChoice::kSharded, 1},
+      {sim::SchedulerChoice::kSharded, 2},
+      {sim::SchedulerChoice::kCensus, 0},
+      {sim::SchedulerChoice::kCount, 0},
+  };
+  for (const auto& [choice, shards] : arms) {
     sim::RunOptions options;
     options.scheduler = choice;
-    options.shards = 2;
+    options.shards = shards;
     const sim::ConvergenceStats stats =
         sim::measure_convergence(cp, {40}, 6, options);
-    EXPECT_EQ(stats.converged, 6u) << static_cast<int>(choice);
-    EXPECT_EQ(stats.correct, 6u) << static_cast<int>(choice);
-    EXPECT_GT(stats.mean_steps, 0.0) << static_cast<int>(choice);
+    EXPECT_EQ(stats.converged, 6u) << static_cast<int>(choice) << "/" << shards;
+    EXPECT_EQ(stats.correct, 6u) << static_cast<int>(choice) << "/" << shards;
+    EXPECT_GT(stats.mean_steps, 0.0)
+        << static_cast<int>(choice) << "/" << shards;
   }
 }
 

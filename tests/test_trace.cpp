@@ -80,13 +80,14 @@ TEST(TraceJson, PinnedChromeOutputOnHandBuiltEvents) {
             "],\"displayTimeUnit\":\"ns\"}");
 }
 
-TEST(TraceJson, ArgOverflowKeepsFirstTwo) {
+TEST(TraceJson, ArgOverflowKeepsFirstThree) {
   TraceEvent event;
   event.add_arg("a", 1);
   event.add_arg("b", 2);
-  event.add_arg("c", 3);  // dropped: kMaxArgs == 2
-  EXPECT_EQ(event.num_args, 2u);
-  EXPECT_STREQ(event.args[1].key, "b");
+  event.add_arg("c", 3);
+  event.add_arg("d", 4);  // dropped: kMaxArgs == 3
+  EXPECT_EQ(event.num_args, 3u);
+  EXPECT_STREQ(event.args[2].key, "c");
 }
 
 TEST(TraceSpan, RecursionRecordsNestingDepths) {
@@ -189,7 +190,7 @@ TEST(TraceSim, ParallelSweepSpansAreThreadCountInvariant) {
   registry.reset();
 
   // Per-run seeds are seed + r regardless of the thread layout, so the
-  // span stream -- one sim.run per run with its (seed, steps) args,
+  // span stream -- one sim.run per run with its (seed, shards, steps) args,
   // plus the sim.sweep parent -- is identical content-wise; only the
   // thread ids differ.
   EXPECT_EQ(serial, threaded);
