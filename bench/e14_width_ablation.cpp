@@ -27,14 +27,16 @@ bool equivalent(const PetriNet& net, const ppsc::petri::WidthReduction& red,
   {
     auto graph = ppsc::petri::explore(net, {root});
     if (graph.truncated) return false;
-    for (const auto& node : graph.nodes) original.insert(node.raw());
+    for (std::size_t i = 0; i < graph.size(); ++i) {
+      original.insert(graph.config(i).raw());
+    }
   }
   std::set<std::vector<Count>> compiled;
   {
     auto graph = ppsc::petri::explore(red.compiled, {red.embed(root)});
     if (graph.truncated) return false;
-    for (const auto& node : graph.nodes) {
-      compiled.insert(red.project(red.cleanup(node)).raw());
+    for (std::size_t i = 0; i < graph.size(); ++i) {
+      compiled.insert(red.project(red.cleanup(graph.config(i))).raw());
     }
   }
   return original == compiled;

@@ -77,12 +77,40 @@ class Config {
   std::vector<Count> counts_;
 };
 
-// FNV-1a folding of splitmix64-mixed counts, for unordered containers
-// of configurations. Raw counts are tiny integers (markings are mostly
-// 0s and 1s), and folding them directly leaves most of the hash state
-// untouched -- permuted small markings then collide trivially. The
-// splitmix64 finalizer spreads each count over all 64 bits before the
-// fold, so both the value and its position genuinely mix.
+// Read-only view of one configuration's d counts, wherever they live:
+// a Config converts implicitly, and a reachability graph hands out
+// views into its flat arena (reachability.h) without copying.
+class ConfigView {
+ public:
+  ConfigView(const Count* counts, std::size_t size)
+      : counts_(counts), size_(size) {}
+  // Implicit, so every view-taking API accepts a Config unchanged.
+  ConfigView(const Config& config)
+      : counts_(config.raw().data()), size_(config.size()) {}
+
+  std::size_t size() const { return size_; }
+  Count operator[](std::size_t place) const { return counts_[place]; }
+  const Count* begin() const { return counts_; }
+  const Count* end() const { return counts_ + size_; }
+
+  // Componentwise x >= other (same dimension required).
+  bool covers(const Config& other) const;
+
+ private:
+  const Count* counts_;
+  std::size_t size_;
+};
+
+// Position-salted additive hash h(c) = sum_p term(p, c[p]) (mod 2^64),
+// the one configuration hash of the repo: unordered containers of
+// configurations (karp_miller, the Hilbert-basis frontier) use it, and
+// so does explore()'s intern table. Each term runs (place, count)
+// through the splitmix64 finalizer, so raw counts -- tiny integers,
+// mostly 0s and 1s -- spread over all 64 bits and a count means
+// something different on every place; permuted small markings
+// therefore hash apart. Because the hash is a sum, firing a transition
+// updates it over the transition's sparse delta alone:
+// h(c + delta) = h(c) + sum_{p in delta} term(p, c'[p]) - term(p, c[p]).
 struct ConfigHash {
   static std::uint64_t mix(std::uint64_t x) {
     // splitmix64's gamma increment keeps zero counts from mixing to 0
@@ -96,13 +124,22 @@ struct ConfigHash {
     return x;
   }
 
-  std::size_t operator()(const Config& config) const {
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (Count k : config.raw()) {
-      h ^= mix(static_cast<std::uint64_t>(k));
-      h *= 0x100000001b3ull;
+  // The contribution of `count` tokens on `place`: injective in
+  // (place, count) below 2^32 of each, before the bijective mix.
+  static std::uint64_t term(std::size_t place, std::uint64_t count) {
+    return mix((static_cast<std::uint64_t>(place) << 32) ^ count);
+  }
+
+  static std::uint64_t of(ConfigView config) {
+    std::uint64_t h = 0;
+    for (std::size_t p = 0; p < config.size(); ++p) {
+      h += term(p, static_cast<std::uint64_t>(config[p]));
     }
-    return static_cast<std::size_t>(h);
+    return h;
+  }
+
+  std::size_t operator()(const Config& config) const {
+    return static_cast<std::size_t>(of(config));
   }
 };
 

@@ -38,6 +38,7 @@
 
 #include "core/protocol.h"
 #include "petri/config.h"
+#include "util/span.h"
 
 namespace ppsc {
 namespace petri {
@@ -89,8 +90,19 @@ class PetriNet {
   // occupied places (plus the empty-pre transitions) are tested against
   // `config` (which must have num_states() places); returns how many
   // that was.
-  std::size_t enabled_transitions(const Config& config,
+  std::size_t enabled_transitions(ConfigView config,
                                   std::vector<std::size_t>& out) const;
+
+  // The sparse pre and delta (post - pre) lists of transition t,
+  // nonzero entries in increasing place order.
+  util::Span<Arc> pre(std::size_t t) const {
+    return {pre_arcs_.data() + pre_begin_[t],
+            pre_arcs_.data() + pre_begin_[t + 1]};
+  }
+  util::Span<Arc> delta(std::size_t t) const {
+    return {delta_arcs_.data() + delta_begin_[t],
+            delta_arcs_.data() + delta_begin_[t + 1]};
+  }
 
   // Sub-net T|Q: keeps the places with keep[p] == true (re-indexed) and
   // only the transitions entirely supported on them.
@@ -101,7 +113,7 @@ class PetriNet {
   PetriNet project(const std::vector<bool>& keep) const;
 
  private:
-  bool covers_pre(std::size_t t, const Config& config) const;
+  bool covers_pre(std::size_t t, ConfigView config) const;
 
   std::size_t num_states_;
   std::vector<Transition> transitions_;

@@ -6,6 +6,27 @@
 // Section 2 verifier and the Theorem 6.1 witness search both consume).
 // For pumping nets exploration hits the budget and the caller must fall
 // back to omega-based reasoning (karp_miller.h).
+//
+// Storage is flat, with no per-node allocation:
+//
+//  * Arena. Node i's d counts (d = net.num_states()) are
+//    counts[i*d, (i+1)*d) of one vector; node(i) views them in place
+//    and config(i) copies them out. hashes[i] is ConfigHash::of(node i).
+//  * Intern table. explore() deduplicates through an open-addressing
+//    table of 32-bit node ids (power-of-two size, linear probing, grown
+//    at half load). A slot also keeps the high half of its node's hash,
+//    so a probe compares that first and memcmp()s the d counts only on
+//    a match. `collisions` counts the occupied slots an insertion
+//    probed past before reaching its empty slot.
+//  * Incremental hash. ConfigHash is a position-salted sum (config.h),
+//    so a successor's hash is its parent's plus the change of the terms
+//    on the fired transition's sparse delta arcs -- a few terms,
+//    however wide the net. Successors are built in place in one scratch
+//    buffer (delta applied, looked up, delta reverted).
+//  * CSR edges. BFS expands node after node and appends each node's
+//    out-edges contiguously, so node u's edges are
+//    edges[edge_begin[u], edge_begin[u+1]) (out_edges(u)); nodes that
+//    were never expanded (after a stop) have empty ranges.
 
 #ifndef PPSC_PETRI_REACHABILITY_H
 #define PPSC_PETRI_REACHABILITY_H
@@ -14,9 +35,12 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <string>
 #include <vector>
 
+#include "petri/config.h"
 #include "petri/petri_net.h"
+#include "util/span.h"
 
 namespace ppsc {
 namespace petri {
@@ -27,19 +51,20 @@ struct ExploreLimits {
   std::size_t max_nodes = 1u << 20;
 };
 
+// 32-bit fields: node ids are 32-bit anyway (see explore), and the
+// edge list is the graph's largest array.
 struct ReachEdge {
-  std::size_t target;
-  std::size_t transition;
+  std::uint32_t target;
+  std::uint32_t transition;
 };
 
 // Per-call exploration statistics, filled by every explore() run and
 // carried on the result so consumers (e13/e19, the obs registry, the
-// verifier) stop re-deriving them ad hoc. `probes` counts hash-table
+// verifier) stop re-deriving them ad hoc. `probes` counts intern-table
 // lookups (one per enabled transition firing plus one per root);
-// `collisions` counts how many already-interned configurations shared
-// a hash bucket with a newly inserted one, and is only collected while
-// the obs registry is runtime-enabled (the bucket scan re-hashes the
-// config, which the hot path should not pay for by default).
+// `collisions` counts the occupied slots probed past by insertions
+// (a lookup that finds its config does not count), so it measures the
+// table's clustering and moves with the hash and the table size.
 // `enabled_checks` counts the candidate transitions the net's
 // enabledness index tested against a configuration (a dense scan would
 // test configs x transitions); its excess over `edges` is the wasted
@@ -48,17 +73,27 @@ struct ExploreStats {
   std::size_t configs = 0;           // distinct configurations interned
   std::size_t edges = 0;             // reachability edges recorded
   std::size_t frontier_peak = 0;     // BFS frontier high-water mark
-  std::uint64_t probes = 0;          // hash-map lookups
-  std::uint64_t collisions = 0;      // bucket neighbours at insertion
+  std::uint64_t probes = 0;          // intern-table lookups
+  std::uint64_t collisions = 0;      // occupied slots probed at insertion
   std::uint64_t enabled_checks = 0;  // candidates tested for enabledness
   bool truncated = false;            // == ReachabilityGraph::truncated
 };
 
+// "<configs> configs, frontier peak <n>, <x> transitions tested per
+// config": the account a capped caller (the verifier's truncation
+// errors) gives of the exploration it gave up on.
+std::string describe(const ExploreStats& stats);
+
 struct ReachabilityGraph {
   static constexpr std::size_t kNoParent = static_cast<std::size_t>(-1);
 
-  std::vector<Config> nodes;  // nodes[0..roots-1] are the roots, BFS order
-  std::vector<std::vector<ReachEdge>> edges;
+  // Layout: see the file comment. Nodes 0..roots-1 are the (distinct)
+  // roots; the rest follow in BFS discovery order.
+  std::size_t dimension = 0;
+  std::vector<Count> counts;            // size() * dimension
+  std::vector<std::uint64_t> hashes;    // ConfigHash::of(node(i))
+  std::vector<std::size_t> edge_begin;  // size() + 1 offsets into edges
+  std::vector<ReachEdge> edges;
   // BFS tree for path extraction; kNoParent on roots.
   std::vector<std::size_t> parent;
   std::vector<std::size_t> parent_transition;
@@ -69,15 +104,27 @@ struct ReachabilityGraph {
   std::optional<std::size_t> stopped;
   ExploreStats stats;
 
+  std::size_t size() const { return hashes.size(); }
+  ConfigView node(std::size_t i) const {
+    return {counts.data() + i * dimension, dimension};
+  }
+  Config config(std::size_t i) const {
+    const ConfigView view = node(i);
+    return Config(std::vector<Count>(view.begin(), view.end()));
+  }
+  util::Span<ReachEdge> out_edges(std::size_t u) const {
+    return {edges.data() + edge_begin[u], edges.data() + edge_begin[u + 1]};
+  }
+
   // Transition word from this node's root to the node, via the BFS tree.
   std::vector<std::size_t> word_to(std::size_t node) const;
 };
 
 // Breadth-first exploration from `roots`. When `stop` is provided it is
-// evaluated on every discovered configuration (roots included);
-// exploration halts at the first match, recorded in `stopped`. The
-// coverability and bottom-witness engines use this early exit for their
-// shortest-word searches.
+// evaluated on (a view of) every discovered configuration, roots
+// included; exploration halts at the first match, recorded in
+// `stopped`. The coverability and bottom-witness engines use this early
+// exit for their shortest-word searches.
 //
 // Successors are emitted in ascending transition index: each node's
 // enabled transitions come from the enabledness index compiled into
@@ -86,9 +133,12 @@ struct ReachabilityGraph {
 // fired over the sparse delta lists. Node ids, edge order, BFS parents
 // and `stopped` are therefore exactly those of a dense scan over every
 // transition in index order.
+//
+// Node ids and transition indices are 32-bit: limits.max_nodes >= 2^32
+// or a net of 2^32 transitions or more throws std::invalid_argument.
 ReachabilityGraph explore(const PetriNet& net, const std::vector<Config>& roots,
                           const ExploreLimits& limits = {},
-                          const std::function<bool(const Config&)>& stop = {});
+                          const std::function<bool(ConfigView)>& stop = {});
 
 // Replays a transition word; std::nullopt as soon as a step is disabled.
 std::optional<Config> fire_word(const PetriNet& net, Config from,

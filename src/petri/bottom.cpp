@@ -35,7 +35,7 @@ bool closed_under_projection(const PetriNet& net,
 
 // Bounded BFS from alpha for beta with beta >= alpha, equal exactly on
 // Q; returns the word alpha --w--> beta.
-bool is_pump_of(const Config& beta, const Config& alpha,
+bool is_pump_of(ConfigView beta, const Config& alpha,
                 const std::vector<bool>& q_mask) {
   if (!beta.covers(alpha)) return false;
   for (std::size_t p = 0; p < beta.size(); ++p) {
@@ -52,10 +52,10 @@ std::optional<std::pair<std::vector<std::size_t>, Config>> find_pump(
   // outside Q ends the search (and BFS makes its word a shortest one).
   const ReachabilityGraph graph = explore(
       net, {alpha}, limits,
-      [&](const Config& c) { return is_pump_of(c, alpha, q_mask); });
+      [&](ConfigView c) { return is_pump_of(c, alpha, q_mask); });
   if (!graph.stopped.has_value()) return std::nullopt;
   return std::make_pair(graph.word_to(*graph.stopped),
-                        graph.nodes[*graph.stopped]);
+                        graph.config(*graph.stopped));
 }
 
 // Validates alpha as a bottom configuration for the given Q; fills in
@@ -95,8 +95,8 @@ Component component_of(const PetriNet& net, const Config& from,
   const ReachabilityGraph graph = explore(net, {from}, limits);
   const SccDecomposition scc = scc_decompose(graph);
   const std::size_t home = scc.component[0];
-  for (std::size_t i = 0; i < graph.nodes.size(); ++i) {
-    if (scc.component[i] == home) component.members.push_back(graph.nodes[i]);
+  for (std::size_t i = 0; i < graph.size(); ++i) {
+    if (scc.component[i] == home) component.members.push_back(graph.config(i));
   }
   component.closed = !graph.truncated && scc.bottom[home];
   return component;
@@ -114,11 +114,11 @@ std::optional<BottomWitness> find_bottom_witness(const PetriNet& net,
     // Finite case: the first explored member of any bottom SCC is a
     // bottom configuration with Q = all places and an empty pump.
     const SccDecomposition scc = scc_decompose(graph);
-    for (std::size_t i = 0; i < graph.nodes.size(); ++i) {
+    for (std::size_t i = 0; i < graph.size(); ++i) {
       if (!scc.bottom[scc.component[i]]) continue;
       BottomWitness witness;
       witness.sigma = graph.word_to(i);
-      if (!complete_witness(net, graph.nodes[i],
+      if (!complete_witness(net, graph.config(i),
                             std::vector<bool>(net.num_states(), true), limits,
                             &witness)) {
         continue;
@@ -147,11 +147,11 @@ std::optional<BottomWitness> find_bottom_witness(const PetriNet& net,
                    });
   for (const std::vector<bool>& q_mask : candidates) {
     const std::size_t tries =
-        std::min(graph.nodes.size(), kMaxAlphaCandidates);
+        std::min(graph.size(), kMaxAlphaCandidates);
     for (std::size_t i = 0; i < tries; ++i) {
       BottomWitness witness;
       witness.sigma = graph.word_to(i);
-      if (complete_witness(net, graph.nodes[i], q_mask, limits, &witness)) {
+      if (complete_witness(net, graph.config(i), q_mask, limits, &witness)) {
         return witness;
       }
     }

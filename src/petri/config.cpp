@@ -28,11 +28,15 @@ Count Config::total() const {
 }
 
 bool Config::covers(const Config& other) const {
-  if (counts_.size() != other.counts_.size()) {
-    throw std::invalid_argument("Config::covers: dimension mismatch");
+  return ConfigView(*this).covers(other);
+}
+
+bool ConfigView::covers(const Config& other) const {
+  if (size_ != other.size()) {
+    throw std::invalid_argument("covers: dimension mismatch");
   }
-  for (std::size_t p = 0; p < counts_.size(); ++p) {
-    if (counts_[p] < other.counts_[p]) return false;
+  for (std::size_t p = 0; p < size_; ++p) {
+    if (counts_[p] < other[p]) return false;
   }
   return true;
 }

@@ -147,8 +147,8 @@ CoveringWordResult shortest_covering_word(const PetriNet& net,
   limits.max_nodes = max_nodes;
   const ReachabilityGraph graph =
       explore(net, {source}, limits,
-              [&target](const Config& c) { return c.covers(target); });
-  result.explored = graph.nodes.size();
+              [&target](ConfigView c) { return c.covers(target); });
+  result.explored = graph.size();
   result.truncated = graph.truncated;
   result.stats = graph.stats;
   if (graph.stopped.has_value()) {

@@ -54,9 +54,9 @@ Count PetriNet::max_width() const {
   return width;
 }
 
-bool PetriNet::covers_pre(std::size_t t, const Config& config) const {
-  for (std::size_t i = pre_begin_[t]; i < pre_begin_[t + 1]; ++i) {
-    if (config[pre_arcs_[i].place] < pre_arcs_[i].count) return false;
+bool PetriNet::covers_pre(std::size_t t, ConfigView config) const {
+  for (const Arc& arc : pre(t)) {
+    if (config[arc.place] < arc.count) return false;
   }
   return true;
 }
@@ -70,13 +70,11 @@ bool PetriNet::enabled(std::size_t t, const Config& config) const {
 
 Config PetriNet::fire(std::size_t t, const Config& config) const {
   Config next = config;
-  for (std::size_t i = delta_begin_[t]; i < delta_begin_[t + 1]; ++i) {
-    next[delta_arcs_[i].place] += delta_arcs_[i].count;
-  }
+  for (const Arc& arc : delta(t)) next[arc.place] += arc.count;
   return next;
 }
 
-std::size_t PetriNet::enabled_transitions(const Config& config,
+std::size_t PetriNet::enabled_transitions(ConfigView config,
                                           std::vector<std::size_t>& out) const {
   out.assign(empty_pre_.begin(), empty_pre_.end());
   std::size_t tested = empty_pre_.size();

@@ -23,17 +23,16 @@ namespace {
 // reported uncomputed rather than silently slow.
 constexpr std::size_t kMaxDenseComponent = 2048;
 
-// Instantiation count of `t` in `config`: the product of binomials
-// C(config[p], pre[p]), the same weight law both schedulers sample
-// with (sim/weights.h holds the shared per-place factor).
-long double instance_weight(const petri::Transition& t,
-                            const petri::Config& config) {
+// Instantiation count of transition `t` in `config`: the product of
+// binomials C(config[p], pre[p]) over t's sparse pre list, the same
+// weight law both schedulers sample with (sim/weights.h holds the
+// shared per-place factor).
+long double instance_weight(const petri::PetriNet& net, std::size_t t,
+                            petri::ConfigView config) {
   long double weight = 1.0L;
-  for (std::size_t p = 0; p < config.size(); ++p) {
-    const petri::Count need = t.pre[p];
-    if (need == 0) continue;
+  for (const petri::Arc& arc : net.pre(t)) {
     const long double factor =
-        binomial_instances<long double>(config[p], need);
+        binomial_instances<long double>(config[arc.place], arc.count);
     if (factor == 0.0L) return 0.0L;
     weight *= factor;
   }
@@ -108,30 +107,32 @@ ExpectedTimeResult expected_interactions_to_silence(
   limits.max_nodes = max_configs;
   const petri::ReachabilityGraph graph =
       petri::explore(net, {protocol.initial_config(input)}, limits);
-  result.reachable_configs = graph.nodes.size();
+  result.reachable_configs = graph.size();
   if (graph.truncated) {
     result.truncated = true;
     publish();
     return result;
   }
 
-  const std::size_t n = graph.nodes.size();
+  const std::size_t n = graph.size();
   // Per-edge jump probabilities of the productive-step chain. The
   // graph is untruncated, so every enabled transition of every node
   // has its edge and the per-node weights sum to W(c).
-  std::vector<std::vector<long double>> edge_probability(n);
+  // edge_probability[e] belongs to graph.edges[e] (the CSR layout).
+  std::vector<long double> edge_probability(graph.edges.size());
   {
     obs::ScopedSpan weights_span("expected_time.weights", "sim");
     for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t first = graph.edge_begin[i];
+      const std::size_t last = graph.edge_begin[i + 1];
       long double total = 0.0L;
-      edge_probability[i].reserve(graph.edges[i].size());
-      for (const petri::ReachEdge& edge : graph.edges[i]) {
+      for (std::size_t e = first; e < last; ++e) {
         const long double w =
-            instance_weight(net.transition(edge.transition), graph.nodes[i]);
-        edge_probability[i].push_back(w);
+            instance_weight(net, graph.edges[e].transition, graph.node(i));
+        edge_probability[e] = w;
         total += w;
       }
-      for (long double& p : edge_probability[i]) p /= total;
+      for (std::size_t e = first; e < last; ++e) edge_probability[e] /= total;
     }
   }
 
@@ -155,7 +156,7 @@ ExpectedTimeResult expected_interactions_to_silence(
   std::vector<std::size_t> local(n, 0);
   for (std::size_t c = 0; c < scc.count; ++c) {
     const std::vector<std::size_t>& nodes = members[c];
-    if (nodes.size() == 1 && graph.edges[nodes[0]].empty()) {
+    if (nodes.size() == 1 && graph.out_edges(nodes[0]).empty()) {
       expected[nodes[0]] = 0.0L;  // silent, absorbing
       continue;
     }
@@ -180,9 +181,10 @@ ExpectedTimeResult expected_interactions_to_silence(
     for (std::size_t li = 0; li < m; ++li) {
       const std::size_t i = nodes[li];
       a[li][li] = 1.0L;
-      for (std::size_t e = 0; e < graph.edges[i].size(); ++e) {
-        const std::size_t j = graph.edges[i][e].target;
-        const long double p = edge_probability[i][e];
+      for (std::size_t e = graph.edge_begin[i]; e < graph.edge_begin[i + 1];
+           ++e) {
+        const std::size_t j = graph.edges[e].target;
+        const long double p = edge_probability[e];
         if (scc.component[j] == c) {
           a[li][local[j]] -= p;
         } else {

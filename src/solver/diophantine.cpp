@@ -46,12 +46,11 @@ bool dominates(const std::vector<std::uint64_t>& x,
 
 struct VectorHash {
   std::size_t operator()(const std::vector<std::uint64_t>& x) const {
-    // Same splitmix-mixed FNV fold the petri config hash uses: entries
-    // are tiny integers and need spreading before folding.
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (std::uint64_t k : x) {
-      h ^= petri::ConfigHash::mix(k);
-      h *= 0x100000001b3ull;
+    // The petri configuration hash (position-salted sum of mixed
+    // entries): entries are tiny integers and need spreading.
+    std::uint64_t h = 0;
+    for (std::size_t v = 0; v < x.size(); ++v) {
+      h += petri::ConfigHash::term(v, x[v]);
     }
     return static_cast<std::size_t>(h);
   }

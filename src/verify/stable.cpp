@@ -16,7 +16,7 @@ using core::Config;
 using core::Count;
 
 std::string render_config(const core::Protocol& protocol,
-                          const Config& config) {
+                          petri::ConfigView config) {
   std::string out = "{";
   bool first = true;
   for (std::size_t q = 0; q < config.size(); ++q) {
@@ -63,14 +63,15 @@ Verdict check_input_on(const petri::PetriNet& net,
   if (graph.truncated) {
     throw std::runtime_error(
         "verify::check_input: reachability graph exceeds " +
-        std::to_string(options.max_configs) + " configurations");
+        std::to_string(options.max_configs) + " configurations (explored " +
+        petri::describe(graph.stats) + ")");
   }
-  verdict.reachable_configs = graph.nodes.size();
+  verdict.reachable_configs = graph.size();
 
   obs::MetricRegistry& registry = obs::MetricRegistry::global();
   if (registry.enabled()) {
     registry.add("verify.inputs", 1);
-    registry.add("verify.reachable_configs", graph.nodes.size());
+    registry.add("verify.reachable_configs", graph.size());
   }
   std::uint64_t bottom_configs = 0;
   const petri::SccDecomposition scc = [&graph] {
@@ -78,10 +79,10 @@ Verdict check_input_on(const petri::PetriNet& net,
     return petri::scc_decompose(graph);
   }();
   obs::ScopedSpan unanimity_span("verify.unanimity", "verify");
-  for (std::size_t u = 0; u < graph.nodes.size(); ++u) {
+  for (std::size_t u = 0; u < graph.size(); ++u) {
     if (!scc.bottom[scc.component[u]]) continue;
     ++bottom_configs;
-    const Config& config = graph.nodes[u].raw();
+    const petri::ConfigView config = graph.node(u);
     for (std::size_t q = 0; q < config.size(); ++q) {
       if (config[q] > 0 && protocol.output(q) != expected) {
         verdict.ok = false;

@@ -44,21 +44,22 @@ WellSpecVerdict classify_input_on(const petri::PetriNet& net,
   if (graph.truncated) {
     throw std::runtime_error(
         "verify::classify_input: reachability graph exceeds " +
-        std::to_string(options.max_configs) + " configurations");
+        std::to_string(options.max_configs) + " configurations (explored " +
+        petri::describe(graph.stats) + ")");
   }
-  verdict.reachable_configs = graph.nodes.size();
+  verdict.reachable_configs = graph.size();
   if (registry.enabled()) {
-    registry.add("verify.wellspec.reachable_configs", graph.nodes.size());
+    registry.add("verify.wellspec.reachable_configs", graph.size());
   }
 
   const petri::SccDecomposition scc = petri::scc_decompose(graph);
   obs::ScopedSpan consensus_span("verify.wellspec.consensus", "verify");
   // Per-SCC consensus: -1 unseen, 0/1 unanimous so far, 2 mixed.
   std::vector<int> consensus(scc.count, -1);
-  for (std::size_t u = 0; u < graph.nodes.size(); ++u) {
+  for (std::size_t u = 0; u < graph.size(); ++u) {
     const std::size_t component = scc.component[u];
     if (!scc.bottom[component]) continue;
-    const Config& config = graph.nodes[u].raw();
+    const petri::ConfigView config = graph.node(u);
     for (std::size_t q = 0; q < config.size(); ++q) {
       if (config[q] == 0) continue;
       const int output = protocol.output(q) ? 1 : 0;

@@ -318,6 +318,29 @@ TEST(ObsEngines, ParallelSweepSnapshotIsThreadCountInvariant) {
   EXPECT_FALSE(snap1.find("sim.agent.runs") == std::string::npos);
 }
 
+TEST(ObsEngines, ExploreCollisionsDoNotDependOnTheRegistry) {
+  // Collisions are intern-table probes, counted on every run: the
+  // same graph reports the same count with the registry off and on,
+  // and the registry receives exactly that count.
+  using ppsc::petri::Config;
+  MetricRegistry& registry = MetricRegistry::global();
+  ppsc::petri::PetriNet net(6);  // 14 tokens on a 6-chain: 11628 configs
+  for (std::size_t p = 0; p + 1 < 6; ++p) {
+    net.add(Config::unit(6, p), Config::unit(6, p + 1));
+  }
+  const std::vector<Config> roots = {Config::unit(6, 0, 14)};
+  registry.reset();
+  registry.set_enabled(false);
+  const auto off = ppsc::petri::explore(net, roots);
+  registry.set_enabled(true);
+  const auto on = ppsc::petri::explore(net, roots);
+  const MetricSnapshot snapshot = registry.snapshot();
+  registry.set_enabled(false);
+  EXPECT_GT(off.stats.collisions, 0u);
+  EXPECT_EQ(off.stats.collisions, on.stats.collisions);
+  EXPECT_EQ(snapshot.counters.at("explore.collisions"), on.stats.collisions);
+}
+
 #endif  // PPSC_OBS_ENABLED
 
 TEST(ObsEngines, ExploreStatsOnHandComputedNet) {
@@ -329,7 +352,7 @@ TEST(ObsEngines, ExploreStatsOnHandComputedNet) {
   const auto graph =
       ppsc::petri::explore(net, {ppsc::petri::Config{2, 0, 0}}, {});
   EXPECT_EQ(graph.stats.configs, 6u);
-  EXPECT_EQ(graph.stats.configs, graph.nodes.size());
+  EXPECT_EQ(graph.stats.configs, graph.size());
   EXPECT_EQ(graph.stats.edges, 6u);
   EXPECT_FALSE(graph.stats.truncated);
   EXPECT_GE(graph.stats.frontier_peak, 1u);

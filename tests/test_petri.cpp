@@ -100,12 +100,13 @@ TEST(Explore, FiniteGraphIsExact) {
   const auto graph = petri::explore(chain3(), {Config{2, 0, 0}});
   EXPECT_FALSE(graph.truncated);
   // Multisets of 2 tokens over the chain: (2,0,0) reaches all 6.
-  EXPECT_EQ(graph.nodes.size(), 6u);
-  const auto silent =
-      std::find(graph.nodes.begin(), graph.nodes.end(), Config{0, 0, 2});
-  ASSERT_NE(silent, graph.nodes.end());
-  const auto word = graph.word_to(
-      static_cast<std::size_t>(silent - graph.nodes.begin()));
+  ASSERT_EQ(graph.size(), 6u);
+  std::size_t silent = 0;
+  while (silent < graph.size() && graph.config(silent) != Config{0, 0, 2}) {
+    ++silent;
+  }
+  ASSERT_LT(silent, graph.size());
+  const auto word = graph.word_to(silent);
   EXPECT_EQ(word.size(), 4u);
   EXPECT_EQ(petri::fire_word(chain3(), Config{2, 0, 0}, word),
             (Config{0, 0, 2}));
@@ -162,7 +163,7 @@ Config dense_fire(const PetriNet& net, std::size_t t, Config config) {
 
 DenseGraph dense_explore(const PetriNet& net, const std::vector<Config>& roots,
                          std::size_t max_nodes,
-                         const std::function<bool(const Config&)>& stop) {
+                         const std::function<bool(petri::ConfigView)>& stop) {
   DenseGraph graph;
   std::map<Config, std::size_t> ids;
   const auto intern = [&](const Config& config, std::size_t parent,
@@ -199,6 +200,46 @@ DenseGraph dense_explore(const PetriNet& net, const std::vector<Config>& roots,
     }
   }
   return graph;
+}
+
+// explore()'s flat graph against the dense reference: the same nodes
+// in the same order, each node's CSR range equal to its reference edge
+// list, the same BFS tree and exits, and every stored hash equal to
+// the from-scratch ConfigHash of its node (so the incremental update
+// over the sparse delta never drifts).
+void expect_matches_dense(const PetriNet& net,
+                          const petri::ReachabilityGraph& graph,
+                          const std::vector<Config>& roots,
+                          std::size_t max_nodes,
+                          const std::function<bool(petri::ConfigView)>& stop) {
+  const DenseGraph reference = dense_explore(net, roots, max_nodes, stop);
+  const std::size_t n = graph.size();
+  ASSERT_EQ(n, reference.nodes.size());
+  ASSERT_EQ(graph.dimension, net.num_states());
+  ASSERT_EQ(graph.counts.size(), n * net.num_states());
+  ASSERT_EQ(graph.edge_begin.size(), n + 1);
+  EXPECT_EQ(graph.edge_begin.front(), 0u);
+  EXPECT_EQ(graph.edge_begin.back(), graph.edges.size());
+  for (std::size_t u = 0; u < n; ++u) {
+    ASSERT_EQ(graph.config(u), reference.nodes[u]) << "node " << u;
+    ASSERT_EQ(graph.hashes[u], petri::ConfigHash::of(graph.node(u)))
+        << "node " << u;
+    ASSERT_EQ(graph.hashes[u], petri::ConfigHash{}(reference.nodes[u]));
+    ASSERT_LE(graph.edge_begin[u], graph.edge_begin[u + 1]);
+    std::vector<std::pair<std::size_t, std::size_t>> got;
+    got.reserve(graph.out_edges(u).size());
+    for (const petri::ReachEdge& e : graph.out_edges(u)) {
+      got.emplace_back(e.target, e.transition);
+    }
+    EXPECT_EQ(got, reference.edges[u]) << "node " << u;
+  }
+  EXPECT_EQ(graph.parent, reference.parent);
+  EXPECT_EQ(graph.parent_transition, reference.parent_transition);
+  EXPECT_EQ(graph.truncated, reference.truncated);
+  EXPECT_EQ(graph.stopped, reference.stopped);
+  EXPECT_EQ(graph.stats.configs, n);
+  EXPECT_EQ(graph.stats.edges, graph.edges.size());
+  EXPECT_LE(graph.stats.edges, graph.stats.enabled_checks);
 }
 
 // The shapes the enabledness index must get right.
@@ -283,50 +324,32 @@ TEST(Explore, IndexedScanMatchesDenseReferenceOnRandomNets) {
     }
     petri::ExploreLimits limits;
     limits.max_nodes = 8 + rng.below(120);
-    std::function<bool(const Config&)> stop;
+    std::function<bool(petri::ConfigView)> stop;
     if (rng.below(3) == 0) {
       const petri::Count threshold =
           2 + static_cast<petri::Count>(rng.below(3));
-      stop = [threshold](const Config& c) { return c[0] >= threshold; };
+      stop = [threshold](petri::ConfigView c) { return c[0] >= threshold; };
     }
 
     const auto graph = petri::explore(net, roots, limits, stop);
-    const DenseGraph reference =
-        dense_explore(net, roots, limits.max_nodes, stop);
-    ASSERT_EQ(graph.nodes, reference.nodes);
-    ASSERT_EQ(graph.edges.size(), reference.edges.size());
-    std::size_t edges = 0;
-    for (std::size_t u = 0; u < graph.edges.size(); ++u) {
-      std::vector<std::pair<std::size_t, std::size_t>> got;
-      got.reserve(graph.edges[u].size());
-      for (const petri::ReachEdge& e : graph.edges[u]) {
-        got.emplace_back(e.target, e.transition);
-      }
-      EXPECT_EQ(got, reference.edges[u]) << "node " << u;
-      edges += got.size();
-    }
-    EXPECT_EQ(graph.parent, reference.parent);
-    EXPECT_EQ(graph.parent_transition, reference.parent_transition);
-    EXPECT_EQ(graph.truncated, reference.truncated);
-    EXPECT_EQ(graph.stopped, reference.stopped);
-    EXPECT_EQ(graph.stats.edges, edges);
-    EXPECT_LE(graph.stats.edges, graph.stats.enabled_checks);
+    ASSERT_NO_FATAL_FAILURE(
+        expect_matches_dense(net, graph, roots, limits.max_nodes, stop));
     truncated += graph.truncated ? 1 : 0;
     stopped += graph.stopped ? 1 : 0;
     complete += graph.truncated || graph.stopped ? 0 : 1;
 
-    for (std::size_t u = 0; u < graph.nodes.size(); ++u) {
+    for (std::size_t u = 0; u < graph.size(); ++u) {
+      const Config node = graph.config(u);
       for (std::size_t t = 0; t < net.num_transitions(); ++t) {
-        ASSERT_EQ(net.enabled(t, graph.nodes[u]),
-                  dense_enabled(net, t, graph.nodes[u]));
+        ASSERT_EQ(net.enabled(t, node), dense_enabled(net, t, node));
       }
       // The BFS word replays from the node's root onto the node.
       std::size_t root = u;
       while (graph.parent[root] != petri::ReachabilityGraph::kNoParent) {
         root = graph.parent[root];
       }
-      EXPECT_EQ(petri::fire_word(net, graph.nodes[root], graph.word_to(u)),
-                graph.nodes[u]);
+      EXPECT_EQ(petri::fire_word(net, graph.config(root), graph.word_to(u)),
+                node);
     }
     // Random words (with an out-of-range index now and then) replay as
     // the dense semantics says, including where they get stuck.
@@ -361,7 +384,90 @@ TEST(Explore, TruncatesPumpingNets) {
   limits.max_nodes = 50;
   const auto graph = petri::explore(pump(), {Config{1, 0}}, limits);
   EXPECT_TRUE(graph.truncated);
-  EXPECT_EQ(graph.nodes.size(), 50u);
+  EXPECT_EQ(graph.size(), 50u);
+}
+
+namespace {
+
+// place 0 -> place 1 -> ... -> place d-1.
+PetriNet chain(std::size_t d) {
+  PetriNet net(d);
+  for (std::size_t p = 0; p + 1 < d; ++p) {
+    net.add(Config::unit(d, p), Config::unit(d, p + 1));
+  }
+  return net;
+}
+
+}  // namespace
+
+TEST(Explore, LargeGraphsMatchDenseReferenceAcrossTableGrowths) {
+  // The intern table starts at 1024 slots and doubles at half load, so
+  // every graph past 4096 nodes has grown it four times.
+  // 14 tokens on a 6-chain: C(19, 5) = 11628 configurations.
+  const PetriNet six = chain(6);
+  const std::vector<Config> six_roots = {Config::unit(6, 0, 14)};
+  const std::size_t budget = petri::ExploreLimits{}.max_nodes;
+  const auto big = petri::explore(six, six_roots);
+  EXPECT_EQ(big.size(), 11628u);
+  ASSERT_NO_FATAL_FAILURE(
+      expect_matches_dense(six, big, six_roots, budget, {}));
+  // A wide product (72 places, 4167 transitions).
+  const auto cp = ppsc::core::interval_counting(2, 4);
+  const PetriNet wide(cp.protocol.net());
+  const std::vector<Config> wide_roots = {
+      Config(cp.protocol.initial_config({5}))};
+  ASSERT_NO_FATAL_FAILURE(expect_matches_dense(
+      wide, petri::explore(wide, wide_roots), wide_roots, budget, {}));
+  // Random nets with many tokens, pumping ones cut at the budget.
+  ppsc::util::Xoshiro256 rng(77);
+  std::array<std::size_t, kNumShapes> seen{};
+  std::size_t grown = 0;
+  for (int trial = 0; trial < 12; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const PetriNet net = random_net(rng, seen);
+    const std::size_t d = net.num_states();
+    const std::vector<Config> roots = {
+        random_tokens(rng, d, d, 10 + rng.below(20))};
+    petri::ExploreLimits limits;
+    limits.max_nodes = 12000;
+    const auto graph = petri::explore(net, roots, limits);
+    ASSERT_NO_FATAL_FAILURE(
+        expect_matches_dense(net, graph, roots, limits.max_nodes, {}));
+    grown += graph.size() > 4096 ? 1 : 0;
+  }
+  EXPECT_GE(grown, 3u);
+}
+
+TEST(Explore, TruncatesAtExactlyMaxNodes) {
+  // A budget of exactly the reachable count keeps the whole graph; one
+  // less drops the last-discovered node and every edge into it.
+  const std::vector<std::pair<PetriNet, Config>> cases = {
+      {chain3(), Config{2, 0, 0}}, {chain(6), Config::unit(6, 0, 14)}};
+  for (const auto& [net, root] : cases) {
+    const std::size_t reachable = petri::explore(net, {root}).size();
+    for (const std::size_t budget : {reachable, reachable - 1}) {
+      SCOPED_TRACE("budget " + std::to_string(budget));
+      petri::ExploreLimits limits;
+      limits.max_nodes = budget;
+      const auto graph = petri::explore(net, {root}, limits);
+      EXPECT_EQ(graph.size(), budget);
+      EXPECT_EQ(graph.truncated, budget < reachable);
+      EXPECT_EQ(graph.stats.truncated, graph.truncated);
+      ASSERT_NO_FATAL_FAILURE(
+          expect_matches_dense(net, graph, {root}, budget, {}));
+    }
+  }
+}
+
+TEST(Explore, RejectsNodeBudgetsBeyond32BitIds) {
+  if (sizeof(std::size_t) < 8) GTEST_SKIP() << "size_t cannot hold 2^32";
+  const std::size_t ids = std::size_t{0xffffffffu} + 1;  // 2^32
+  petri::ExploreLimits limits;
+  limits.max_nodes = ids;
+  EXPECT_THROW(petri::explore(chain3(), {Config{2, 0, 0}}, limits),
+               std::invalid_argument);
+  limits.max_nodes = ids - 1;
+  EXPECT_EQ(petri::explore(chain3(), {Config{2, 0, 0}}, limits).size(), 6u);
 }
 
 TEST(Coverability, BackwardBasisIsMinimal) {
@@ -604,13 +710,15 @@ TEST(WidthReduction, Example41IsProjectionEquivalent) {
 
   const Config root{4, 0};  // above threshold
   std::set<std::vector<petri::Count>> original;
-  for (const auto& node : petri::explore(net, {root}).nodes) {
-    original.insert(node.raw());
+  const auto graph = petri::explore(net, {root});
+  for (std::size_t i = 0; i < graph.size(); ++i) {
+    original.insert(graph.config(i).raw());
   }
   std::set<std::vector<petri::Count>> compiled;
-  for (const auto& node :
-       petri::explore(reduction.compiled, {reduction.embed(root)}).nodes) {
-    compiled.insert(reduction.project(reduction.cleanup(node)).raw());
+  const auto wide =
+      petri::explore(reduction.compiled, {reduction.embed(root)});
+  for (std::size_t i = 0; i < wide.size(); ++i) {
+    compiled.insert(reduction.project(reduction.cleanup(wide.config(i))).raw());
   }
   EXPECT_EQ(original, compiled);
 }

@@ -4,8 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "core/combinators.h"
 #include "core/constructions.h"
+#include "petri/reachability.h"
 #include "verify/stable.h"
 
 namespace core = ppsc::core;
@@ -109,6 +113,35 @@ TEST(CheckUpTo, ConfigCapThrows) {
   options.max_configs = 3;
   EXPECT_THROW(verify::check_input(cp.protocol, cp.predicate, {5}, options),
                std::runtime_error);
+}
+
+TEST(CheckUpTo, ConfigCapErrorExplainsTheExploration) {
+  // The truncation error carries the capped exploration's stats:
+  // configs, frontier peak and transitions tested per config.
+  const auto cp = core::example_4_1(3);
+  verify::CheckOptions options;
+  options.max_configs = 2;
+  ppsc::petri::ExploreLimits limits;
+  limits.max_nodes = options.max_configs;
+  const auto graph = ppsc::petri::explore(
+      ppsc::petri::PetriNet(cp.protocol.net()),
+      {ppsc::petri::Config(cp.protocol.initial_config({4}))}, limits);
+  ASSERT_TRUE(graph.truncated);
+  try {
+    verify::check_input(cp.protocol, cp.predicate, {4}, options);
+    FAIL() << "the cap did not throw";
+  } catch (const std::runtime_error& error) {
+    const std::string message = error.what();
+    const auto says = [&message](const std::string& part) {
+      return message.find(part) != std::string::npos;
+    };
+    EXPECT_TRUE(says("exceeds 2 configurations")) << message;
+    EXPECT_TRUE(says("2 configs, frontier peak " +
+                     std::to_string(graph.stats.frontier_peak)))
+        << message;
+    EXPECT_TRUE(says(" transitions tested per config")) << message;
+    EXPECT_TRUE(says(ppsc::petri::describe(graph.stats))) << message;
+  }
 }
 
 TEST(CheckUpTo, ConfigCapBoundaryIsExact) {

@@ -6,10 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/constructions.h"
 #include "core/protocol.h"
+#include "petri/reachability.h"
 #include "verify/stable.h"
 #include "verify/wellspec.h"
 
@@ -112,6 +114,32 @@ TEST(WellSpec, EmptyPopulationComputesFalse) {
   ASSERT_TRUE(verdict.value.has_value());
   EXPECT_FALSE(*verdict.value);
   EXPECT_EQ(verdict.reachable_configs, 1u);
+}
+
+TEST(WellSpec, ConfigCapErrorExplainsTheExploration) {
+  const auto cp = core::example_4_1(3);
+  verify::WellSpecOptions options;
+  options.max_configs = 2;
+  ppsc::petri::ExploreLimits limits;
+  limits.max_nodes = options.max_configs;
+  const auto graph = ppsc::petri::explore(
+      ppsc::petri::PetriNet(cp.protocol.net()),
+      {ppsc::petri::Config(cp.protocol.initial_config({4}))}, limits);
+  ASSERT_TRUE(graph.truncated);
+  try {
+    verify::classify_input(cp.protocol, {4}, options);
+    FAIL() << "the cap did not throw";
+  } catch (const std::runtime_error& error) {
+    const std::string message = error.what();
+    const auto says = [&message](const std::string& part) {
+      return message.find(part) != std::string::npos;
+    };
+    EXPECT_TRUE(says("exceeds 2 configurations (explored " +
+                     ppsc::petri::describe(graph.stats) + ")"))
+        << message;
+    EXPECT_TRUE(says("frontier peak")) << message;
+    EXPECT_TRUE(says("transitions tested per config")) << message;
+  }
 }
 
 TEST(WellSpec, RejectsNegativeBound) {
