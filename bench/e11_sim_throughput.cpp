@@ -137,7 +137,9 @@ BENCHMARK(BM_AgentArray_Unary)
 // The tentpole sweep: one population, sharded. Each iteration is one
 // epoch (shards * K draws), so items/sec counts raw draws -- the same
 // unit as the agent-array arms. Only deterministic counters are
-// attached (bench_compare requires custom counters to be exact).
+// attached (bench_compare requires custom counters to be exact). The
+// shard workers run on other threads, so rates are taken over wall
+// clock (UseRealTime), not the main thread's CPU time.
 void BM_Sharded_Unary(benchmark::State& state) {
   auto c = ppsc::core::unary_counting(8);
   auto table = ppsc::sim::PairRuleTable::build(c.protocol);
@@ -155,6 +157,7 @@ void BM_Sharded_Unary(benchmark::State& state) {
       static_cast<double>(simulator.num_shards());
 }
 BENCHMARK(BM_Sharded_Unary)
+    ->UseRealTime()
     ->Args({1000000, 8})
     ->Args({10000000, 1})
     ->Args({10000000, 2})

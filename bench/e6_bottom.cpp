@@ -60,7 +60,7 @@ int main() {
     std::vector<bool> mask(c.protocol.num_states(), true);
     mask[c.protocol.states().at("X")] = false;
     cases.push_back({"example42 T|P' (n=3)",
-                     PetriNet(c.protocol.net()).restrict(mask),
+                     c.protocol.net().restrict(mask),
                      Config(c.protocol.leaders()).restrict(mask)});
   }
 

@@ -7,6 +7,10 @@
 // every configuration space finite for a fixed input and lets the
 // verifier in verify/stable.h enumerate it exhaustively.
 //
+// The net is the petri::PetriNet every engine reads. ProtocolBuilder::
+// build() compiles it once from the sparse rules, rejecting negative,
+// non-conservative, empty and identity rules; rule_name(t) names them.
+//
 // The width of a transition is the number of agents it consumes; the
 // width of a protocol is the maximum over its transitions. The paper's
 // Section 4 trades exactly these three resources against each other:
@@ -15,61 +19,24 @@
 #ifndef PPSC_CORE_PROTOCOL_H
 #define PPSC_CORE_PROTOCOL_H
 
+#include <array>
 #include <cstddef>
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "petri/petri_net.h"
+
 namespace ppsc {
 namespace core {
 
-using Count = long long;
+using Count = petri::Count;
 
 // A configuration is a multiset of agent states, indexed by state id.
 using Config = std::vector<Count>;
-
-// One Petri-net transition. `pre` and `post` are dense count vectors over
-// the protocol's states; the transition is enabled in a configuration c
-// iff c[q] >= pre[q] for every state q, and firing it replaces the
-// consumed agents with the produced ones.
-struct Transition {
-  std::string name;
-  std::vector<Count> pre;
-  std::vector<Count> post;
-
-  Count width() const {
-    Count total = 0;
-    for (Count k : pre) total += k;
-    return total;
-  }
-};
-
-// The transition structure of a protocol, viewed as a Petri net over the
-// agent states. Validation enforces conservation (population protocols
-// never create or destroy agents) and rejects identity transitions so
-// that "no enabled transition" coincides with "silent".
-class PetriNet {
- public:
-  explicit PetriNet(std::size_t num_places = 0) : num_places_(num_places) {}
-
-  std::size_t num_places() const { return num_places_; }
-  std::size_t num_transitions() const { return transitions_.size(); }
-  const Transition& transition(std::size_t i) const { return transitions_[i]; }
-  const std::vector<Transition>& transitions() const { return transitions_; }
-
-  // Throws std::invalid_argument on size mismatch, negative counts,
-  // non-conservative or identity transitions.
-  void add_transition(Transition t);
-
-  bool enabled(const Transition& t, const Config& config) const;
-  Config fire(const Transition& t, const Config& config) const;
-
- private:
-  std::size_t num_places_;
-  std::vector<Transition> transitions_;
-};
 
 class ProtocolBuilder;
 
@@ -97,9 +64,10 @@ class Protocol {
   Count num_leaders() const;
 
   // Maximum number of agents consumed by a single transition.
-  Count width() const;
+  Count width() const { return net_.max_width(); }
 
-  const PetriNet& net() const { return net_; }
+  const petri::PetriNet& net() const { return net_; }
+  const std::string& rule_name(std::size_t t) const { return rule_names_[t]; }
 
   // Leaders plus `input[dim]` agents in each input state.
   Config initial_config(const std::vector<Count>& input) const;
@@ -116,8 +84,21 @@ class Protocol {
   std::vector<int> outputs_;
   std::vector<std::size_t> input_states_;
   std::vector<Count> leaders_;
-  PetriNet net_;
+  petri::PetriNet net_;
+  std::vector<std::string> rule_names_;
 };
+
+// A width-2 transition as ordered state pairs pre -> post, each side
+// ascending (a state counted twice fills both slots); pre slot i pairs
+// with post slot i. The product combinators and sim::PairRuleTable
+// both read pairwise rules this way.
+struct PairRule {
+  std::array<std::size_t, 2> pre;
+  std::array<std::size_t, 2> post;
+};
+
+// std::nullopt unless `t` consumes and produces exactly two agents.
+std::optional<PairRule> pair_rule(const petri::Transition& t);
 
 // Incremental builder so constructions read declaratively.
 class ProtocolBuilder {
@@ -155,8 +136,17 @@ class ProtocolBuilder {
   void check_state(std::size_t state, const std::string& rule) const;
   std::size_t state_id(const std::string& name, const std::string& where) const;
 
+  // Rule r's pre arcs are arcs_[pre_begin, post_begin), its post arcs
+  // run to the next rule's pre_begin; unsorted and possibly repeated
+  // until build() merges them.
+  struct PendingRule {
+    std::size_t pre_begin;
+    std::size_t post_begin;
+  };
+
   Protocol protocol_;
-  std::vector<Transition> pending_;
+  std::vector<petri::Arc> arcs_;
+  std::vector<PendingRule> pending_;
   bool built_ = false;
 };
 

@@ -36,7 +36,7 @@
 //
 // Span naming convention: `engine` for the whole operation and
 // `engine.phase` for phases inside it (`explore.frontier`,
-// `verify.unanimity`, `expected_time.solve`); the category is the
+// `verify.consensus`, `expected_time.solve`); the category is the
 // subsystem (`petri`, `sim`, `verify`). Names and categories must be
 // string literals (or otherwise outlive the registry): events store
 // the pointers, never copies. docs/observability.md lists every span.

@@ -1,13 +1,14 @@
-// General (possibly non-conservative) Petri nets for the decision
-// engines of Sections 5-7.
+// Petri nets: the one transition store of the repository.
 //
-// core::PetriNet models population protocols and therefore insists on
-// conservation; the coverability / Karp-Miller / bottom machinery needs
+// A population protocol is a conservative Petri net over its states
+// (core::Protocol owns one, compiled once by ProtocolBuilder::build(),
+// which also enforces conservation and names every rule). The
+// coverability / Karp-Miller / bottom machinery of Sections 5-7 needs
 // nets that pump (Theorem 6.1's whole point is that some places grow
-// without bound), so this layer drops every structural restriction:
-// transitions may create or destroy tokens and may even be identities.
-// An implicit adapter from core::PetriNet lets a protocol's net() flow
-// into the engines directly.
+// without bound), so this class itself drops every structural
+// restriction: transitions may create or destroy tokens and may even
+// be identities. petri is the base layer; it depends on no protocol
+// type.
 //
 // Two notions of sub-net are used by the paper and kept distinct here:
 //
@@ -19,15 +20,17 @@
 //    all other places hold omega many tokens, which is how bottom
 //    components and control-state nets look at a marking (Section 6-7).
 //
-// Every transition is also compiled, once, when add() appends it: its
-// sparse pre list and sparse delta list (post - pre, nonzero entries in
-// increasing place order), and an enabledness index that files it
-// under its lowest pre place (or among the always-candidates when its
-// pre is empty). A transition can only be enabled in a configuration
-// that occupies its lowest pre place, so enabled_transitions() tests
-// just the buckets of the occupied places instead of every transition.
-// The index lives on the net and is shared by every configuration, so
-// explore() and its consumers pay for it once per net, not per marking.
+// Every transition is compiled, once, when add() appends it: its
+// dense pre/post, its sparse pre list and sparse delta list (post -
+// pre, nonzero entries in increasing place order), and an enabledness
+// index that files it under its lowest pre place (or among the
+// always-candidates when its pre is empty). A transition can only be
+// enabled in a configuration that occupies its lowest pre place, so
+// enabled_transitions() tests just the buckets of the occupied places
+// instead of every transition. The index lives on the net and is
+// shared by every configuration, so explore() and its consumers pay
+// for it once per net, not per marking. There is one compile path:
+// the sparse add(); the dense add() sparsifies and forwards to it.
 
 #ifndef PPSC_PETRI_PETRI_NET_H
 #define PPSC_PETRI_PETRI_NET_H
@@ -36,7 +39,6 @@
 #include <optional>
 #include <vector>
 
-#include "core/protocol.h"
 #include "petri/config.h"
 #include "util/span.h"
 
@@ -47,6 +49,10 @@ namespace petri {
 struct Arc {
   std::size_t place;
   Count count;
+
+  friend bool operator==(const Arc& a, const Arc& b) {
+    return a.place == b.place && a.count == b.count;
+  }
 };
 
 struct Transition {
@@ -62,18 +68,21 @@ class PetriNet {
   explicit PetriNet(std::size_t num_states = 0)
       : num_states_(num_states), by_lowest_pre_(num_states) {}
 
-  // Adapter from the protocol-level net: same places, same transitions.
-  PetriNet(const core::PetriNet& net);
-
   std::size_t num_states() const { return num_states_; }
   std::size_t num_transitions() const { return transitions_.size(); }
   const Transition& transition(std::size_t i) const { return transitions_[i]; }
   const std::vector<Transition>& transitions() const { return transitions_; }
 
-  // Appends a transition and compiles it into the sparse lists and the
-  // enabledness index; only dimensions are checked (negative counts are
-  // rejected, identities and non-conservative effects are allowed).
-  void add(Config pre, Config post);
+  // Appends a transition given by its sparse pre and post lists:
+  // places strictly increasing and below num_states(), counts > 0
+  // (violations throw std::invalid_argument). Identities and
+  // non-conservative effects are allowed.
+  void add(util::Span<Arc> pre, util::Span<Arc> post);
+  // Dense spelling of the same: pre/post of size num_states(), counts
+  // >= 0; sparsified and forwarded to the sparse add().
+  void add(const Config& pre, const Config& post);
+  // Capacity for `transitions` more transitions and `arcs` more arcs.
+  void reserve(std::size_t transitions, std::size_t arcs);
 
   // Largest entry over all pre and post vectors (||T||_inf).
   Count norm_inf() const;

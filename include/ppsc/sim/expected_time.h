@@ -15,10 +15,15 @@
 //
 // Numerics: long-double Gaussian elimination with partial pivoting;
 // a pivot below 1e-12 of the column scale marks the system singular
-// (silence unreachable from some recurrent configuration, i.e. the
-// expectation is infinite) and the result uncomputed. For the graph
-// sizes this is meant for (<= a few thousand configurations) the
-// relative error is far below the ~1e-9 the benches print.
+// and leaves the result uncomputed. That does not mean silence is
+// unreachable: E may still be finite. Stiff chains whose E passes
+// ~1e12 have true pivots that small -- Example 4.2 at x = n - 1 for
+// n = 20..32 reaches silence with probability 1 yet is reported
+// uncomputed (see the open item in ROADMAP.md on an exact
+// expected-time oracle that survives stiff chains). When the result
+// is computed, for the graph sizes this is meant for (<= a few
+// thousand configurations) the relative error is far below the ~1e-9
+// the benches print.
 
 #ifndef PPSC_SIM_EXPECTED_TIME_H
 #define PPSC_SIM_EXPECTED_TIME_H
@@ -35,7 +40,8 @@ namespace sim {
 struct ExpectedTimeResult {
   // True iff expected_steps is exact. False when the state space was
   // truncated at max_configs, a dense SCC block exceeded the solver
-  // cap, or the system is singular (silence unreachable somewhere).
+  // cap, or a pivot fell below 1e-12 -- which leaves E uncomputed,
+  // not proven infinite (see the numerics note above).
   bool computed = false;
   // The exploration hit the max_configs budget.
   bool truncated = false;

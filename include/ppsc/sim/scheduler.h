@@ -99,6 +99,9 @@ class PairRuleTable {
 // weight cache (only transitions whose pre touches the fired delta are
 // recomputed; silence is detected from the exact per-transition
 // weights, never the drift-prone accumulated total).
+//
+// Reads the protocol's compiled net directly, so `protocol` must
+// outlive the simulator.
 class CountSimulator {
  public:
   CountSimulator(const core::Protocol& protocol, core::Config initial,
@@ -127,16 +130,13 @@ class CountSimulator {
   void publish_metrics() const;
 
  private:
-  struct SparseTransition {
-    std::vector<std::pair<std::size_t, core::Count>> pre;
-    std::vector<std::pair<std::size_t, core::Count>> delta;  // post - pre
-  };
-
-  double instance_weight(const SparseTransition& t) const;
+  double instance_weight(std::size_t t) const;
 
   util::Xoshiro256 rng_;
   core::Config config_;
-  std::vector<SparseTransition> transitions_;
+  // The protocol's net: sparse pre lists for the weights, sparse delta
+  // lists for firing.
+  const petri::PetriNet* net_;
   // dependents_[q]: transitions whose pre touches state q.
   std::vector<std::vector<std::size_t>> dependents_;
   std::vector<std::uint64_t> touched_;

@@ -6,6 +6,7 @@
 #define PPSC_UTIL_SPAN_H
 
 #include <cstddef>
+#include <vector>
 
 namespace ppsc {
 namespace util {
@@ -14,6 +15,9 @@ template <typename T>
 class Span {
  public:
   Span(const T* first, const T* last) : first_(first), last_(last) {}
+  // Implicit, so a vector passes wherever a span is taken.
+  Span(const std::vector<T>& items)
+      : first_(items.data()), last_(items.data() + items.size()) {}
 
   const T* begin() const { return first_; }
   const T* end() const { return last_; }

@@ -1,6 +1,5 @@
 #include "core/combinators.h"
 
-#include <array>
 #include <stdexcept>
 #include <utility>
 
@@ -9,32 +8,19 @@ namespace core {
 
 namespace {
 
-// Expands a width-2 transition into its two (pre, post) slots, pairing
-// pre slot i with post slot i. Either pairing yields the same component
+// The operand's transitions as pair rules. Pairing pre slot i with
+// post slot i is arbitrary: either pairing yields the same component
 // projections, which is all the product correctness argument needs.
-struct PairRule {
-  std::array<std::size_t, 2> pre;
-  std::array<std::size_t, 2> post;
-};
-
 std::vector<PairRule> pair_rules(const Protocol& p, const char* combinator) {
   std::vector<PairRule> rules;
-  for (const Transition& t : p.net().transitions()) {
-    if (t.width() != 2) {
+  for (std::size_t t = 0; t < p.net().num_transitions(); ++t) {
+    const std::optional<PairRule> rule = pair_rule(p.net().transition(t));
+    if (!rule) {
       throw std::invalid_argument(std::string(combinator) +
-                                  ": operand transition '" + t.name +
+                                  ": operand transition '" + p.rule_name(t) +
                                   "' has width != 2");
     }
-    PairRule rule;
-    std::size_t slot = 0;
-    for (std::size_t q = 0; q < t.pre.size(); ++q) {
-      for (Count k = 0; k < t.pre[q]; ++k) rule.pre[slot++] = q;
-    }
-    slot = 0;
-    for (std::size_t q = 0; q < t.post.size(); ++q) {
-      for (Count k = 0; k < t.post[q]; ++k) rule.post[slot++] = q;
-    }
-    rules.push_back(rule);
+    rules.push_back(*rule);
   }
   return rules;
 }
@@ -124,14 +110,15 @@ ConstructedProtocol negate(const ConstructedProtocol& cp) {
   for (std::size_t q = 0; q < src.num_states(); ++q) {
     if (src.leaders(q) > 0) b.add_leaders(q, src.leaders(q));
   }
-  for (const Transition& t : src.net().transitions()) {
+  for (std::size_t t = 0; t < src.net().num_transitions(); ++t) {
+    const petri::Transition& transition = src.net().transition(t);
     std::vector<std::pair<std::size_t, Count>> pre;
     std::vector<std::pair<std::size_t, Count>> post;
-    for (std::size_t q = 0; q < t.pre.size(); ++q) {
-      if (t.pre[q] > 0) pre.emplace_back(q, t.pre[q]);
-      if (t.post[q] > 0) post.emplace_back(q, t.post[q]);
+    for (std::size_t q = 0; q < transition.pre.size(); ++q) {
+      if (transition.pre[q] > 0) pre.emplace_back(q, transition.pre[q]);
+      if (transition.post[q] > 0) post.emplace_back(q, transition.post[q]);
     }
-    b.add_rule(t.name, pre, post);
+    b.add_rule(src.rule_name(t), pre, post);
   }
   Predicate p;
   p.name = "not(" + cp.predicate.name + ")";

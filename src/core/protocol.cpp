@@ -6,63 +6,10 @@
 namespace ppsc {
 namespace core {
 
-void PetriNet::add_transition(Transition t) {
-  if (t.pre.size() != num_places_ || t.post.size() != num_places_) {
-    throw std::invalid_argument("transition '" + t.name +
-                                "': pre/post size does not match place count");
-  }
-  Count consumed = 0;
-  Count produced = 0;
-  for (std::size_t q = 0; q < num_places_; ++q) {
-    if (t.pre[q] < 0 || t.post[q] < 0) {
-      throw std::invalid_argument("transition '" + t.name +
-                                  "': negative multiplicity");
-    }
-    consumed += t.pre[q];
-    produced += t.post[q];
-  }
-  if (consumed != produced) {
-    throw std::invalid_argument("transition '" + t.name +
-                                "': not conservative (consumes " +
-                                std::to_string(consumed) + ", produces " +
-                                std::to_string(produced) + ")");
-  }
-  if (consumed == 0) {
-    throw std::invalid_argument("transition '" + t.name + "': empty");
-  }
-  if (t.pre == t.post) {
-    throw std::invalid_argument("transition '" + t.name + "': identity");
-  }
-  transitions_.push_back(std::move(t));
-}
-
-bool PetriNet::enabled(const Transition& t, const Config& config) const {
-  for (std::size_t q = 0; q < num_places_; ++q) {
-    if (config[q] < t.pre[q]) return false;
-  }
-  return true;
-}
-
-Config PetriNet::fire(const Transition& t, const Config& config) const {
-  Config next = config;
-  for (std::size_t q = 0; q < num_places_; ++q) {
-    next[q] += t.post[q] - t.pre[q];
-  }
-  return next;
-}
-
 Count Protocol::num_leaders() const {
   Count total = 0;
   for (Count k : leaders_) total += k;
   return total;
-}
-
-Count Protocol::width() const {
-  Count max_width = 0;
-  for (const Transition& t : net_.transitions()) {
-    max_width = std::max(max_width, t.width());
-  }
-  return max_width;
 }
 
 Config Protocol::initial_config(const std::vector<Count>& input) const {
@@ -86,6 +33,22 @@ Count Protocol::population(const Config& config) {
   Count total = 0;
   for (Count k : config) total += k;
   return total;
+}
+
+std::optional<PairRule> pair_rule(const petri::Transition& t) {
+  PairRule rule{};
+  std::size_t pre_slot = 0;
+  std::size_t post_slot = 0;
+  for (std::size_t q = 0; q < t.pre.size(); ++q) {
+    for (Count k = 0; k < t.pre[q]; ++k, ++pre_slot) {
+      if (pre_slot < 2) rule.pre[pre_slot] = q;
+    }
+    for (Count k = 0; k < t.post[q]; ++k, ++post_slot) {
+      if (post_slot < 2) rule.post[post_slot] = q;
+    }
+  }
+  if (pre_slot != 2 || post_slot != 2) return std::nullopt;
+  return rule;
 }
 
 std::size_t ProtocolBuilder::add_state(const std::string& name, bool output) {
@@ -126,20 +89,12 @@ void ProtocolBuilder::add_rule(
   if (built_) {
     throw std::logic_error("ProtocolBuilder: add_rule after build()");
   }
-  const std::size_t n = protocol_.state_names_.size();
-  Transition t;
-  t.name = name;
-  t.pre.assign(n, 0);
-  t.post.assign(n, 0);
-  for (const auto& entry : pre) {
-    check_state(entry.first, name);
-    t.pre[entry.first] += entry.second;
-  }
-  for (const auto& entry : post) {
-    check_state(entry.first, name);
-    t.post[entry.first] += entry.second;
-  }
-  pending_.push_back(std::move(t));
+  for (const auto& entry : pre) check_state(entry.first, name);
+  for (const auto& entry : post) check_state(entry.first, name);
+  pending_.push_back({arcs_.size(), arcs_.size() + pre.size()});
+  for (const auto& entry : pre) arcs_.push_back({entry.first, entry.second});
+  for (const auto& entry : post) arcs_.push_back({entry.first, entry.second});
+  protocol_.rule_names_.push_back(name);
 }
 
 void ProtocolBuilder::add_pair_rule(const std::string& name, std::size_t a,
@@ -148,18 +103,12 @@ void ProtocolBuilder::add_pair_rule(const std::string& name, std::size_t a,
   if (built_) {
     throw std::logic_error("ProtocolBuilder: add_pair_rule after build()");
   }
-  const std::size_t n = protocol_.state_names_.size();
   for (std::size_t q : {a, b, c, d}) check_state(q, name);
-  Transition t;
-  t.name = name;
-  t.pre.assign(n, 0);
-  t.post.assign(n, 0);
-  t.pre[a] += 1;
-  t.pre[b] += 1;
-  t.post[c] += 1;
-  t.post[d] += 1;
-  if (t.pre == t.post) return;  // identity pairs carry no information
-  pending_.push_back(std::move(t));
+  // Identity pairs carry no information.
+  if ((a == c && b == d) || (a == d && b == c)) return;
+  pending_.push_back({arcs_.size(), arcs_.size() + 2});
+  arcs_.insert(arcs_.end(), {{a, 1}, {b, 1}, {c, 1}, {d, 1}});
+  protocol_.rule_names_.push_back(name);
 }
 
 namespace {
@@ -169,6 +118,27 @@ std::string trim(const std::string& text) {
   if (first == std::string::npos) return "";
   std::size_t last = text.find_last_not_of(" \t");
   return text.substr(first, last - first + 1);
+}
+
+// Sorts `arcs` by place and merges repeated places, dropping entries
+// that sum to zero; returns the merged list's total count.
+Count merge_arcs(std::vector<petri::Arc>& arcs) {
+  std::sort(arcs.begin(), arcs.end(),
+            [](const petri::Arc& x, const petri::Arc& y) {
+              return x.place < y.place;
+            });
+  std::size_t kept = 0;
+  Count total = 0;
+  for (std::size_t i = 0; i < arcs.size();) {
+    petri::Arc merged = arcs[i];
+    for (++i; i < arcs.size() && arcs[i].place == merged.place; ++i) {
+      merged.count += arcs[i].count;
+    }
+    if (merged.count != 0) arcs[kept++] = merged;
+    total += merged.count;
+  }
+  arcs.resize(kept);
+  return total;
 }
 
 }  // namespace
@@ -225,14 +195,40 @@ Protocol ProtocolBuilder::build() {
     throw std::logic_error("ProtocolBuilder: build() called twice");
   }
   built_ = true;
-  const std::size_t n = protocol_.state_names_.size();
-  protocol_.net_ = PetriNet(n);
-  for (Transition& t : pending_) {
-    // States may have been added after the rule; pad to the final count.
-    t.pre.resize(n, 0);
-    t.post.resize(n, 0);
-    protocol_.net_.add_transition(std::move(t));
+  protocol_.net_ = petri::PetriNet(protocol_.state_names_.size());
+  protocol_.net_.reserve(pending_.size(), arcs_.size());
+  std::vector<petri::Arc> pre;
+  std::vector<petri::Arc> post;
+  for (std::size_t r = 0; r < pending_.size(); ++r) {
+    const std::string& name = protocol_.rule_names_[r];
+    const std::size_t end =
+        r + 1 < pending_.size() ? pending_[r + 1].pre_begin : arcs_.size();
+    pre.assign(arcs_.begin() + pending_[r].pre_begin,
+               arcs_.begin() + pending_[r].post_begin);
+    post.assign(arcs_.begin() + pending_[r].post_begin, arcs_.begin() + end);
+    const Count consumed = merge_arcs(pre);
+    const Count produced = merge_arcs(post);
+    const auto negative = [](const petri::Arc& arc) { return arc.count < 0; };
+    if (std::any_of(pre.begin(), pre.end(), negative) ||
+        std::any_of(post.begin(), post.end(), negative)) {
+      throw std::invalid_argument("transition '" + name +
+                                  "': negative multiplicity");
+    }
+    if (consumed != produced) {
+      throw std::invalid_argument("transition '" + name +
+                                  "': not conservative (consumes " +
+                                  std::to_string(consumed) + ", produces " +
+                                  std::to_string(produced) + ")");
+    }
+    if (consumed == 0) {
+      throw std::invalid_argument("transition '" + name + "': empty");
+    }
+    if (pre == post) {
+      throw std::invalid_argument("transition '" + name + "': identity");
+    }
+    protocol_.net_.add(pre, post);
   }
+  arcs_.clear();
   pending_.clear();
   return std::move(protocol_);
 }

@@ -7,35 +7,68 @@
 namespace ppsc {
 namespace petri {
 
-PetriNet::PetriNet(const core::PetriNet& net)
-    : PetriNet(net.num_places()) {
-  for (const core::Transition& t : net.transitions()) {
-    add(Config(t.pre), Config(t.post));
+void PetriNet::add(util::Span<Arc> pre, util::Span<Arc> post) {
+  Transition dense{Config(num_states_), Config(num_states_)};
+  const auto fill = [this](util::Span<Arc> arcs, Config& out) {
+    for (std::size_t i = 0; i < arcs.size(); ++i) {
+      const Arc& arc = arcs[i];
+      if (arc.place >= num_states_ || arc.count <= 0 ||
+          (i > 0 && arc.place <= arcs[i - 1].place)) {
+        throw std::invalid_argument(
+            "PetriNet::add: arcs must have increasing places below the "
+            "dimension and positive counts");
+      }
+      out[arc.place] = arc.count;
+    }
+  };
+  fill(pre, dense.pre);
+  fill(post, dense.post);
+  const std::size_t t = transitions_.size();
+  pre_arcs_.insert(pre_arcs_.end(), pre.begin(), pre.end());
+  // Merge the two sorted lists into the nonzero entries of post - pre.
+  const Arc* a = pre.begin();
+  const Arc* b = post.begin();
+  while (a != pre.end() || b != post.end()) {
+    const bool pre_first =
+        b == post.end() || (a != pre.end() && a->place <= b->place);
+    const std::size_t p = pre_first ? a->place : b->place;
+    const Count change = dense.post[p] - dense.pre[p];
+    if (change != 0) delta_arcs_.push_back({p, change});
+    if (a != pre.end() && a->place == p) ++a;
+    if (b != post.end() && b->place == p) ++b;
   }
+  pre_begin_.push_back(pre_arcs_.size());
+  delta_begin_.push_back(delta_arcs_.size());
+  if (pre.empty()) {
+    empty_pre_.push_back(t);
+  } else {
+    by_lowest_pre_[pre[0].place].push_back(t);
+  }
+  transitions_.push_back(std::move(dense));
 }
 
-void PetriNet::add(Config pre, Config post) {
+void PetriNet::add(const Config& pre, const Config& post) {
   if (pre.size() != num_states_ || post.size() != num_states_) {
     throw std::invalid_argument("PetriNet::add: dimension mismatch");
   }
+  std::vector<Arc> pre_arcs;
+  std::vector<Arc> post_arcs;
   for (std::size_t p = 0; p < num_states_; ++p) {
     if (pre[p] < 0 || post[p] < 0) {
       throw std::invalid_argument("PetriNet::add: negative count");
     }
+    if (pre[p] != 0) pre_arcs.push_back({p, pre[p]});
+    if (post[p] != 0) post_arcs.push_back({p, post[p]});
   }
-  const std::size_t t = transitions_.size();
-  for (std::size_t p = 0; p < num_states_; ++p) {
-    if (pre[p] != 0) pre_arcs_.push_back({p, pre[p]});
-    if (post[p] != pre[p]) delta_arcs_.push_back({p, post[p] - pre[p]});
-  }
-  pre_begin_.push_back(pre_arcs_.size());
-  delta_begin_.push_back(delta_arcs_.size());
-  if (pre_begin_[t] == pre_begin_[t + 1]) {
-    empty_pre_.push_back(t);
-  } else {
-    by_lowest_pre_[pre_arcs_[pre_begin_[t]].place].push_back(t);
-  }
-  transitions_.push_back({std::move(pre), std::move(post)});
+  add(pre_arcs, post_arcs);
+}
+
+void PetriNet::reserve(std::size_t transitions, std::size_t arcs) {
+  transitions_.reserve(transitions_.size() + transitions);
+  pre_begin_.reserve(pre_begin_.size() + transitions);
+  delta_begin_.reserve(delta_begin_.size() + transitions);
+  pre_arcs_.reserve(pre_arcs_.size() + arcs);
+  delta_arcs_.reserve(delta_arcs_.size() + arcs);
 }
 
 Count PetriNet::norm_inf() const {

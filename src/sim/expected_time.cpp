@@ -102,7 +102,7 @@ ExpectedTimeResult expected_interactions_to_silence(
       registry.record("expected_time.largest_scc", result.largest_scc);
     }
   };
-  const petri::PetriNet net(protocol.net());
+  const petri::PetriNet& net = protocol.net();
   petri::ExploreLimits limits;
   limits.max_nodes = max_configs;
   const petri::ReachabilityGraph graph =

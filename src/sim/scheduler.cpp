@@ -12,8 +12,6 @@
 namespace ppsc {
 namespace sim {
 
-using core::Count;
-
 // ---------------------------------------------------------------------------
 // PairRuleTable
 // ---------------------------------------------------------------------------
@@ -27,27 +25,12 @@ std::optional<PairRuleTable> PairRuleTable::build(
   table.cells_.assign(n * n, Outcome{});
   table.partners_.assign(n, {});
 
-  for (const core::Transition& t : protocol.net().transitions()) {
-    if (t.width() != 2) return std::nullopt;
-    // Decompose pre and post into ordered state pairs. Width 2 means
-    // either one state with count 2 or two states with count 1 each;
-    // conservation guarantees the same for post.
-    std::uint32_t pre[2];
-    std::uint32_t post[2];
-    std::size_t num_pre = 0;
-    std::size_t num_post = 0;
-    for (std::size_t q = 0; q < n; ++q) {
-      for (Count k = 0; k < t.pre[q]; ++k) {
-        pre[num_pre++] = static_cast<std::uint32_t>(q);
-      }
-      for (Count k = 0; k < t.post[q]; ++k) {
-        post[num_post++] = static_cast<std::uint32_t>(q);
-      }
-    }
-    assert(num_pre == 2 && num_post == 2);
-    const auto set_cell = [&table, n](std::uint32_t a, std::uint32_t b,
-                                      std::uint32_t c,
-                                      std::uint32_t d) -> bool {
+  for (const petri::Transition& t : protocol.net().transitions()) {
+    const std::optional<core::PairRule> rule = core::pair_rule(t);
+    if (!rule) return std::nullopt;
+    const auto& [pre, post] = *rule;
+    const auto set_cell = [&table, n](std::size_t a, std::size_t b,
+                                      std::size_t c, std::size_t d) -> bool {
       Outcome& cell = table.cells_[a * n + b];
       if (cell.first != kNoRule) {
         // Re-registering the identical outcome is still deterministic
@@ -55,8 +38,8 @@ std::optional<PairRuleTable> PairRuleTable::build(
         // mapped to two different outcomes is nondeterministic.
         return cell.first == c && cell.second == d;
       }
-      cell.first = c;
-      cell.second = d;
+      cell.first = static_cast<std::uint32_t>(c);
+      cell.second = static_cast<std::uint32_t>(d);
       return true;
     };
     if (!set_cell(pre[0], pre[1], post[0], post[1])) return std::nullopt;
@@ -92,46 +75,39 @@ constexpr std::uint64_t kRebuildInterval = 1024;
 
 CountSimulator::CountSimulator(const core::Protocol& protocol,
                                core::Config initial, std::uint64_t seed)
-    : rng_(seed), config_(std::move(initial)) {
+    : rng_(seed), config_(std::move(initial)), net_(&protocol.net()) {
   if (config_.size() != protocol.num_states()) {
     throw std::invalid_argument(
         "CountSimulator: configuration dimension does not match protocol");
   }
-  for (const core::Transition& t : protocol.net().transitions()) {
-    SparseTransition s;
-    for (std::size_t q = 0; q < t.pre.size(); ++q) {
-      if (t.pre[q] > 0) s.pre.emplace_back(q, t.pre[q]);
-      if (t.post[q] != t.pre[q]) s.delta.emplace_back(q, t.post[q] - t.pre[q]);
-    }
-    transitions_.push_back(std::move(s));
-  }
   // Incremental weight cache: a fired transition only changes the
   // counts on its delta places, so only transitions whose pre touches
   // one of those places can change weight.
+  const std::size_t m = net_->num_transitions();
   dependents_.assign(protocol.num_states(), {});
-  for (std::size_t i = 0; i < transitions_.size(); ++i) {
-    for (const auto& need : transitions_[i].pre) {
-      dependents_[need.first].push_back(i);
+  for (std::size_t t = 0; t < m; ++t) {
+    for (const petri::Arc& need : net_->pre(t)) {
+      dependents_[need.place].push_back(t);
     }
   }
-  touched_.assign(transitions_.size(), 0);
-  weights_.assign(transitions_.size(), 0.0);
-  for (std::size_t i = 0; i < transitions_.size(); ++i) {
-    weights_[i] = instance_weight(transitions_[i]);
-    total_ += weights_[i];
-    if (weights_[i] > 0.0) ++num_active_;
+  touched_.assign(m, 0);
+  weights_.assign(m, 0.0);
+  for (std::size_t t = 0; t < m; ++t) {
+    weights_[t] = instance_weight(t);
+    total_ += weights_[t];
+    if (weights_[t] > 0.0) ++num_active_;
   }
   peak_total_ = total_;
 }
 
-// Number of distinct agent sets firing `t` in the current
+// Number of distinct agent sets firing transition t in the current
 // configuration: the product of C(config[q], pre[q]) (see
 // sim/weights.h for the shared per-place factor).
-double CountSimulator::instance_weight(const SparseTransition& t) const {
+double CountSimulator::instance_weight(std::size_t t) const {
   double weight = 1.0;
-  for (const auto& need : t.pre) {
+  for (const petri::Arc& need : net_->pre(t)) {
     const double factor =
-        binomial_instances<double>(config_[need.first], need.second);
+        binomial_instances<double>(config_[need.place], need.count);
     if (factor == 0.0) return 0.0;
     weight *= factor;
   }
@@ -149,7 +125,7 @@ bool CountSimulator::step() {
     // is detected from the exact per-transition weights (zero is
     // exact), never from the accumulated total.
     double recomputed = 0.0;
-    for (const SparseTransition& t : transitions_) {
+    for (std::size_t t = 0; t < weights_.size(); ++t) {
       recomputed += instance_weight(t);
     }
     assert(std::abs(total_ - recomputed) <= 1e-9 * std::max(1.0, peak_total_));
@@ -160,24 +136,25 @@ bool CountSimulator::step() {
   // Rounding can leave pick barely non-negative after the last positive
   // weight; never fall through to a disabled transition.
   std::size_t chosen = 0;
-  for (std::size_t i = 0; i < transitions_.size(); ++i) {
+  for (std::size_t i = 0; i < weights_.size(); ++i) {
     if (weights_[i] == 0.0) continue;
     chosen = i;
     pick -= weights_[i];
     if (pick < 0.0) break;
   }
-  for (const auto& change : transitions_[chosen].delta) {
-    config_[change.first] += change.second;
+  const util::Span<petri::Arc> delta = net_->delta(chosen);
+  for (const petri::Arc& change : delta) {
+    config_[change.place] += change.count;
   }
   ++stamp_;
-  for (const auto& change : transitions_[chosen].delta) {
-    for (std::size_t dependent : dependents_[change.first]) {
+  for (const petri::Arc& change : delta) {
+    for (std::size_t dependent : dependents_[change.place]) {
       if (touched_[dependent] == stamp_) continue;
       touched_[dependent] = stamp_;
       ++weight_updates_;
       total_ -= weights_[dependent];
       if (weights_[dependent] > 0.0) --num_active_;
-      weights_[dependent] = instance_weight(transitions_[dependent]);
+      weights_[dependent] = instance_weight(dependent);
       total_ += weights_[dependent];
       if (weights_[dependent] > 0.0) ++num_active_;
     }

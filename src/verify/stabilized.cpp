@@ -5,6 +5,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "petri/coverability.h"
+#include "verify/stable.h"
 
 namespace ppsc {
 namespace verify {
@@ -103,21 +104,13 @@ std::optional<std::uint64_t> minimal_effective_h(
         break;
       }
     }
-    // Odometer over the probe box [0, h + probe_height]^d.
-    petri::Config sigma(d);
-    while (effective) {
-      if (!effective_on(sigma)) {
-        effective = false;
-        break;
-      }
-      std::size_t q = 0;
-      while (q < d &&
-             sigma[q] == static_cast<petri::Count>(h + probe_height)) {
-        sigma[q] = 0;
-        ++q;
-      }
-      if (q == d) break;
-      ++sigma[q];
+    if (effective) {
+      for_each_point<petri::Config>(
+          d, static_cast<petri::Count>(h + probe_height),
+          [&](const petri::Config& sigma) {
+            effective = effective_on(sigma);
+            return effective;
+          });
     }
     if (effective) found = h;
   }

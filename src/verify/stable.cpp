@@ -5,7 +5,6 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "petri/reachability.h"
 
 namespace ppsc {
 namespace verify {
@@ -28,14 +27,56 @@ std::string render_config(const core::Protocol& protocol,
   return out + "}";
 }
 
-// check_input over a net compiled once by the caller, so check_up_to
-// builds the protocol's petri::PetriNet (and its enabledness index) once
-// for the whole odometer instead of once per input.
-Verdict check_input_on(const petri::PetriNet& net,
-                       const core::Protocol& protocol,
-                       const core::Predicate& predicate,
-                       const std::vector<core::Count>& input,
-                       const CheckOptions& options) {
+}  // namespace
+
+BottomSccs bottom_sccs(const core::Protocol& protocol,
+                       const core::Config& initial, std::size_t max_configs,
+                       const char* caller) {
+  // The limit mirrors explore's truncation boundary, so a graph of
+  // exactly max_configs nodes is still accepted and nothing is recorded
+  // past the cap.
+  petri::ExploreLimits limits;
+  limits.max_nodes = max_configs;
+  BottomSccs out;
+  {
+    obs::ScopedSpan span("verify.explore", "verify");
+    out.graph = petri::explore(protocol.net(), {petri::Config(initial)},
+                               limits);
+  }
+  if (out.graph.truncated) {
+    throw std::runtime_error(
+        std::string(caller) + ": reachability graph exceeds " +
+        std::to_string(max_configs) + " configurations (explored " +
+        petri::describe(out.graph.stats) + ")");
+  }
+  {
+    obs::ScopedSpan span("verify.scc", "verify");
+    out.scc = petri::scc_decompose(out.graph);
+  }
+  obs::ScopedSpan span("verify.consensus", "verify");
+  out.consensus.assign(out.scc.count, -1);
+  for (std::size_t u = 0; u < out.graph.size(); ++u) {
+    const std::size_t component = out.scc.component[u];
+    if (!out.scc.bottom[component]) continue;
+    int& consensus = out.consensus[component];
+    const petri::ConfigView config = out.graph.node(u);
+    for (std::size_t q = 0; q < config.size(); ++q) {
+      if (config[q] == 0) continue;
+      const int output = protocol.output(q) ? 1 : 0;
+      if (consensus == -1) {
+        consensus = output;
+      } else if (consensus != output) {
+        consensus = 2;
+      }
+    }
+  }
+  return out;
+}
+
+Verdict check_input(const core::Protocol& protocol,
+                    const core::Predicate& predicate,
+                    const std::vector<core::Count>& input,
+                    const CheckOptions& options) {
   obs::ScopedTimer timer("verify");
   obs::ScopedSpan span("verify", "verify");
   Verdict verdict;
@@ -49,23 +90,9 @@ Verdict check_input_on(const petri::PetriNet& net,
     return verdict;
   }
   const bool expected = predicate(input);
-
-  // The (finite, by conservation) reachability graph and its SCCs come
-  // from the shared petri engines; the limit check mirrors explore's
-  // truncation boundary, so a graph of exactly max_configs nodes is
-  // still accepted and nothing is recorded past the cap.
-  petri::ExploreLimits limits;
-  limits.max_nodes = options.max_configs;
-  const petri::ReachabilityGraph graph = [&] {
-    obs::ScopedSpan explore_span("verify.explore", "verify");
-    return petri::explore(net, {petri::Config(initial)}, limits);
-  }();
-  if (graph.truncated) {
-    throw std::runtime_error(
-        "verify::check_input: reachability graph exceeds " +
-        std::to_string(options.max_configs) + " configurations (explored " +
-        petri::describe(graph.stats) + ")");
-  }
+  const BottomSccs bottom = bottom_sccs(protocol, initial, options.max_configs,
+                                        "verify::check_input");
+  const petri::ReachabilityGraph& graph = bottom.graph;
   verdict.reachable_configs = graph.size();
 
   obs::MetricRegistry& registry = obs::MetricRegistry::global();
@@ -73,15 +100,14 @@ Verdict check_input_on(const petri::PetriNet& net,
     registry.add("verify.inputs", 1);
     registry.add("verify.reachable_configs", graph.size());
   }
+  // A bottom SCC whose consensus is not the expected value holds the
+  // offending configurations; the first one in node order is reported.
   std::uint64_t bottom_configs = 0;
-  const petri::SccDecomposition scc = [&graph] {
-    obs::ScopedSpan scc_span("verify.scc", "verify");
-    return petri::scc_decompose(graph);
-  }();
-  obs::ScopedSpan unanimity_span("verify.unanimity", "verify");
   for (std::size_t u = 0; u < graph.size(); ++u) {
-    if (!scc.bottom[scc.component[u]]) continue;
+    const int consensus = bottom.consensus[bottom.scc.component[u]];
+    if (consensus == -1) continue;
     ++bottom_configs;
+    if (consensus == (expected ? 1 : 0)) continue;
     const petri::ConfigView config = graph.node(u);
     for (std::size_t q = 0; q < config.size(); ++q) {
       if (config[q] > 0 && protocol.output(q) != expected) {
@@ -102,16 +128,6 @@ Verdict check_input_on(const petri::PetriNet& net,
   return verdict;
 }
 
-}  // namespace
-
-Verdict check_input(const core::Protocol& protocol,
-                    const core::Predicate& predicate,
-                    const std::vector<core::Count>& input,
-                    const CheckOptions& options) {
-  return check_input_on(petri::PetriNet(protocol.net()), protocol, predicate,
-                        input, options);
-}
-
 CheckResult check_up_to(const core::Protocol& protocol,
                         const core::Predicate& predicate, core::Count bound,
                         const CheckOptions& options) {
@@ -119,21 +135,12 @@ CheckResult check_up_to(const core::Protocol& protocol,
     throw std::invalid_argument("check_up_to: bound must be >= 0");
   }
   CheckResult result;
-  const std::size_t arity = protocol.input_arity();
-  std::vector<core::Count> input(arity, 0);
-  const petri::PetriNet net(protocol.net());
-  while (true) {
-    result.verdicts.push_back(
-        check_input_on(net, protocol, predicate, input, options));
-    // Odometer over [0, bound]^arity.
-    std::size_t dim = 0;
-    while (dim < arity && input[dim] == bound) {
-      input[dim] = 0;
-      ++dim;
-    }
-    if (dim == arity) break;
-    ++input[dim];
-  }
+  for_each_point<std::vector<Count>>(
+      protocol.input_arity(), bound, [&](const std::vector<Count>& input) {
+        result.verdicts.push_back(
+            check_input(protocol, predicate, input, options));
+        return true;
+      });
   return result;
 }
 

@@ -19,8 +19,11 @@ TEST(Negate, FlipsOutputsAndPredicate) {
   const auto cp = core::unary_counting(3);
   const auto neg = core::negate(cp);
   EXPECT_EQ(neg.protocol.num_states(), cp.protocol.num_states());
-  EXPECT_EQ(neg.protocol.net().num_transitions(),
+  ASSERT_EQ(neg.protocol.net().num_transitions(),
             cp.protocol.net().num_transitions());
+  for (std::size_t t = 0; t < cp.protocol.net().num_transitions(); ++t) {
+    EXPECT_EQ(neg.protocol.rule_name(t), cp.protocol.rule_name(t));
+  }
   for (std::size_t q = 0; q < cp.protocol.num_states(); ++q) {
     EXPECT_NE(neg.protocol.output(q), cp.protocol.output(q));
   }
@@ -56,10 +59,13 @@ TEST(Product, EmitsNoDuplicateTransitions) {
   // unordered pair of carried states.
   const auto both =
       core::conjunction(core::unary_counting(2), core::modulo_counting(2, 1));
+  const auto& net = both.protocol.net();
   std::set<std::pair<std::vector<core::Count>, std::vector<core::Count>>> seen;
-  for (const auto& t : both.protocol.net().transitions()) {
-    EXPECT_TRUE(seen.emplace(t.pre, t.post).second)
-        << "duplicate transition " << t.name;
+  for (std::size_t t = 0; t < net.num_transitions(); ++t) {
+    EXPECT_TRUE(seen.emplace(net.transition(t).pre.raw(),
+                             net.transition(t).post.raw())
+                    .second)
+        << "duplicate transition " << both.protocol.rule_name(t);
   }
 }
 

@@ -1,13 +1,18 @@
 // Shape and model invariants of the constructions: the resource counts
-// the paper claims (states / width / leaders / transitions) and the
-// Petri-net validation rules.
+// the paper claims (states / width / leaders / transitions), the
+// builder's rule validation, and its compilation into the net.
 
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "core/combinators.h"
 #include "core/constructions.h"
 #include "core/protocol.h"
+#include "util/rng.h"
 
 namespace core = ppsc::core;
 
@@ -84,24 +89,127 @@ TEST(Protocol, BuilderRejectsUseAfterBuild) {
   EXPECT_THROW(b.build(), std::logic_error);
 }
 
-TEST(PetriNet, RejectsNonConservativeAndIdentity) {
-  core::PetriNet net(2);
-  core::Transition bad;
-  bad.name = "bad";
-  bad.pre = {1, 0};
-  bad.post = {0, 2};
-  EXPECT_THROW(net.add_transition(bad), std::invalid_argument);
-  core::Transition identity;
-  identity.name = "id";
-  identity.pre = {1, 1};
-  identity.post = {1, 1};
-  EXPECT_THROW(net.add_transition(identity), std::invalid_argument);
-  core::Transition good;
-  good.name = "swap";
-  good.pre = {2, 0};
-  good.post = {0, 2};
-  net.add_transition(good);
-  EXPECT_EQ(net.num_transitions(), 1u);
+// build() checks what petri::PetriNet allows but a protocol must not
+// have, and names the offending rule in the message.
+TEST(ProtocolBuilder, RejectsInvalidRulesNamingThem) {
+  using Arcs = std::vector<std::pair<std::size_t, core::Count>>;
+  const auto build_error = [](const Arcs& pre, const Arcs& post) {
+    core::ProtocolBuilder b;
+    b.add_state("A", false);
+    b.add_state("B", true);
+    b.add_rule("ok", {{0, 1}, {1, 1}}, {{1, 2}});
+    b.add_rule("culprit", pre, post);
+    try {
+      b.build();
+    } catch (const std::invalid_argument& error) {
+      return std::string(error.what());
+    }
+    return std::string("no error");
+  };
+  const auto expect_error = [&](const Arcs& pre, const Arcs& post,
+                                const std::string& reason) {
+    const std::string message = build_error(pre, post);
+    EXPECT_NE(message.find("'culprit'"), std::string::npos) << message;
+    EXPECT_NE(message.find(reason), std::string::npos) << message;
+  };
+  expect_error({{0, -1}}, {{1, -1}}, "negative multiplicity");
+  // Repeated entries are summed before the checks: 2 - 3 = -1.
+  expect_error({{0, 2}, {0, -3}}, {{1, 1}}, "negative multiplicity");
+  expect_error({{0, 1}}, {{1, 2}},
+               "not conservative (consumes 1, produces 2)");
+  expect_error({}, {}, "empty");
+  expect_error({{0, 1}, {0, -1}}, {}, "empty");
+  expect_error({{1, 1}, {0, 1}}, {{0, 1}, {1, 1}}, "identity");
+
+  core::ProtocolBuilder b;
+  b.add_state("A", false);
+  b.add_state("B", true);
+  // Unsorted, repeated entries merge into {A: 2} -> {B: 2}.
+  b.add_rule("swap", {{0, 1}, {0, 1}}, {{1, 2}});
+  const core::Protocol p = b.build();
+  ASSERT_EQ(p.net().num_transitions(), 1u);
+  EXPECT_EQ(p.rule_name(0), "swap");
+  EXPECT_EQ(p.net().transition(0).pre, (std::vector<core::Count>{2, 0}));
+  EXPECT_EQ(p.net().transition(0).post, (std::vector<core::Count>{0, 2}));
+}
+
+namespace {
+
+std::vector<std::pair<std::size_t, core::Count>> arcs(
+    ppsc::util::Span<ppsc::petri::Arc> span) {
+  std::vector<std::pair<std::size_t, core::Count>> out;
+  for (const ppsc::petri::Arc& arc : span) {
+    out.emplace_back(arc.place, arc.count);
+  }
+  return out;
+}
+
+}  // namespace
+
+// The builder compiles its sparse rules straight into the net; the
+// dense add(Config, Config) is the reference spelling. Both must yield
+// the same net: dense pre/post, sparse pre and delta lists (checked
+// against lists derived here from the dense vectors), and the same
+// enabled transitions on random configurations.
+TEST(ProtocolBuilder, CompiledNetMatchesDenseRebuild) {
+  std::vector<core::ConstructedProtocol> protocols = {
+      core::example_4_1(4),
+      core::example_4_2(3),
+      core::unary_counting(4),
+      core::destructive_unary_counting(3),
+      core::binary_counting(8),
+      core::threshold_belief(5),
+      core::modulo_counting(3, 1),
+      core::weighted_threshold({2, 1}, 4),
+      core::majority(),
+      core::negate(core::example_4_1(3)),
+      core::conjunction(core::unary_counting(2), core::modulo_counting(2, 1)),
+      core::interval_counting(2, 3),
+  };
+  ppsc::util::Xoshiro256 rng(2024);
+  for (const core::ConstructedProtocol& cp : protocols) {
+    SCOPED_TRACE(cp.family);
+    const ppsc::petri::PetriNet& net = cp.protocol.net();
+    ppsc::petri::PetriNet dense(net.num_states());
+    for (const ppsc::petri::Transition& t : net.transitions()) {
+      dense.add(t.pre, t.post);
+    }
+    ASSERT_EQ(dense.num_transitions(), net.num_transitions());
+    for (std::size_t t = 0; t < net.num_transitions(); ++t) {
+      const ppsc::petri::Transition& tr = net.transition(t);
+      EXPECT_EQ(dense.transition(t).pre, tr.pre);
+      EXPECT_EQ(dense.transition(t).post, tr.post);
+      std::vector<std::pair<std::size_t, core::Count>> pre;
+      std::vector<std::pair<std::size_t, core::Count>> delta;
+      for (std::size_t q = 0; q < net.num_states(); ++q) {
+        if (tr.pre[q] != 0) pre.emplace_back(q, tr.pre[q]);
+        if (tr.post[q] != tr.pre[q]) {
+          delta.emplace_back(q, tr.post[q] - tr.pre[q]);
+        }
+      }
+      EXPECT_EQ(arcs(net.pre(t)), pre);
+      EXPECT_EQ(arcs(dense.pre(t)), pre);
+      EXPECT_EQ(arcs(net.delta(t)), delta);
+      EXPECT_EQ(arcs(dense.delta(t)), delta);
+    }
+    std::vector<std::size_t> from_net;
+    std::vector<std::size_t> from_dense;
+    for (int trial = 0; trial < 64; ++trial) {
+      ppsc::petri::Config config(net.num_states());
+      for (std::size_t q = 0; q < config.size(); ++q) {
+        config[q] =
+            rng.below(2) == 0 ? 0 : static_cast<core::Count>(rng.below(4));
+      }
+      net.enabled_transitions(config, from_net);
+      dense.enabled_transitions(config, from_dense);
+      EXPECT_EQ(from_net, from_dense);
+      std::vector<std::size_t> scanned;
+      for (std::size_t t = 0; t < net.num_transitions(); ++t) {
+        if (config.covers(net.transition(t).pre)) scanned.push_back(t);
+      }
+      EXPECT_EQ(from_net, scanned);
+    }
+  }
 }
 
 TEST(Example41, PaperShape) {

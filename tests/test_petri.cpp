@@ -11,6 +11,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -75,11 +76,11 @@ TEST(PetriConfig, UnitRestrictAndNorms) {
   EXPECT_EQ(u.restrict({false, true, true, false}), (Config{0, 5}));
 }
 
-TEST(PetriNet, AdapterFromCoreNet) {
+TEST(PetriNet, ProtocolNetSpansEveryState) {
   const auto cp = ppsc::core::example_4_2(3);
-  const PetriNet net(cp.protocol.net());
+  const PetriNet& net = cp.protocol.net();
   EXPECT_EQ(net.num_states(), cp.protocol.num_states());
-  EXPECT_EQ(net.num_transitions(), cp.protocol.net().num_transitions());
+  EXPECT_EQ(net.num_transitions(), 5u);
   EXPECT_EQ(net.max_width(), cp.protocol.width());
   EXPECT_EQ(net.norm_inf(), 2);  // rally produces F + F
 }
@@ -94,6 +95,28 @@ TEST(PetriNet, RestrictKeepsOnlySupportedTransitions) {
   EXPECT_EQ(projected.num_transitions(), 3u);
   EXPECT_EQ(projected.transition(2).pre, (Config{1, 0}));
   EXPECT_EQ(projected.transition(2).post, (Config{1, 0}));
+}
+
+TEST(PetriNet, SparseAddValidatesItsArcs) {
+  PetriNet net(3);
+  using Arcs = std::vector<petri::Arc>;
+  // Places must increase, stay below the dimension, and carry counts > 0.
+  EXPECT_THROW(net.add(Arcs{{1, 1}, {0, 1}}, Arcs{{2, 2}}),
+               std::invalid_argument);
+  EXPECT_THROW(net.add(Arcs{{0, 1}, {0, 1}}, Arcs{{2, 2}}),
+               std::invalid_argument);
+  EXPECT_THROW(net.add(Arcs{{3, 1}}, Arcs{}), std::invalid_argument);
+  EXPECT_THROW(net.add(Arcs{{0, 0}}, Arcs{}), std::invalid_argument);
+  EXPECT_THROW(net.add(Config{1, 0}, Config{0, 1, 0}), std::invalid_argument);
+  EXPECT_THROW(net.add(Config{-1, 0, 0}, Config{0, 0, 0}),
+               std::invalid_argument);
+  EXPECT_EQ(net.num_transitions(), 0u);
+  // A valid sparse rule compiles like its dense spelling: a + b -> 2c.
+  net.add(Arcs{{0, 1}, {1, 1}}, Arcs{{2, 2}});
+  EXPECT_EQ(net.transition(0).pre, (Config{1, 1, 0}));
+  EXPECT_EQ(net.transition(0).post, (Config{0, 0, 2}));
+  const Arcs delta(net.delta(0).begin(), net.delta(0).end());
+  EXPECT_EQ(delta, (Arcs{{0, -1}, {1, -1}, {2, 2}}));
 }
 
 TEST(Explore, FiniteGraphIsExact) {
@@ -125,7 +148,7 @@ TEST(Explore, EnabledChecksStayFarBelowADenseScan) {
   // A wide width-2 product: a dense scan tests every transition
   // against every config; the index must test under a tenth of that.
   const auto cp = ppsc::core::interval_counting(2, 4);
-  const PetriNet net(cp.protocol.net());
+  const PetriNet& net = cp.protocol.net();
   const auto graph =
       petri::explore(net, {Config(cp.protocol.initial_config({5}))});
   ASSERT_FALSE(graph.truncated);
@@ -413,7 +436,7 @@ TEST(Explore, LargeGraphsMatchDenseReferenceAcrossTableGrowths) {
       expect_matches_dense(six, big, six_roots, budget, {}));
   // A wide product (72 places, 4167 transitions).
   const auto cp = ppsc::core::interval_counting(2, 4);
-  const PetriNet wide(cp.protocol.net());
+  const PetriNet& wide = cp.protocol.net();
   const std::vector<Config> wide_roots = {
       Config(cp.protocol.initial_config({5}))};
   ASSERT_NO_FATAL_FAILURE(expect_matches_dense(
@@ -703,7 +726,7 @@ TEST(WidthReduction, HandNetCompilesToWidth2) {
 
 TEST(WidthReduction, Example41IsProjectionEquivalent) {
   const auto cp = ppsc::core::example_4_1(3);
-  const PetriNet net(cp.protocol.net());
+  const PetriNet& net = cp.protocol.net();
   EXPECT_GT(net.max_width(), 2);
   const auto reduction = petri::widen_to_width2(net);
   EXPECT_EQ(reduction.compiled.max_width(), 2);

@@ -878,3 +878,52 @@ TEST(DestructiveUnary, ComputesTheSamePredicate) {
   const sim::ConvergenceStats below = sim::measure_convergence(cp, {2}, 3);
   EXPECT_EQ(below.correct, 3u);
 }
+
+// The count sampler's exact trajectory, pinned draw for draw: the
+// census after a fixed budget, the steps to silence, the weight-cache
+// recomputations and the silent census, for three seeds each on a
+// wide net (Example 4.1, width 3) and a non-pairwise width-1/2 net.
+// The expected values were recorded from the sampler as it stood
+// before it read the protocol's compiled net directly; any change to
+// transition order, the weight formula or the cache invalidation
+// moves them.
+TEST(CountSimulator, PinnedTrajectoriesForFixedSeeds) {
+  struct Pin {
+    std::uint64_t seed;
+    core::Config mid;
+    std::uint64_t steps;
+    std::uint64_t weight_updates;
+  };
+  struct Case {
+    core::ConstructedProtocol cp;
+    core::Count input;
+    std::uint64_t mid_steps;
+    core::Config silent;
+    std::vector<Pin> pins;
+  };
+  const std::vector<Case> cases = {
+      {core::example_4_1(3), 40, 8, {0, 40},
+       {{1, {18, 22}, 18, 54},
+        {7, {20, 20}, 19, 57},
+        {2024, {20, 20}, 19, 57}}},
+      {core::destructive_unary_counting(4), 30, 25,
+       {0, 22, 0, 0, 0, 1, 0, 0, 0, 7, 0},
+       {{1, {0, 5, 1, 4, 0, 0, 0, 1, 0, 1, 18}, 79, 1228},
+        {7, {2, 5, 3, 0, 0, 2, 1, 0, 0, 1, 16}, 77, 1223},
+        {2024, {3, 4, 2, 1, 2, 0, 1, 0, 0, 1, 16}, 80, 1246}}},
+  };
+  for (const Case& c : cases) {
+    for (const Pin& pin : c.pins) {
+      SCOPED_TRACE(c.cp.family + " seed " + std::to_string(pin.seed));
+      sim::CountSimulator simulator(
+          c.cp.protocol, c.cp.protocol.initial_config({c.input}), pin.seed);
+      EXPECT_EQ(simulator.run(c.mid_steps), c.mid_steps);
+      EXPECT_EQ(simulator.census(), pin.mid);
+      simulator.run(1000000);
+      EXPECT_TRUE(simulator.silent());
+      EXPECT_EQ(simulator.steps(), pin.steps);
+      EXPECT_EQ(simulator.weight_updates(), pin.weight_updates);
+      EXPECT_EQ(simulator.census(), c.silent);
+    }
+  }
+}

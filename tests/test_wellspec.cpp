@@ -123,7 +123,7 @@ TEST(WellSpec, ConfigCapErrorExplainsTheExploration) {
   ppsc::petri::ExploreLimits limits;
   limits.max_nodes = options.max_configs;
   const auto graph = ppsc::petri::explore(
-      ppsc::petri::PetriNet(cp.protocol.net()),
+      cp.protocol.net(),
       {ppsc::petri::Config(cp.protocol.initial_config({4}))}, limits);
   ASSERT_TRUE(graph.truncated);
   try {
