@@ -3,12 +3,13 @@
 //
 // Usage: construct one Report at the top of main. When the
 // PPSC_BENCH_JSON environment variable names a path, the constructor
-// enables the obs metric registry and the destructor writes
+// enables the obs metric and trace registries and the destructor
+// writes
 //
 //   {"bench": <name>, "git_rev": <rev>, "threads": <hw threads>,
 //    "obs_compiled": <bool>, "wall_ms": <main wall time>,
 //    "items_per_sec": <items/s or 0>, "counters": {...},
-//    "histograms": {...}}
+//    "histograms": {...}, "profile": {...}, "trace_dropped": <n>}
 //
 // to that path -- and nothing anywhere else. stdout belongs to the
 // bench tables alone (the e2/e3/e17 golden transcripts diff stdout
@@ -25,10 +26,12 @@
 // flattened `<histogram>.count/.sum/.max` triple per histogram, so
 // downstream tooling can treat the report as one flat numeric map;
 // full bucket detail plus derived p50/p90/p99 quantile estimates stay
-// available under `histograms`. The schema keys
-// bench/git_rev/threads/obs_compiled/wall_ms/items_per_sec/counters
-// are validated by scripts/bench_report.sh and pinned by
-// tests/test_obs.cpp.
+// available under `histograms`. `profile` is obs::profile over the
+// collected spans, {name: {count, inclusive_ns, self_ns}}: the span
+// counts are deterministic, the ns are the per-layer time split.
+// `trace_dropped` counts spans lost to ring wrap; the profile is
+// complete only when it is 0. The schema keys are validated by
+// scripts/bench_report.sh and pinned by tests/test_obs.cpp.
 //
 // Independently, when PPSC_TRACE_JSON names a path the constructor
 // enables the span trace registry (obs/trace.h) and the destructor
@@ -69,7 +72,7 @@ class Report {
       path_ = path;
       obs::MetricRegistry::global().set_enabled(true);
     }
-    if (obs::trace_json_env() != nullptr) {
+    if (!path_.empty() || obs::trace_json_env() != nullptr) {
       obs::TraceRegistry::global().set_enabled(true);
     }
   }
@@ -115,26 +118,19 @@ class Report {
       json.key(entry.first + ".max").value(entry.second.max);
     }
     json.end_object();
-    json.key("histograms").begin_object();
-    for (const auto& entry : snapshot.histograms) {
-      const obs::Histogram& h = entry.second;
+    json.key("histograms");
+    snapshot.write_histograms(json);
+    json.key("profile").begin_object();
+    for (const auto& entry :
+         obs::profile(obs::TraceRegistry::global().collect())) {
       json.key(entry.first).begin_object();
-      json.key("count").value(h.count);
-      json.key("sum").value(h.sum);
-      json.key("max").value(h.max);
-      json.key("p50").value(h.quantile(0.5));
-      json.key("p90").value(h.quantile(0.9));
-      json.key("p99").value(h.quantile(0.99));
-      json.key("buckets").begin_array();
-      for (std::size_t b = 0; b < obs::Histogram::kBuckets; ++b) {
-        if (h.buckets[b] == 0) continue;
-        const std::uint64_t lower = b == 0 ? 0 : (1ull << (b - 1));
-        json.begin_array().value(lower).value(h.buckets[b]).end_array();
-      }
-      json.end_array();
+      json.key("count").value(entry.second.count);
+      json.key("inclusive_ns").value(entry.second.inclusive_ns);
+      json.key("self_ns").value(entry.second.self_ns);
       json.end_object();
     }
     json.end_object();
+    json.key("trace_dropped").value(obs::TraceRegistry::global().dropped());
     json.end_object();
 
     std::FILE* file = std::fopen(path_.c_str(), "w");

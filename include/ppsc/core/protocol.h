@@ -54,6 +54,8 @@ class Protocol {
     return state_index_;
   }
   bool output(std::size_t q) const { return outputs_[q] != 0; }
+  // This protocol with every state's output bit flipped.
+  Protocol with_flipped_outputs() const;
 
   std::size_t input_arity() const { return input_states_.size(); }
   std::size_t input_state(std::size_t dim) const { return input_states_[dim]; }

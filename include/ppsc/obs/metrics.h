@@ -1,5 +1,7 @@
-// Near-zero-overhead engine metrics: counters, log-bucketed histograms
-// and RAII wall-clock timers behind one process-wide MetricRegistry.
+// Near-zero-overhead engine metrics: counters and log-bucketed
+// histograms behind one process-wide MetricRegistry. Wall-clock time
+// is not a metric: spans (obs/trace.h) are the one timer, and
+// obs::profile turns them into per-span totals.
 //
 // Design constraints, in the order they shaped the code:
 //
@@ -20,11 +22,11 @@
 //    bench/report.h enables it when PPSC_BENCH_JSON asks for a report.
 //    When disabled, publish calls are a relaxed atomic load + branch.
 //  * Compiling with -DPPSC_OBS=OFF (CMake) sets PPSC_OBS_ENABLED=0 and
-//    the publish/record/timer paths compile to empty inline bodies.
+//    the publish/record paths compile to empty inline bodies.
 //
 // Metric naming convention: `engine.metric`, lowercase, e.g.
 // `explore.configs`, `coverability.comparisons`, `sim.agent.draws`.
-// Timers append `.wall_ns`. docs/observability.md has the full list.
+// docs/observability.md has the full list.
 
 #ifndef PPSC_OBS_METRICS_H
 #define PPSC_OBS_METRICS_H
@@ -43,6 +45,8 @@
 
 namespace ppsc {
 namespace obs {
+
+class JsonWriter;
 
 // Power-of-two-bucketed value distribution. Bucket 0 holds the value
 // 0; bucket b >= 1 holds values v with 2^(b-1) <= v < 2^b. 64 buckets
@@ -80,6 +84,10 @@ struct MetricSnapshot {
   // quantiles are the derived estimates of Histogram::quantile, so
   // percentiles need no offline recomputation from the buckets.
   std::string to_json() const;
+
+  // Writes the `histograms` object of to_json (bench/report.h writes
+  // the same object into its reports).
+  void write_histograms(JsonWriter& json) const;
 };
 
 class MetricRegistry {
@@ -140,22 +148,8 @@ class MetricRegistry {
 #endif
 };
 
-// RAII wall-clock timer: on destruction adds the elapsed nanoseconds
-// to counter `<name>.wall_ns` and 1 to `<name>.calls`. When the
-// registry is disabled at construction the clock is never read.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(const char* name);
-  ~ScopedTimer();
-
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  const char* name_;
-  std::uint64_t start_ns_ = 0;
-  bool armed_ = false;
-};
+// True iff environment variable `name` is "1", "true" or "on".
+bool env_truthy(const char* name);
 
 // Writes the global registry snapshot (to_json + newline) to the path
 // named by PPSC_OBS_DUMP; returns true iff a file was written, false

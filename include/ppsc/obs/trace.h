@@ -50,6 +50,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -141,6 +142,7 @@ class TraceRegistry {
   bool write_chrome_json(const std::string& path) const;
 
  private:
+  friend class ScopedSpan;
   struct Ring;
 
   TraceRegistry();
@@ -195,6 +197,22 @@ class ScopedSpan {
 };
 
 #endif  // PPSC_OBS_ENABLED
+
+// Per-name totals over a set of spans.
+struct SpanProfile {
+  std::uint64_t count = 0;
+  std::uint64_t inclusive_ns = 0;
+  std::uint64_t self_ns = 0;
+};
+
+// Aggregates `events` (in collect() order) by span name. A span's
+// direct children are the spans on the same thread one level deeper
+// and inside its interval; self ns is its inclusive ns minus its
+// children's inclusive ns. Spans on other threads are nobody's
+// children, so a parent that waits for workers keeps the wait as self
+// time.
+std::map<std::string, SpanProfile> profile(
+    const std::vector<TraceEvent>& events);
 
 // The PPSC_TRACE_JSON path, or nullptr when unset/empty.
 const char* trace_json_env();

@@ -8,10 +8,14 @@ two bench families:
 
   * report kind (bench/report.h): compares wall_ms and items_per_sec
     against relative thresholds, and requires *exact* equality for
-    every registry counter except the `*.wall_ns` timing sums and the
-    thread-timing-dependent `sim.shard.steals` -- the
-    engines are deterministic under fixed seeds, so configs/edges/
-    iterations drifting is a correctness change, not noise.
+    every registry counter except the thread-timing-dependent
+    `sim.shard.steals`, and for every span count in the `profile`
+    (`profile.<span>.count`; skipped with a warn row when either side's
+    trace ring wrapped) -- the engines are deterministic under fixed
+    seeds, so configs/edges/iterations drifting is a correctness
+    change, not noise. The --report table also carries one `info` row
+    per span with its self_ns, and a wall_ms REGRESS row names the
+    span whose self_ns grew the most: the layer that moved.
   * gbench kind (--benchmark_out=json, e11/e13): matches benchmarks by
     name, compares real_time and items_per_second against the same
     thresholds, and requires exact equality for the custom counters
@@ -55,12 +59,12 @@ GBENCH_STANDARD_KEYS = {
     "error_occurred", "error_message",
 }
 
-# Registry counters that are not deterministic work counts: wall-clock
-# sums (obs::ScopedTimer publishes <name>.wall_ns) and sim.shard.steals,
-# the shard batches a non-owning worker happened to pick up, which
-# depends on thread timing whenever more than one core runs the pool.
+# The one registry counter that is not a deterministic work count:
+# sim.shard.steals, the shard batches a non-owning worker happened to
+# pick up, which depends on thread timing whenever more than one core
+# runs the pool.
 def is_timing_counter(key):
-    return key.endswith(".wall_ns") or key == "sim.shard.steals"
+    return key == "sim.shard.steals"
 
 
 class Row:
@@ -69,7 +73,8 @@ class Row:
         self.metric = metric
         self.base = base
         self.fresh = fresh
-        self.status = status  # "ok" | "REGRESS" | "INVARIANT" | "warn"
+        # "ok" | "REGRESS" | "INVARIANT" | "warn" | "info"
+        self.status = status
         self.note = note
 
     def delta_pct(self):
@@ -120,7 +125,33 @@ def compare_report(bench, base, fresh, args):
                    fresh.get("items_per_sec"), -1, args.timing_tolerance)
     compare_exact(rows, bench, "counters.", base.get("counters", {}),
                   fresh.get("counters", {}))
+    compare_profile(rows, bench, base, fresh)
     return rows
+
+
+def compare_profile(rows, bench, base, fresh):
+    base_prof, fresh_prof = base.get("profile", {}), fresh.get("profile", {})
+    dropped = (base.get("trace_dropped", 0), fresh.get("trace_dropped", 0))
+    if max(dropped) > 0:
+        rows.append(Row(bench, "trace_dropped", dropped[0], dropped[1],
+                        "warn", "trace ring wrapped; span counts skipped"))
+    else:
+        compare_exact(
+            rows, bench, "profile.",
+            {f"{span}.count": p["count"] for span, p in base_prof.items()},
+            {f"{span}.count": p["count"] for span, p in fresh_prof.items()})
+    growth = {}
+    for span in sorted(set(base_prof) | set(fresh_prof)):
+        b = base_prof.get(span, {}).get("self_ns")
+        f = fresh_prof.get(span, {}).get("self_ns")
+        rows.append(Row(bench, f"profile.{span}.self_ns", b, f, "info"))
+        growth[span] = (f or 0) - (b or 0)
+    wall = next((r for r in rows if r.metric == "wall_ms"), None)
+    if wall is not None and wall.status == "REGRESS" and growth:
+        span = max(growth, key=growth.get)
+        if growth[span] > 0:
+            wall.note = (f"layer moved: {span} self_ns "
+                         f"+{growth[span] / 1e6:.3g} ms")
 
 
 def compare_gbench(bench, base, fresh, args):

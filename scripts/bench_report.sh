@@ -19,10 +19,11 @@
 # is wall-clock-free by construction: bench/report.h stamps git_rev /
 # threads / obs_compiled and nothing time-of-day-shaped, and the
 # google-benchmark context gets its `date` and `load_avg` stripped and
-# the same git_rev/ppsc_obs stamps added, so regenerating baselines on
-# the same commit and machine diffs clean. Any bench failure, missing
-# file, or schema violation exits nonzero -- CI runs this as a
-# blocking step.
+# git_rev / ppsc_obs / ppsc_build_type stamps added, so regenerating
+# baselines on the same commit and machine diffs clean. gbench's own
+# `library_build_type` describes libbenchmark, not ppsc, so it is
+# dropped. Any bench failure, missing file, or schema violation exits
+# nonzero -- CI runs this as a blocking step.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -40,6 +41,9 @@ GIT_REV="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
 PPSC_OBS_STATE="$(sed -n 's/^PPSC_OBS:BOOL=//p' "$BUILD_DIR/CMakeCache.txt" \
   2>/dev/null || true)"
 PPSC_OBS_STATE="${PPSC_OBS_STATE:-unknown}"
+PPSC_BUILD_TYPE="$(sed -n 's/^CMAKE_BUILD_TYPE:STRING=//p' \
+  "$BUILD_DIR/CMakeCache.txt" 2>/dev/null || true)"
+PPSC_BUILD_TYPE="${PPSC_BUILD_TYPE:-unknown}"
 
 # The two bench families emit different schemas; validate each
 # accordingly. google-benchmark's schema is pinned upstream, so only
@@ -55,7 +59,8 @@ with open(path) as f:
     data = json.load(f)
 if kind == "report":
     required = ["bench", "git_rev", "threads", "obs_compiled", "wall_ms",
-                "items_per_sec", "counters", "histograms"]
+                "items_per_sec", "counters", "histograms", "profile",
+                "trace_dropped"]
     missing = [key for key in required if key not in data]
     if missing:
         sys.exit(f"{path}: missing schema keys {missing}")
@@ -64,10 +69,10 @@ elif kind == "gbench":
     if missing:
         sys.exit(f"{path}: missing schema keys {missing}")
     ctx = data["context"]
-    for stale in ("date", "load_avg"):
+    for stale in ("date", "load_avg", "library_build_type"):
         if stale in ctx:
             sys.exit(f"{path}: context.{stale} not stripped")
-    for stamp in ("git_rev", "ppsc_obs"):
+    for stamp in ("git_rev", "ppsc_obs", "ppsc_build_type"):
         if stamp not in ctx:
             sys.exit(f"{path}: context.{stamp} stamp missing")
 else:  # Chrome trace-event JSON (Perfetto-loadable)
@@ -85,23 +90,24 @@ else:  # Chrome trace-event JSON (Perfetto-loadable)
 EOF
 }
 
-# Strip the wall-clock context fields google-benchmark stamps and add
-# the reproducible ones bench/report.h uses, keeping both bench
-# families' metadata on the same footing.
+# Strip the wall-clock context fields google-benchmark stamps (and its
+# libbenchmark build type) and add the reproducible ones, keeping both
+# bench families' metadata on the same footing.
 stamp_gbench() {
   # $1 = json path
-  python3 - "$1" "$GIT_REV" "$PPSC_OBS_STATE" <<'EOF'
+  python3 - "$1" "$GIT_REV" "$PPSC_OBS_STATE" "$PPSC_BUILD_TYPE" <<'EOF'
 import json
 import sys
 
-path, git_rev, ppsc_obs = sys.argv[1], sys.argv[2], sys.argv[3]
+path, git_rev, ppsc_obs, build_type = sys.argv[1:5]
 with open(path) as f:
     data = json.load(f)
 ctx = data.get("context", {})
-ctx.pop("date", None)
-ctx.pop("load_avg", None)
+for stale in ("date", "load_avg", "library_build_type"):
+    ctx.pop(stale, None)
 ctx["git_rev"] = git_rev
 ctx["ppsc_obs"] = ppsc_obs
+ctx["ppsc_build_type"] = build_type
 with open(path, "w") as f:
     json.dump(data, f, indent=1)
     f.write("\n")

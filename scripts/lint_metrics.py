@@ -3,15 +3,13 @@
 
 Blocking CI lint (docs/static-analysis.md). Three properties:
 
-1. Naming convention: every counter/histogram/timer name published in
+1. Naming convention: every counter/histogram name published in
    src/ matches ``engine.metric`` (lowercase dotted segments,
    [a-z0-9_]); every span name is ``engine`` or ``engine.phase`` with
    a category naming the subsystem.
 2. Docs completeness: every published metric name is listed in the
    "Current metrics by engine" bullets of docs/observability.md, and
-   every span (name, category) appears in its span table. Timers are
-   checked through their derived ``<name>.wall_ns`` / ``<name>.calls``
-   counters.
+   every span (name, category) appears in its span table.
 3. No doc rot: every metric leaf and span the docs list exists in
    src/ -- deleting or renaming instrumentation without updating the
    tables fails the lint in the other direction.
@@ -35,7 +33,6 @@ SPAN_CATEGORIES = {"petri", "sim", "verify", "solver"}
 
 ADD_OR_RECORD = re.compile(
     r"\bregistry\.(add|record)\(\s*\"([^\"]+)\"")
-SCOPED_TIMER = re.compile(r"\bScopedTimer\s+\w+\(\s*\"([^\"]+)\"\s*\)")
 SCOPED_SPAN = re.compile(
     r"\bScopedSpan\s+\w+\(\s*\"([^\"]+)\"\s*,\s*\"([^\"]+)\"\s*\)")
 # Conditional spans held in std::optional<ScopedSpan> arm via
@@ -59,31 +56,24 @@ def fail(errors):
 
 
 def scan_sources(src_root):
-    """Returns (counters, histograms, timers, spans, errors).
+    """Returns (counters, histograms, spans, errors).
 
-    counters/histograms map name -> first "file:line"; timers and
-    spans likewise (spans map (name, category))."""
-    counters, histograms, timers, spans = {}, {}, {}, {}
+    counters/histograms map name -> first "file:line"; spans likewise
+    (keyed by (name, category))."""
+    counters, histograms, spans = {}, {}, {}
     errors = []
     for path in sorted(src_root.rglob("*.cpp")):
         rel = path.relative_to(src_root.parent)
-        if str(rel).startswith("src/obs/"):
-            # The registry implementation itself (ScopedTimer's derived
-            # .wall_ns/.calls keys are runtime-assembled there by
-            # design and covered through the timer call sites).
-            continue
         for lineno, line in enumerate(path.read_text().splitlines(), 1):
             where = f"{rel}:{lineno}"
             for kind, name in ADD_OR_RECORD.findall(line):
                 target = counters if kind == "add" else histograms
                 target.setdefault(name, where)
-            for name in SCOPED_TIMER.findall(line):
-                timers.setdefault(name, where)
             for name, category in SCOPED_SPAN.findall(line):
                 spans.setdefault((name, category), where)
             for name, category in SPAN_EMPLACE.findall(line):
                 spans.setdefault((name, category), where)
-    return counters, histograms, timers, spans, errors
+    return counters, histograms, spans, errors
 
 
 def parse_docs(doc_path):
@@ -191,7 +181,7 @@ def main():
     if not src_root.is_dir() or not doc_path.is_file():
         return fail([f"missing {src_root} or {doc_path}"])
 
-    counters, histograms, timers, spans, errors = scan_sources(src_root)
+    counters, histograms, spans, errors = scan_sources(src_root)
     doc_metrics, doc_spans, doc_span_categories, doc_errors = \
         parse_docs(doc_path)
     errors.extend(doc_errors)
@@ -199,9 +189,6 @@ def main():
     published = {}
     published.update(counters)
     published.update(histograms)
-    for name, where in timers.items():
-        published.setdefault(f"{name}.wall_ns", where)
-        published.setdefault(f"{name}.calls", where)
 
     # 1. Naming convention.
     for name, where in sorted(published.items()):

@@ -99,33 +99,12 @@ ConstructedProtocol product(const ConstructedProtocol& lhs,
 }  // namespace
 
 ConstructedProtocol negate(const ConstructedProtocol& cp) {
-  ProtocolBuilder b;
-  const Protocol& src = cp.protocol;
-  for (std::size_t q = 0; q < src.num_states(); ++q) {
-    b.add_state(src.state_name(q), !src.output(q));
-  }
-  for (std::size_t dim = 0; dim < src.input_arity(); ++dim) {
-    b.add_input(src.input_state(dim));
-  }
-  for (std::size_t q = 0; q < src.num_states(); ++q) {
-    if (src.leaders(q) > 0) b.add_leaders(q, src.leaders(q));
-  }
-  for (std::size_t t = 0; t < src.net().num_transitions(); ++t) {
-    const petri::Transition& transition = src.net().transition(t);
-    std::vector<std::pair<std::size_t, Count>> pre;
-    std::vector<std::pair<std::size_t, Count>> post;
-    for (std::size_t q = 0; q < transition.pre.size(); ++q) {
-      if (transition.pre[q] > 0) pre.emplace_back(q, transition.pre[q]);
-      if (transition.post[q] > 0) post.emplace_back(q, transition.post[q]);
-    }
-    b.add_rule(src.rule_name(t), pre, post);
-  }
   Predicate p;
   p.name = "not(" + cp.predicate.name + ")";
   p.arity = cp.predicate.arity;
   const Predicate f = cp.predicate;
   p.fn = [f](const std::vector<Count>& x) { return !f(x); };
-  return {"not " + cp.family, b.build(), p};
+  return {"not " + cp.family, cp.protocol.with_flipped_outputs(), p};
 }
 
 ConstructedProtocol conjunction(const ConstructedProtocol& lhs,

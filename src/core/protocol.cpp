@@ -12,6 +12,12 @@ Count Protocol::num_leaders() const {
   return total;
 }
 
+Protocol Protocol::with_flipped_outputs() const {
+  Protocol flipped = *this;
+  for (int& bit : flipped.outputs_) bit = bit == 0 ? 1 : 0;
+  return flipped;
+}
+
 Config Protocol::initial_config(const std::vector<Count>& input) const {
   if (input.size() != input_states_.size()) {
     throw std::invalid_argument("initial_config: expected " +

@@ -1,7 +1,6 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -72,7 +71,14 @@ std::string MetricSnapshot::to_json() const {
     json.key(entry.first).value(entry.second);
   }
   json.end_object();
-  json.key("histograms").begin_object();
+  json.key("histograms");
+  write_histograms(json);
+  json.end_object();
+  return json.str();
+}
+
+void MetricSnapshot::write_histograms(JsonWriter& json) const {
+  json.begin_object();
   for (const auto& entry : histograms) {
     const Histogram& h = entry.second;
     json.key(entry.first).begin_object();
@@ -92,29 +98,14 @@ std::string MetricSnapshot::to_json() const {
     json.end_object();
   }
   json.end_object();
-  json.end_object();
-  return json.str();
 }
 
-namespace {
-
-#if PPSC_OBS_ENABLED
-bool env_enables_obs() {
-  const char* env = std::getenv("PPSC_OBS");
+bool env_truthy(const char* name) {
+  const char* env = std::getenv(name);
   if (env == nullptr) return false;
   return std::strcmp(env, "1") == 0 || std::strcmp(env, "true") == 0 ||
          std::strcmp(env, "on") == 0;
 }
-#endif
-
-std::uint64_t now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-}  // namespace
 
 MetricRegistry::MetricRegistry() {
 #if PPSC_OBS_ENABLED
@@ -125,7 +116,7 @@ MetricRegistry::MetricRegistry() {
   // so the final snapshot is safe to take there.
   const char* dump = std::getenv("PPSC_OBS_DUMP");
   const bool dump_requested = dump != nullptr && *dump != '\0';
-  enabled_.store(env_enables_obs() || dump_requested,
+  enabled_.store(env_truthy("PPSC_OBS") || dump_requested,
                  std::memory_order_relaxed);
   if (dump_requested) {
     std::atexit([] { write_snapshot_if_requested(); });
@@ -224,22 +215,6 @@ bool write_snapshot_if_requested() {
   std::fputc('\n', file);
   std::fclose(file);
   return true;
-}
-
-ScopedTimer::ScopedTimer(const char* name) : name_(name) {
-  if (MetricRegistry::global().enabled()) {
-    armed_ = true;
-    start_ns_ = now_ns();
-  }
-}
-
-ScopedTimer::~ScopedTimer() {
-  if (!armed_) return;
-  MetricRegistry& registry = MetricRegistry::global();
-  std::string wall = std::string(name_) + ".wall_ns";
-  std::string calls = std::string(name_) + ".calls";
-  registry.add(wall.c_str(), now_ns() - start_ns_);
-  registry.add(calls.c_str(), 1);
 }
 
 }  // namespace obs

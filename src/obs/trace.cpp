@@ -8,6 +8,7 @@
 #include <type_traits>
 
 #include "obs/json.h"
+#include "obs/metrics.h"
 
 namespace ppsc {
 namespace obs {
@@ -92,13 +93,6 @@ struct TraceRegistry::Ring {
 
 #if PPSC_OBS_ENABLED
 namespace {
-
-bool env_truthy(const char* name) {
-  const char* env = std::getenv(name);
-  if (env == nullptr) return false;
-  return std::strcmp(env, "1") == 0 || std::strcmp(env, "true") == 0 ||
-         std::strcmp(env, "on") == 0;
-}
 
 std::uint64_t now_ns() {
   return static_cast<std::uint64_t>(
@@ -271,7 +265,12 @@ thread_local std::uint32_t span_depth = 0;
 }  // namespace
 
 ScopedSpan::ScopedSpan(const char* name, const char* category) {
-  if (!TraceRegistry::global().enabled()) return;
+  TraceRegistry& registry = TraceRegistry::global();
+  if (!registry.enabled()) return;
+  // A thread's first span allocates its ring (kRingCapacity zeroed
+  // slots, several ms). Doing it here, before the clock is read and at
+  // depth 0, keeps that cost out of every span's duration.
+  registry.local_ring();
   armed_ = true;
   event_.name = name;
   event_.category = category;
@@ -287,6 +286,39 @@ ScopedSpan::~ScopedSpan() {
 }
 
 #endif  // PPSC_OBS_ENABLED
+
+std::map<std::string, SpanProfile> profile(
+    const std::vector<TraceEvent>& events) {
+  std::map<std::string, SpanProfile> totals;
+  // child_ns[i]: inclusive ns of event i's direct children, which are
+  // disjoint and inside it. open[d] is the latest span at depth d on
+  // the current thread; spans at one depth are disjoint, so it is the
+  // only candidate parent at d + 1.
+  std::vector<std::uint64_t> child_ns(events.size(), 0);
+  std::vector<std::size_t> open;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const TraceEvent& e = events[i];
+    if (i == 0 || e.thread_id != events[i - 1].thread_id) open.clear();
+    if (open.size() <= e.depth) open.resize(e.depth + 1, events.size());
+    open[e.depth] = i;
+    if (e.depth == 0) continue;
+    const std::size_t parent = open[e.depth - 1];
+    if (parent < events.size() &&
+        events[parent].t_start_ns <= e.t_start_ns &&
+        e.t_end_ns <= events[parent].t_end_ns) {
+      child_ns[parent] += e.t_end_ns - e.t_start_ns;
+    }
+  }
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const TraceEvent& e = events[i];
+    const std::uint64_t inclusive = e.t_end_ns - e.t_start_ns;
+    SpanProfile& total = totals[e.name];
+    ++total.count;
+    total.inclusive_ns += inclusive;
+    total.self_ns += inclusive - child_ns[i];
+  }
+  return totals;
+}
 
 const char* trace_json_env() {
   const char* env = std::getenv("PPSC_TRACE_JSON");

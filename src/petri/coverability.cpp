@@ -43,7 +43,6 @@ std::vector<Config> backward_basis(const PetriNet& net, const Config& target,
   if (target.size() != net.num_states()) {
     throw std::invalid_argument("backward_basis: target dimension mismatch");
   }
-  obs::ScopedTimer timer("coverability");
   obs::ScopedSpan span("coverability", "petri");
   obs::MetricRegistry& registry = obs::MetricRegistry::global();
   const bool obs_on = registry.enabled();

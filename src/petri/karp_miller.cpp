@@ -58,7 +58,6 @@ KarpMillerResult karp_miller(const PetriNet& net, const Config& root,
   if (root.size() != net.num_states()) {
     throw std::invalid_argument("karp_miller: root dimension mismatch");
   }
-  obs::ScopedTimer timer("karp_miller");
   obs::ScopedSpan span("karp_miller", "petri");
   std::uint64_t accelerations = 0;
   KarpMillerResult result;

@@ -106,7 +106,6 @@ ReachabilityGraph explore(const PetriNet& net, const std::vector<Config>& roots,
   if (net.num_transitions() > InternTable::kEmpty) {
     throw std::invalid_argument("explore: more than 2^32 - 1 transitions");
   }
-  obs::ScopedTimer timer("explore");
   obs::ScopedSpan span("explore", "petri");
   const std::size_t d = net.num_states();
   ReachabilityGraph graph;

@@ -84,7 +84,6 @@ bool solve_dense(std::vector<std::vector<long double>>& a,
 ExpectedTimeResult expected_interactions_to_silence(
     const core::Protocol& protocol, const std::vector<core::Count>& input,
     std::size_t max_configs) {
-  obs::ScopedTimer timer("expected_time");
   obs::ScopedSpan span("expected_time", "sim");
   ExpectedTimeResult result;
   // Every exit path reports the same summary counters; the lambda

@@ -65,7 +65,6 @@ HilbertBasisResult hilbert_basis(const HomogeneousSystem& system,
       throw std::invalid_argument("hilbert_basis: row size != num_vars");
     }
   }
-  obs::ScopedTimer timer("solver.hilbert");
   obs::ScopedSpan span("solver.hilbert", "solver");
 
   HilbertBasisResult result;

@@ -43,7 +43,6 @@ StabilizationCertificate stabilization_certificate(
     const petri::PetriNet& net, const std::vector<bool>& f_mask,
     std::size_t max_basis) {
   check_mask(net, f_mask);
-  obs::ScopedTimer timer("verify.stabilized");
   obs::ScopedSpan span("verify.stabilized", "verify");
 
   StabilizationCertificate certificate;

@@ -77,7 +77,6 @@ Verdict check_input(const core::Protocol& protocol,
                     const core::Predicate& predicate,
                     const std::vector<core::Count>& input,
                     const CheckOptions& options) {
-  obs::ScopedTimer timer("verify");
   obs::ScopedSpan span("verify", "verify");
   Verdict verdict;
   verdict.input = input;

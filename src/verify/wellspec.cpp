@@ -12,7 +12,6 @@ namespace verify {
 WellSpecVerdict classify_input(const core::Protocol& protocol,
                                const std::vector<core::Count>& input,
                                const WellSpecOptions& options) {
-  obs::ScopedTimer timer("verify.wellspec");
   obs::ScopedSpan span("verify.wellspec", "verify");
   WellSpecVerdict verdict;
   verdict.input = input;

@@ -1,4 +1,4 @@
-// Observability subsystem: counter/timer/histogram semantics, the
+// Observability subsystem: counter/histogram semantics, the
 // hand-rolled JSON writer, merge determinism of the registry, the
 // engine stat structs, and the bench/report.h schema.
 //
@@ -19,6 +19,7 @@
 #include "core/constructions.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "petri/coverability.h"
 #include "petri/petri_net.h"
 #include "petri/reachability.h"
@@ -210,28 +211,22 @@ TEST(ObsRegistry, DisabledPublishesNothing) {
   registry.set_enabled(false);
   registry.add("test.counter", 3);
   registry.record("test.histogram", 9);
-  { ppsc::obs::ScopedTimer timer("test.timer"); }
   const MetricSnapshot snapshot = registry.snapshot();
   EXPECT_TRUE(snapshot.counters.empty());
   EXPECT_TRUE(snapshot.histograms.empty());
 }
 
-TEST(ObsRegistry, CountersAndTimers) {
+TEST(ObsRegistry, CountersAndHistograms) {
   MetricRegistry& registry = MetricRegistry::global();
   registry.reset();
   registry.set_enabled(true);
   registry.add("test.counter", 3);
   registry.add("test.counter", 4);
   registry.record("test.histogram", 9);
-  { ppsc::obs::ScopedTimer timer("test.timer"); }
-  { ppsc::obs::ScopedTimer timer("test.timer"); }
   const MetricSnapshot snapshot = registry.snapshot();
   registry.set_enabled(false);
   EXPECT_EQ(snapshot.counters.at("test.counter"), 7u);
   EXPECT_EQ(snapshot.histograms.at("test.histogram").count, 1u);
-  EXPECT_EQ(snapshot.counters.at("test.timer.calls"), 2u);
-  // Wall time is nonnegative by construction; presence is the contract.
-  EXPECT_TRUE(snapshot.counters.count("test.timer.wall_ns"));
 }
 
 TEST(ObsRegistry, ResetClearsButKeepsSheetsUsable) {
@@ -405,16 +400,22 @@ TEST(ObsReport, SchemaIsPinned) {
       testing::TempDir() + "/ppsc_obs_report_schema.json";
   std::remove(path.c_str());
   ASSERT_EQ(setenv("PPSC_BENCH_JSON", path.c_str(), 1), 0);
+  ppsc::obs::TraceRegistry& traces = ppsc::obs::TraceRegistry::global();
   {
     MetricRegistry& registry = MetricRegistry::global();
     registry.reset();
+    traces.reset();
     ppsc::bench::Report report("schema_probe");
     registry.add("probe.counter", 3);
     registry.record("probe.hist", 4);
+    { ppsc::obs::ScopedSpan span("probe.span", "test"); }
+    { ppsc::obs::ScopedSpan span("probe.span", "test"); }
     report.add_items(10.0);
   }
   ASSERT_EQ(unsetenv("PPSC_BENCH_JSON"), 0);
   MetricRegistry::global().set_enabled(false);
+  traces.set_enabled(false);
+  traces.reset();
 
   std::ifstream in(path);
   ASSERT_TRUE(in.good()) << "report not written to " << path;
@@ -432,6 +433,8 @@ TEST(ObsReport, SchemaIsPinned) {
   const std::size_t items_pos = json.find("\"items_per_sec\":");
   const std::size_t counters_pos = json.find("\"counters\":{");
   const std::size_t histograms_pos = json.find("\"histograms\":{");
+  const std::size_t profile_pos = json.find("\"profile\":{");
+  const std::size_t dropped_pos = json.find("\"trace_dropped\":0}");
   ASSERT_NE(rev_pos, std::string::npos);
   ASSERT_NE(threads_pos, std::string::npos);
   ASSERT_NE(obs_pos, std::string::npos);
@@ -439,12 +442,16 @@ TEST(ObsReport, SchemaIsPinned) {
   ASSERT_NE(items_pos, std::string::npos);
   ASSERT_NE(counters_pos, std::string::npos);
   ASSERT_NE(histograms_pos, std::string::npos);
+  ASSERT_NE(profile_pos, std::string::npos);
+  ASSERT_NE(dropped_pos, std::string::npos);
   EXPECT_LT(rev_pos, threads_pos);
   EXPECT_LT(threads_pos, obs_pos);
   EXPECT_LT(obs_pos, wall_pos);
   EXPECT_LT(wall_pos, items_pos);
   EXPECT_LT(items_pos, counters_pos);
   EXPECT_LT(counters_pos, histograms_pos);
+  EXPECT_LT(histograms_pos, profile_pos);
+  EXPECT_LT(profile_pos, dropped_pos);
   EXPECT_EQ(json.back(), '\n');
   // The metadata after `bench` is wall-clock-free by design; a date
   // stamp would make every baseline regeneration a spurious diff.
@@ -461,6 +468,12 @@ TEST(ObsReport, SchemaIsPinned) {
   EXPECT_NE(json.find("\"probe.hist\":{\"count\":1,\"sum\":4,\"max\":4,"
                       "\"p50\":4,\"p90\":4,\"p99\":4,\"buckets\":[[4,1]]}"),
             std::string::npos);
+  // The Report armed the trace registry too: both spans are profiled.
+  EXPECT_NE(json.find("\"profile\":{\"probe.span\":{\"count\":2,"
+                      "\"inclusive_ns\":"),
+            std::string::npos);
+#else
+  EXPECT_NE(json.find("\"profile\":{},"), std::string::npos);
 #endif
   std::remove(path.c_str());
 }

@@ -18,7 +18,9 @@
 #include <fstream>
 #include <functional>
 #include <sstream>
+#include <map>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -35,6 +37,7 @@
 namespace {
 
 using ppsc::obs::ScopedSpan;
+using ppsc::obs::SpanProfile;
 using ppsc::obs::TraceEvent;
 using ppsc::obs::TraceRegistry;
 
@@ -157,6 +160,54 @@ TEST(TraceRing, WrapKeepsNewestAndCountsDropped) {
     min_start = std::min(min_start, event.t_start_ns);
   }
   EXPECT_EQ(min_start, 5u);
+}
+
+TEST(TraceSpan, FirstRingAllocationStaysOutsideSpans) {
+  // A thread's ring (kRingCapacity zeroed slots) is allocated on its
+  // first span. If that happened on the first close, `outer` would
+  // carry the allocation after `inner` ended; allocated on the first
+  // open, before the clock is read, it lands in no span.
+  TraceRegistry& registry = TraceRegistry::global();
+  registry.reset();
+  registry.set_enabled(true);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([] {
+      ScopedSpan outer("outer", "test");
+      { ScopedSpan inner("inner", "test"); }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  const std::vector<TraceEvent> events = registry.collect();
+  registry.reset();
+  registry.set_enabled(false);
+
+  std::map<std::uint32_t, std::int64_t> gap_ns;
+  for (const TraceEvent& e : events) {
+    const auto ns = static_cast<std::int64_t>(e.t_end_ns - e.t_start_ns);
+    gap_ns[e.thread_id] += std::string(e.name) == "outer" ? ns : -ns;
+  }
+  ASSERT_EQ(gap_ns.size(), 4u);
+  std::int64_t min_gap = gap_ns.begin()->second;
+  for (const auto& entry : gap_ns) min_gap = std::min(min_gap, entry.second);
+  EXPECT_LT(min_gap, 1000000) << "outer - inner on the fastest thread";
+}
+
+TEST(TraceProfile, ScopedSpansCountEveryCall) {
+  TraceRegistry& registry = TraceRegistry::global();
+  registry.reset();
+  registry.set_enabled(true);
+  { ScopedSpan span("test.span", "test"); }
+  { ScopedSpan span("test.span", "test"); }
+  const std::map<std::string, SpanProfile> totals =
+      ppsc::obs::profile(registry.collect());
+  registry.reset();
+  registry.set_enabled(false);
+  ASSERT_EQ(totals.size(), 1u);
+  const SpanProfile& span = totals.at("test.span");
+  EXPECT_EQ(span.count, 2u);
+  // No children, so all of the span's time is its own.
+  EXPECT_EQ(span.self_ns, span.inclusive_ns);
 }
 
 // The multiset of (name, args) pairs, thread ids and timestamps
@@ -302,6 +353,42 @@ TEST(TraceOff, CompiledOutSpansRecordNothing) {
 }
 
 #endif  // PPSC_OBS_ENABLED
+
+TraceEvent span_event(const char* name, std::uint32_t thread,
+                      std::uint32_t depth, std::uint64_t start,
+                      std::uint64_t end) {
+  TraceEvent event;
+  event.name = name;
+  event.category = "test";
+  event.thread_id = thread;
+  event.depth = depth;
+  event.t_start_ns = start;
+  event.t_end_ns = end;
+  return event;
+}
+
+TEST(TraceProfile, SelfTimeSubtractsDirectChildrenOnly) {
+  // Thread 0: outer [0,100] with children a [10,30] and b [40,70]; b
+  // holds grandchild g [45,50]; then a second outer [200,210]. Thread
+  // 1: a worker [20,90] overlapping outer, which is no child of it.
+  const std::vector<TraceEvent> events = {
+      span_event("outer", 0, 0, 0, 100),  span_event("a", 0, 1, 10, 30),
+      span_event("b", 0, 1, 40, 70),      span_event("g", 0, 2, 45, 50),
+      span_event("outer", 0, 0, 200, 210), span_event("worker", 1, 0, 20, 90),
+  };
+  const std::map<std::string, SpanProfile> totals =
+      ppsc::obs::profile(events);
+  ASSERT_EQ(totals.size(), 5u);
+  EXPECT_EQ(totals.at("outer").count, 2u);
+  EXPECT_EQ(totals.at("outer").inclusive_ns, 110u);
+  EXPECT_EQ(totals.at("outer").self_ns, 60u);  // 100 - 20 - 30, plus 10
+  EXPECT_EQ(totals.at("a").self_ns, 20u);
+  EXPECT_EQ(totals.at("b").inclusive_ns, 30u);
+  EXPECT_EQ(totals.at("b").self_ns, 25u);
+  EXPECT_EQ(totals.at("g").self_ns, 5u);
+  EXPECT_EQ(totals.at("worker").self_ns, 70u);
+  EXPECT_TRUE(ppsc::obs::profile({}).empty());
+}
 
 TEST(TraceEnv, TraceJsonEnvParsesEmptyAsUnset) {
   ASSERT_EQ(setenv("PPSC_TRACE_JSON", "", 1), 0);
