@@ -33,9 +33,7 @@ std::uint64_t print_profile(const char* name,
   ppsc::util::TablePrinter table({"step", "outputs 0", "outputs 1",
                                   "1-fraction"});
   for (const auto& point : trace.points) {
-    double total =
-        static_cast<double>(point.output_zero + point.output_star +
-                            point.output_one);
+    double total = static_cast<double>(point.output_zero + point.output_one);
     table.add_row({std::to_string(point.step),
                    std::to_string(point.output_zero),
                    std::to_string(point.output_one),

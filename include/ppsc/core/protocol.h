@@ -99,8 +99,9 @@ struct PairRule {
   std::array<std::size_t, 2> post;
 };
 
-// std::nullopt unless `t` consumes and produces exactly two agents.
-std::optional<PairRule> pair_rule(const petri::Transition& t);
+// Transition t of `net` as a pair rule; std::nullopt unless it
+// consumes and produces exactly two agents.
+std::optional<PairRule> pair_rule(const petri::PetriNet& net, std::size_t t);
 
 // Incremental builder so constructions read declaratively.
 class ProtocolBuilder {

@@ -52,9 +52,6 @@ class Config {
   // Largest single-place count (the norm written ||.||_inf in Section 5).
   Count norm_inf() const;
 
-  // Total number of tokens.
-  Count total() const;
-
   // Componentwise x >= other (same dimension required).
   bool covers(const Config& other) const;
 

@@ -33,7 +33,8 @@ class ControlStateNet {
  public:
   struct Edge {
     std::size_t from;
-    std::size_t transition;  // index into net().transitions()
+    std::size_t transition;  // transition index of net() (and of the
+                             // original net: projection keeps indices)
     std::size_t to;
   };
 

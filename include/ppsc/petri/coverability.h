@@ -48,7 +48,8 @@ struct BackwardBasisStats {
   std::uint64_t comparisons = 0;      // covers() calls in dominance scans
 };
 
-// Minimal basis of the set of markings from which `target` is coverable.
+// Minimal basis of the set of markings from which `target` (a marking:
+// no negative count, else std::invalid_argument) is coverable.
 // `max_basis` is a safety valve (std::runtime_error beyond it); the
 // algorithm itself always terminates. `stats`, when non-null, receives
 // the per-call fixpoint statistics.
@@ -63,10 +64,8 @@ bool coverable(const PetriNet& net, const Config& source, const Config& target,
 struct CoveringWordResult {
   // Shortest transition word sigma with source --sigma--> m >= target.
   std::optional<std::vector<std::size_t>> word;
-  std::size_t explored = 0;
-  bool truncated = false;
-  // Statistics of the underlying forward exploration (explored and
-  // truncated above are redundant views kept for compatibility).
+  // Statistics of the underlying forward exploration (stats.configs
+  // markings explored; stats.truncated when the budget cut it short).
   ExploreStats stats;
 };
 

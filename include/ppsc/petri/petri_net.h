@@ -20,10 +20,14 @@
 //    all other places hold omega many tokens, which is how bottom
 //    components and control-state nets look at a marking (Section 6-7).
 //
-// Every transition is compiled, once, when add() appends it: its
-// dense pre/post, its sparse pre list and sparse delta list (post -
-// pre, nonzero entries in increasing place order), and an enabledness
-// index that files it under its lowest pre place (or among the
+// A transition is stored only as sparse arcs: its pre list, its post
+// list and its delta list (post - pre), each holding the nonzero
+// entries in increasing place order. A width-w transition touches at
+// most 2w places, and every engine reads it through these lists:
+// enabledness covers pre, firing adds delta, Rackoff's backward step is
+// max(pre, m - delta), and sub-nets remap the arcs. The sparse add()
+// compiles all three lists once, together with an enabledness index
+// that files the transition under its lowest pre place (or among the
 // always-candidates when its pre is empty). A transition can only be
 // enabled in a configuration that occupies its lowest pre place, so
 // enabled_transitions() tests just the buckets of the occupied places
@@ -36,7 +40,6 @@
 #define PPSC_PETRI_PETRI_NET_H
 
 #include <cstddef>
-#include <optional>
 #include <vector>
 
 #include "petri/config.h"
@@ -45,7 +48,7 @@
 namespace ppsc {
 namespace petri {
 
-// One nonzero entry of a sparse pre or delta vector.
+// One nonzero entry of a sparse pre, post or delta vector.
 struct Arc {
   std::size_t place;
   Count count;
@@ -55,23 +58,13 @@ struct Arc {
   }
 };
 
-struct Transition {
-  Config pre;
-  Config post;
-
-  // Number of tokens consumed (the interaction width of Section 4).
-  Count width() const { return pre.total(); }
-};
-
 class PetriNet {
  public:
   explicit PetriNet(std::size_t num_states = 0)
       : num_states_(num_states), by_lowest_pre_(num_states) {}
 
   std::size_t num_states() const { return num_states_; }
-  std::size_t num_transitions() const { return transitions_.size(); }
-  const Transition& transition(std::size_t i) const { return transitions_[i]; }
-  const std::vector<Transition>& transitions() const { return transitions_; }
+  std::size_t num_transitions() const { return pre_.begin.size() - 1; }
 
   // Appends a transition given by its sparse pre and post lists:
   // places strictly increasing and below num_states(), counts > 0
@@ -81,11 +74,15 @@ class PetriNet {
   // Dense spelling of the same: pre/post of size num_states(), counts
   // >= 0; sparsified and forwarded to the sparse add().
   void add(const Config& pre, const Config& post);
-  // Capacity for `transitions` more transitions and `arcs` more arcs.
+  // Capacity for `transitions` more transitions whose pre and post
+  // lists hold `arcs` arcs in all.
   void reserve(std::size_t transitions, std::size_t arcs);
 
   // Largest entry over all pre and post vectors (||T||_inf).
   Count norm_inf() const;
+
+  // Tokens transition t consumes (its interaction width, Section 4).
+  Count width(std::size_t t) const;
 
   // Largest transition width.
   Count max_width() const;
@@ -102,50 +99,53 @@ class PetriNet {
   std::size_t enabled_transitions(ConfigView config,
                                   std::vector<std::size_t>& out) const;
 
-  // The sparse pre and delta (post - pre) lists of transition t,
+  // The sparse pre, post and delta (post - pre) lists of transition t,
   // nonzero entries in increasing place order.
-  util::Span<Arc> pre(std::size_t t) const {
-    return {pre_arcs_.data() + pre_begin_[t],
-            pre_arcs_.data() + pre_begin_[t + 1]};
-  }
-  util::Span<Arc> delta(std::size_t t) const {
-    return {delta_arcs_.data() + delta_begin_[t],
-            delta_arcs_.data() + delta_begin_[t + 1]};
-  }
+  util::Span<Arc> pre(std::size_t t) const { return pre_[t]; }
+  util::Span<Arc> post(std::size_t t) const { return post_[t]; }
+  util::Span<Arc> delta(std::size_t t) const { return delta_[t]; }
 
   // Sub-net T|Q: keeps the places with keep[p] == true (re-indexed) and
   // only the transitions entirely supported on them.
   PetriNet restrict(const std::vector<bool>& keep) const;
 
   // Projection: keeps every transition, truncating pre/post to the kept
-  // places. Transition indices are preserved.
+  // places. Transition indices are preserved, so enabled()/fire() on
+  // the projection are the Q-projected step of the original transition.
   PetriNet project(const std::vector<bool>& keep) const;
 
  private:
+  // One arc list per transition, stored back to back: transition t's
+  // list is arcs[begin[t] .. begin[t + 1]).
+  struct ArcLists {
+    std::vector<Arc> arcs;
+    std::vector<std::size_t> begin = {0};
+
+    util::Span<Arc> operator[](std::size_t t) const {
+      return {arcs.data() + begin[t], arcs.data() + begin[t + 1]};
+    }
+    void close() { begin.push_back(arcs.size()); }
+    void reserve(std::size_t lists, std::size_t more_arcs) {
+      begin.reserve(begin.size() + lists);
+      arcs.reserve(arcs.size() + more_arcs);
+    }
+  };
+
   bool covers_pre(std::size_t t, ConfigView config) const;
+  // restrict() (keep_all == false) and project() (keep_all == true):
+  // arcs remapped through the kept-place index.
+  PetriNet sub_net(const std::vector<bool>& keep, bool keep_all,
+                   const char* caller) const;
 
   std::size_t num_states_;
-  std::vector<Transition> transitions_;
-  // Sparse pre and delta lists of transition t:
-  // pre_arcs_[pre_begin_[t] .. pre_begin_[t + 1]), likewise for delta.
-  std::vector<Arc> pre_arcs_;
-  std::vector<std::size_t> pre_begin_ = {0};
-  std::vector<Arc> delta_arcs_;
-  std::vector<std::size_t> delta_begin_ = {0};
+  ArcLists pre_;
+  ArcLists post_;
+  ArcLists delta_;
   // by_lowest_pre_[p]: transitions whose lowest pre place is p, in
   // ascending index order; empty_pre_: transitions with no pre at all.
   std::vector<std::vector<std::size_t>> by_lowest_pre_;
   std::vector<std::size_t> empty_pre_;
 };
-
-// One step of the Q-projected dynamics (the Section 6/7 view with
-// omega tokens outside Q): fires `t` restricted to the places with
-// keep[p] == true on `marking`, a configuration over those places.
-// std::nullopt when the projected pre is not covered. Shared by the
-// bottom-witness closure check and ControlStateNet::from_component.
-std::optional<Config> projected_step(const Transition& t,
-                                     const std::vector<bool>& keep,
-                                     const Config& marking);
 
 }  // namespace petri
 }  // namespace ppsc

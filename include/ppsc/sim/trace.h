@@ -21,12 +21,10 @@ struct CensusPoint {
   std::uint64_t step = 0;
   // Agents per state (a copy of the configuration at that step).
   core::Config census;
-  // Agents aggregated by their state's output bit. output_star is
-  // reserved for protocols with partial output maps; the protocols
-  // here have total two-valued outputs, so it is always 0.
+  // Agents aggregated by their state's output bit (every protocol here
+  // has a total two-valued output map).
   core::Count output_zero = 0;
   core::Count output_one = 0;
-  core::Count output_star = 0;
 };
 
 struct CensusTrace {

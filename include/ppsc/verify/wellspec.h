@@ -23,8 +23,8 @@
 //  * value == std::nullopt iff the input is not well-specified (some
 //    bottom SCC mixes outputs, or two bottom SCCs disagree); verified()
 //    is true iff every checked input has a definite value.
-//  * The max_configs cap mirrors verify/stable.h: exceeding it throws
-//    rather than guessing.
+//  * Options are verify/stable.h's CheckOptions: exceeding its
+//    max_configs cap throws rather than guessing.
 
 #ifndef PPSC_VERIFY_WELLSPEC_H
 #define PPSC_VERIFY_WELLSPEC_H
@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "core/protocol.h"
+#include "verify/stable.h"
 
 namespace ppsc {
 namespace verify {
@@ -62,21 +63,15 @@ struct WellSpecResult {
   }
 };
 
-struct WellSpecOptions {
-  // Abort (throwing std::runtime_error) if a single input's
-  // reachability graph exceeds this many configurations.
-  std::size_t max_configs = 5000000;
-};
-
 // Extracts the consensus for a single input vector.
 WellSpecVerdict classify_input(const core::Protocol& protocol,
                                const std::vector<core::Count>& input,
-                               const WellSpecOptions& options = {});
+                               const CheckOptions& options = {});
 
 // Checks every input vector in [0, bound]^arity.
 WellSpecResult check_well_specification_up_to(
     const core::Protocol& protocol, core::Count bound,
-    const WellSpecOptions& options = {});
+    const CheckOptions& options = {});
 
 }  // namespace verify
 }  // namespace ppsc

@@ -14,7 +14,7 @@ namespace {
 std::vector<PairRule> pair_rules(const Protocol& p, const char* combinator) {
   std::vector<PairRule> rules;
   for (std::size_t t = 0; t < p.net().num_transitions(); ++t) {
-    const std::optional<PairRule> rule = pair_rule(p.net().transition(t));
+    const std::optional<PairRule> rule = pair_rule(p.net(), t);
     if (!rule) {
       throw std::invalid_argument(std::string(combinator) +
                                   ": operand transition '" + p.rule_name(t) +

@@ -41,19 +41,23 @@ Count Protocol::population(const Config& config) {
   return total;
 }
 
-std::optional<PairRule> pair_rule(const petri::Transition& t) {
+std::optional<PairRule> pair_rule(const petri::PetriNet& net, std::size_t t) {
   PairRule rule{};
-  std::size_t pre_slot = 0;
-  std::size_t post_slot = 0;
-  for (std::size_t q = 0; q < t.pre.size(); ++q) {
-    for (Count k = 0; k < t.pre[q]; ++k, ++pre_slot) {
-      if (pre_slot < 2) rule.pre[pre_slot] = q;
+  // Fills `slots` with the agents of `arcs` in place order; false
+  // unless there are exactly two.
+  const auto fill = [](util::Span<petri::Arc> arcs,
+                       std::array<std::size_t, 2>& slots) {
+    std::size_t slot = 0;
+    for (const petri::Arc& arc : arcs) {
+      for (Count k = 0; k < arc.count; ++k, ++slot) {
+        if (slot < 2) slots[slot] = arc.place;
+      }
     }
-    for (Count k = 0; k < t.post[q]; ++k, ++post_slot) {
-      if (post_slot < 2) rule.post[post_slot] = q;
-    }
+    return slot == 2;
+  };
+  if (!fill(net.pre(t), rule.pre) || !fill(net.post(t), rule.post)) {
+    return std::nullopt;
   }
-  if (pre_slot != 2 || post_slot != 2) return std::nullopt;
   return rule;
 }
 

@@ -1,5 +1,6 @@
 #include "obs/json.h"
 
+#include <cmath>
 #include <cstdio>
 
 namespace ppsc {
@@ -193,7 +194,7 @@ JsonWriter& JsonWriter::value(int number) {
 
 JsonWriter& JsonWriter::value(double number) {
   separator();
-  if (number != number || number > 1.7e308 || number < -1.7e308) {
+  if (!std::isfinite(number)) {
     out_ += '0';  // NaN / inf have no JSON spelling
   } else {
     char buffer[32];

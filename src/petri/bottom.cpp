@@ -24,10 +24,12 @@ bool closed_under_projection(const PetriNet& net,
                              const std::vector<Config>& members) {
   std::set<std::vector<Count>> member_set;
   for (const Config& m : members) member_set.insert(m.raw());
+  const PetriNet on_q = net.project(q_mask);
   for (const Config& m : members) {
-    for (std::size_t t = 0; t < net.num_transitions(); ++t) {
-      const auto next = projected_step(net.transition(t), q_mask, m);
-      if (next.has_value() && !member_set.count(next->raw())) return false;
+    for (std::size_t t = 0; t < on_q.num_transitions(); ++t) {
+      if (on_q.enabled(t, m) && !member_set.count(on_q.fire(t, m).raw())) {
+        return false;
+      }
     }
   }
   return true;

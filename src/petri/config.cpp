@@ -21,12 +21,6 @@ Count Config::norm_inf() const {
   return norm;
 }
 
-Count Config::total() const {
-  Count sum = 0;
-  for (Count k : counts_) sum += k;
-  return sum;
-}
-
 bool Config::covers(const Config& other) const {
   return ConfigView(*this).covers(other);
 }

@@ -26,11 +26,11 @@ ControlStateNet ControlStateNet::from_component(
   for (std::size_t m = 0; m < members.size(); ++m) {
     index.emplace(members[m].raw(), m);
   }
+  const PetriNet on_q = net.project(q_mask);
   for (std::size_t m = 0; m < members.size(); ++m) {
-    for (std::size_t t = 0; t < net.num_transitions(); ++t) {
-      const auto target = projected_step(net.transition(t), q_mask, members[m]);
-      if (!target.has_value()) continue;
-      auto it = index.find(target->raw());
+    for (std::size_t t = 0; t < on_q.num_transitions(); ++t) {
+      if (!on_q.enabled(t, members[m])) continue;
+      auto it = index.find(on_q.fire(t, members[m]).raw());
       if (it == index.end()) continue;
       cnet.add_edge(m, t, it->second);
     }
@@ -170,9 +170,8 @@ std::vector<Count> ControlStateNet::displacement(
   std::vector<Count> delta(net_.num_states(), 0);
   for (std::size_t e = 0; e < edges_.size(); ++e) {
     if (edge_counts[e] == 0) continue;
-    const Transition& tr = net_.transition(edges_[e].transition);
-    for (std::size_t p = 0; p < delta.size(); ++p) {
-      delta[p] += static_cast<Count>(edge_counts[e]) * (tr.post[p] - tr.pre[p]);
+    for (const Arc& arc : net_.delta(edges_[e].transition)) {
+      delta[arc.place] += static_cast<Count>(edge_counts[e]) * arc.count;
     }
   }
   return delta;

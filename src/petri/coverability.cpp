@@ -16,12 +16,15 @@ namespace petri {
 namespace {
 
 // Minimal marking that enables t and reaches >= m after firing it:
-// componentwise max(pre_t, m - (post_t - pre_t)).
+// componentwise max(pre_t, m - delta_t). Only the places on t's arcs
+// differ from m (m is a marking, so max(0, m) = m elsewhere).
 Config backward_step(const PetriNet& net, std::size_t t, const Config& m) {
-  const Transition& tr = net.transition(t);
-  Config pred(m.size());
-  for (std::size_t p = 0; p < m.size(); ++p) {
-    pred[p] = std::max(tr.pre[p], m[p] - (tr.post[p] - tr.pre[p]));
+  Config pred = m;
+  for (const Arc& arc : net.delta(t)) {
+    pred[arc.place] = std::max<Count>(0, m[arc.place] - arc.count);
+  }
+  for (const Arc& arc : net.pre(t)) {
+    pred[arc.place] = std::max(pred[arc.place], arc.count);
   }
   return pred;
 }
@@ -42,6 +45,10 @@ std::vector<Config> backward_basis(const PetriNet& net, const Config& target,
                                    BackwardBasisStats* stats) {
   if (target.size() != net.num_states()) {
     throw std::invalid_argument("backward_basis: target dimension mismatch");
+  }
+  if (std::any_of(target.raw().begin(), target.raw().end(),
+                  [](Count k) { return k < 0; })) {
+    throw std::invalid_argument("backward_basis: negative target count");
   }
   obs::ScopedSpan span("coverability", "petri");
   obs::MetricRegistry& registry = obs::MetricRegistry::global();
@@ -147,13 +154,11 @@ CoveringWordResult shortest_covering_word(const PetriNet& net,
   const ReachabilityGraph graph =
       explore(net, {source}, limits,
               [&target](ConfigView c) { return c.covers(target); });
-  result.explored = graph.size();
-  result.truncated = graph.truncated;
   result.stats = graph.stats;
   if (graph.stopped.has_value()) {
     result.word = graph.word_to(*graph.stopped);
   }
-  span.arg("explored", result.explored);
+  span.arg("explored", result.stats.configs);
   span.arg("found", graph.stopped.has_value() ? 1 : 0);
   return result;
 }

@@ -22,17 +22,17 @@ bool omega_covers(const Config& a, const Config& b) {
   return true;
 }
 
-bool omega_enabled(const Transition& t, const Config& m) {
-  for (std::size_t p = 0; p < m.size(); ++p) {
-    if (m[p] != kOmega && m[p] < t.pre[p]) return false;
+bool omega_enabled(const PetriNet& net, std::size_t t, const Config& m) {
+  for (const Arc& arc : net.pre(t)) {
+    if (m[arc.place] != kOmega && m[arc.place] < arc.count) return false;
   }
   return true;
 }
 
-Config omega_fire(const Transition& t, const Config& m) {
+Config omega_fire(const PetriNet& net, std::size_t t, const Config& m) {
   Config next = m;
-  for (std::size_t p = 0; p < m.size(); ++p) {
-    if (next[p] != kOmega) next[p] += t.post[p] - t.pre[p];
+  for (const Arc& arc : net.delta(t)) {
+    if (next[arc.place] != kOmega) next[arc.place] += arc.count;
   }
   return next;
 }
@@ -73,12 +73,11 @@ KarpMillerResult karp_miller(const PetriNet& net, const Config& root,
       chunk_span->arg("nodes", result.nodes.size());
     }
     for (std::size_t t = 0; t < net.num_transitions(); ++t) {
-      const Transition& tr = net.transition(t);
       // Copy: nodes may reallocate while we append successors.
       // NOLINTNEXTLINE(performance-unnecessary-copy-initialization)
       const Config current = result.nodes[head].marking;
-      if (!omega_enabled(tr, current)) continue;
-      Config next = omega_fire(tr, current);
+      if (!omega_enabled(net, t, current)) continue;
+      Config next = omega_fire(net, t, current);
       // Accelerate against the ancestor chain until a fixpoint: each
       // strictly dominated ancestor promotes its strictly smaller
       // places to omega, which may unlock further ancestors.

@@ -2,14 +2,13 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <utility>
+#include <string>
 
 namespace ppsc {
 namespace petri {
 
 void PetriNet::add(util::Span<Arc> pre, util::Span<Arc> post) {
-  Transition dense{Config(num_states_), Config(num_states_)};
-  const auto fill = [this](util::Span<Arc> arcs, Config& out) {
+  for (const util::Span<Arc> arcs : {pre, post}) {
     for (std::size_t i = 0; i < arcs.size(); ++i) {
       const Arc& arc = arcs[i];
       if (arc.place >= num_states_ || arc.count <= 0 ||
@@ -18,13 +17,13 @@ void PetriNet::add(util::Span<Arc> pre, util::Span<Arc> post) {
             "PetriNet::add: arcs must have increasing places below the "
             "dimension and positive counts");
       }
-      out[arc.place] = arc.count;
     }
-  };
-  fill(pre, dense.pre);
-  fill(post, dense.post);
-  const std::size_t t = transitions_.size();
-  pre_arcs_.insert(pre_arcs_.end(), pre.begin(), pre.end());
+  }
+  const std::size_t t = num_transitions();
+  pre_.arcs.insert(pre_.arcs.end(), pre.begin(), pre.end());
+  pre_.close();
+  post_.arcs.insert(post_.arcs.end(), post.begin(), post.end());
+  post_.close();
   // Merge the two sorted lists into the nonzero entries of post - pre.
   const Arc* a = pre.begin();
   const Arc* b = post.begin();
@@ -32,19 +31,17 @@ void PetriNet::add(util::Span<Arc> pre, util::Span<Arc> post) {
     const bool pre_first =
         b == post.end() || (a != pre.end() && a->place <= b->place);
     const std::size_t p = pre_first ? a->place : b->place;
-    const Count change = dense.post[p] - dense.pre[p];
-    if (change != 0) delta_arcs_.push_back({p, change});
-    if (a != pre.end() && a->place == p) ++a;
-    if (b != post.end() && b->place == p) ++b;
+    Count change = 0;
+    if (a != pre.end() && a->place == p) change -= (a++)->count;
+    if (b != post.end() && b->place == p) change += (b++)->count;
+    if (change != 0) delta_.arcs.push_back({p, change});
   }
-  pre_begin_.push_back(pre_arcs_.size());
-  delta_begin_.push_back(delta_arcs_.size());
+  delta_.close();
   if (pre.empty()) {
     empty_pre_.push_back(t);
   } else {
     by_lowest_pre_[pre[0].place].push_back(t);
   }
-  transitions_.push_back(std::move(dense));
 }
 
 void PetriNet::add(const Config& pre, const Config& post) {
@@ -64,27 +61,30 @@ void PetriNet::add(const Config& pre, const Config& post) {
 }
 
 void PetriNet::reserve(std::size_t transitions, std::size_t arcs) {
-  transitions_.reserve(transitions_.size() + transitions);
-  pre_begin_.reserve(pre_begin_.size() + transitions);
-  delta_begin_.reserve(delta_begin_.size() + transitions);
-  pre_arcs_.reserve(pre_arcs_.size() + arcs);
-  delta_arcs_.reserve(delta_arcs_.size() + arcs);
+  pre_.reserve(transitions, arcs);
+  post_.reserve(transitions, arcs);
+  delta_.reserve(transitions, arcs);
 }
 
 Count PetriNet::norm_inf() const {
   Count norm = 0;
-  for (const Transition& t : transitions_) {
-    norm = std::max({norm, t.pre.norm_inf(), t.post.norm_inf()});
-  }
+  for (const Arc& arc : pre_.arcs) norm = std::max(norm, arc.count);
+  for (const Arc& arc : post_.arcs) norm = std::max(norm, arc.count);
   return norm;
 }
 
+Count PetriNet::width(std::size_t t) const {
+  Count consumed = 0;
+  for (const Arc& arc : pre(t)) consumed += arc.count;
+  return consumed;
+}
+
 Count PetriNet::max_width() const {
-  Count width = 0;
-  for (const Transition& t : transitions_) {
-    width = std::max(width, t.width());
+  Count widest = 0;
+  for (std::size_t t = 0; t < num_transitions(); ++t) {
+    widest = std::max(widest, width(t));
   }
-  return width;
+  return widest;
 }
 
 bool PetriNet::covers_pre(std::size_t t, ConfigView config) const {
@@ -124,47 +124,44 @@ std::size_t PetriNet::enabled_transitions(ConfigView config,
 }
 
 PetriNet PetriNet::restrict(const std::vector<bool>& keep) const {
-  if (keep.size() != num_states_) {
-    throw std::invalid_argument("PetriNet::restrict: mask dimension mismatch");
-  }
-  std::size_t kept = 0;
-  for (bool k : keep) kept += k ? 1 : 0;
-  PetriNet out(kept);
-  for (const Transition& t : transitions_) {
-    bool supported = true;
-    for (std::size_t p = 0; p < num_states_; ++p) {
-      if (!keep[p] && (t.pre[p] != 0 || t.post[p] != 0)) {
-        supported = false;
-        break;
-      }
-    }
-    if (supported) out.add(t.pre.restrict(keep), t.post.restrict(keep));
-  }
-  return out;
-}
-
-std::optional<Config> projected_step(const Transition& t,
-                                     const std::vector<bool>& keep,
-                                     const Config& marking) {
-  const Config q_pre = t.pre.restrict(keep);
-  if (!marking.covers(q_pre)) return std::nullopt;
-  const Config q_post = t.post.restrict(keep);
-  Config next = marking;
-  for (std::size_t p = 0; p < next.size(); ++p) {
-    next[p] += q_post[p] - q_pre[p];
-  }
-  return next;
+  return sub_net(keep, false, "PetriNet::restrict");
 }
 
 PetriNet PetriNet::project(const std::vector<bool>& keep) const {
+  return sub_net(keep, true, "PetriNet::project");
+}
+
+PetriNet PetriNet::sub_net(const std::vector<bool>& keep, bool keep_all,
+                           const char* caller) const {
   if (keep.size() != num_states_) {
-    throw std::invalid_argument("PetriNet::project: mask dimension mismatch");
+    throw std::invalid_argument(std::string(caller) +
+                                ": mask dimension mismatch");
   }
+  // index[p]: p's place in the sub-net, or kDropped.
+  constexpr std::size_t kDropped = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> index(num_states_, kDropped);
   std::size_t kept = 0;
-  for (bool k : keep) kept += k ? 1 : 0;
+  for (std::size_t p = 0; p < num_states_; ++p) {
+    if (keep[p]) index[p] = kept++;
+  }
+  // Copies the kept arcs of `arcs` into `out`, re-indexed (the index
+  // is increasing, so the order survives); false if any arc was lost.
+  const auto remap = [&index](util::Span<Arc> arcs, std::vector<Arc>& out) {
+    out.clear();
+    for (const Arc& arc : arcs) {
+      if (index[arc.place] != kDropped) {
+        out.push_back({index[arc.place], arc.count});
+      }
+    }
+    return out.size() == arcs.size();
+  };
   PetriNet out(kept);
-  for (const Transition& t : transitions_) {
-    out.add(t.pre.restrict(keep), t.post.restrict(keep));
+  std::vector<Arc> kept_pre;
+  std::vector<Arc> kept_post;
+  for (std::size_t t = 0; t < num_transitions(); ++t) {
+    const bool whole_pre = remap(pre(t), kept_pre);
+    const bool whole_post = remap(post(t), kept_post);
+    if (keep_all || (whole_pre && whole_post)) out.add(kept_pre, kept_post);
   }
   return out;
 }

@@ -1,7 +1,6 @@
 #include "petri/width_reduction.h"
 
 #include <stdexcept>
-#include <utility>
 
 namespace ppsc {
 namespace petri {
@@ -48,59 +47,45 @@ WidthReduction widen_to_width2(const PetriNet& net) {
   // First pass: count collector places so the compiled dimension is
   // known before any transition is emitted.
   std::size_t collectors = 0;
-  for (const Transition& t : net.transitions()) {
-    const Count w = t.width();
+  for (std::size_t t = 0; t < net.num_transitions(); ++t) {
+    const Count w = net.width(t);
     if (w > 2) collectors += static_cast<std::size_t>(w) - 2;
   }
-  const std::size_t compiled_dim = d + collectors;
 
   WidthReduction reduction;
-  reduction.compiled = PetriNet(compiled_dim);
+  reduction.compiled = PetriNet(d + collectors);
   reduction.original_places = d;
 
-  auto lift = [&](const Config& original) {
-    Config out(compiled_dim);
-    for (std::size_t p = 0; p < d; ++p) out[p] = original[p];
-    return out;
-  };
-
+  // Original places keep their indices, so arcs carry over unchanged.
   std::size_t next_collector = d;
-  for (const Transition& t : net.transitions()) {
-    const Count w = t.width();
-    if (w <= 2) {
-      reduction.compiled.add(lift(t.pre), lift(t.post));
+  for (std::size_t t = 0; t < net.num_transitions(); ++t) {
+    if (net.width(t) <= 2) {
+      reduction.compiled.add(net.pre(t), net.post(t));
       continue;
     }
     // The pre-multiset as a token list, increasing place order.
-    std::vector<std::size_t> tokens;
-    for (std::size_t p = 0; p < d; ++p) {
-      for (Count k = 0; k < t.pre[p]; ++k) tokens.push_back(p);
+    std::vector<std::size_t> pre;
+    for (const Arc& arc : net.pre(t)) {
+      pre.insert(pre.end(), static_cast<std::size_t>(arc.count), arc.place);
     }
-    // Gather steps: tokens[0]+tokens[1] -> a, a+tokens[i] -> a', and
-    // the last collector releases the full post.
+    // Gather steps: pre[0]+pre[1] -> a, a+pre[i] -> a', and the last
+    // collector releases the full post.
     std::size_t held = 0;  // current collector place, once gathering
     Config held_contents(d);
-    for (std::size_t i = 1; i < tokens.size(); ++i) {
-      Config pre(compiled_dim);
-      if (i == 1) {
-        pre[tokens[0]] += 1;
-        pre[tokens[1]] += 1;
-        held_contents[tokens[0]] += 1;
-        held_contents[tokens[1]] += 1;
-      } else {
-        pre[held] += 1;
-        pre[tokens[i]] += 1;
-        held_contents[tokens[i]] += 1;
-      }
-      if (i + 1 < tokens.size()) {
-        const std::size_t collector = next_collector++;
+    held_contents[pre[0]] += 1;
+    for (std::size_t i = 1; i < pre.size(); ++i) {
+      held_contents[pre[i]] += 1;
+      // The held collector sits above every original place.
+      const std::vector<Arc> step =
+          i > 1              ? std::vector<Arc>{{pre[i], 1}, {held, 1}}
+          : pre[0] == pre[1] ? std::vector<Arc>{{pre[0], 2}}
+                             : std::vector<Arc>{{pre[0], 1}, {pre[1], 1}};
+      if (i + 1 < pre.size()) {
+        held = next_collector++;
         reduction.collector_contents.push_back(held_contents);
-        Config post(compiled_dim);
-        post[collector] = 1;
-        reduction.compiled.add(std::move(pre), std::move(post));
-        held = collector;
+        reduction.compiled.add(step, std::vector<Arc>{{held, 1}});
       } else {
-        reduction.compiled.add(std::move(pre), lift(t.post));
+        reduction.compiled.add(step, net.post(t));
       }
     }
   }

@@ -25,8 +25,9 @@ std::optional<PairRuleTable> PairRuleTable::build(
   table.cells_.assign(n * n, Outcome{});
   table.partners_.assign(n, {});
 
-  for (const petri::Transition& t : protocol.net().transitions()) {
-    const std::optional<core::PairRule> rule = core::pair_rule(t);
+  for (std::size_t t = 0; t < protocol.net().num_transitions(); ++t) {
+    const std::optional<core::PairRule> rule =
+        core::pair_rule(protocol.net(), t);
     if (!rule) return std::nullopt;
     const auto& [pre, post] = *rule;
     const auto set_cell = [&table, n](std::size_t a, std::size_t b,

@@ -11,7 +11,7 @@ namespace verify {
 
 WellSpecVerdict classify_input(const core::Protocol& protocol,
                                const std::vector<core::Count>& input,
-                               const WellSpecOptions& options) {
+                               const CheckOptions& options) {
   obs::ScopedSpan span("verify.wellspec", "verify");
   WellSpecVerdict verdict;
   verdict.input = input;
@@ -55,7 +55,7 @@ WellSpecVerdict classify_input(const core::Protocol& protocol,
 
 WellSpecResult check_well_specification_up_to(const core::Protocol& protocol,
                                               core::Count bound,
-                                              const WellSpecOptions& options) {
+                                              const CheckOptions& options) {
   if (bound < 0) {
     throw std::invalid_argument(
         "check_well_specification_up_to: bound must be >= 0");

@@ -60,11 +60,17 @@ TEST(Product, EmitsNoDuplicateTransitions) {
   const auto both =
       core::conjunction(core::unary_counting(2), core::modulo_counting(2, 1));
   const auto& net = both.protocol.net();
-  std::set<std::pair<std::vector<core::Count>, std::vector<core::Count>>> seen;
+  using ArcList = std::vector<std::pair<std::size_t, core::Count>>;
+  const auto arcs = [](ppsc::util::Span<ppsc::petri::Arc> span) {
+    ArcList out;
+    for (const ppsc::petri::Arc& arc : span) {
+      out.emplace_back(arc.place, arc.count);
+    }
+    return out;
+  };
+  std::set<std::pair<ArcList, ArcList>> seen;
   for (std::size_t t = 0; t < net.num_transitions(); ++t) {
-    EXPECT_TRUE(seen.emplace(net.transition(t).pre.raw(),
-                             net.transition(t).post.raw())
-                    .second)
+    EXPECT_TRUE(seen.emplace(arcs(net.pre(t)), arcs(net.post(t))).second)
         << "duplicate transition " << both.protocol.rule_name(t);
   }
 }

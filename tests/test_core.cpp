@@ -16,6 +16,20 @@
 
 namespace core = ppsc::core;
 
+namespace {
+
+using ArcList = std::vector<std::pair<std::size_t, core::Count>>;
+
+ArcList arcs(ppsc::util::Span<ppsc::petri::Arc> span) {
+  ArcList out;
+  for (const ppsc::petri::Arc& arc : span) {
+    out.emplace_back(arc.place, arc.count);
+  }
+  return out;
+}
+
+}  // namespace
+
 TEST(Protocol, BuilderAndInitialConfig) {
   core::ProtocolBuilder b;
   const auto A = b.add_state("A", false);
@@ -61,10 +75,10 @@ TEST(Protocol, BuilderStringApiParsesPairRules) {
   EXPECT_EQ(p.input_arity(), 1u);
   EXPECT_EQ(p.input_state(0), 0u);
   ASSERT_EQ(p.net().num_transitions(), 2u);
-  EXPECT_EQ(p.net().transition(0).pre, (std::vector<core::Count>{2, 0}));
-  EXPECT_EQ(p.net().transition(0).post, (std::vector<core::Count>{0, 2}));
-  EXPECT_EQ(p.net().transition(1).pre, (std::vector<core::Count>{1, 1}));
-  EXPECT_EQ(p.net().transition(1).post, (std::vector<core::Count>{0, 2}));
+  EXPECT_EQ(arcs(p.net().pre(0)), (ArcList{{0, 2}}));
+  EXPECT_EQ(arcs(p.net().post(0)), (ArcList{{1, 2}}));
+  EXPECT_EQ(arcs(p.net().pre(1)), (ArcList{{0, 1}, {1, 1}}));
+  EXPECT_EQ(arcs(p.net().post(1)), (ArcList{{1, 2}}));
 }
 
 TEST(Protocol, BuilderStringApiRejectsBadSpecs) {
@@ -129,28 +143,16 @@ TEST(ProtocolBuilder, RejectsInvalidRulesNamingThem) {
   const core::Protocol p = b.build();
   ASSERT_EQ(p.net().num_transitions(), 1u);
   EXPECT_EQ(p.rule_name(0), "swap");
-  EXPECT_EQ(p.net().transition(0).pre, (std::vector<core::Count>{2, 0}));
-  EXPECT_EQ(p.net().transition(0).post, (std::vector<core::Count>{0, 2}));
+  EXPECT_EQ(arcs(p.net().pre(0)), (ArcList{{0, 2}}));
+  EXPECT_EQ(arcs(p.net().post(0)), (ArcList{{1, 2}}));
 }
-
-namespace {
-
-std::vector<std::pair<std::size_t, core::Count>> arcs(
-    ppsc::util::Span<ppsc::petri::Arc> span) {
-  std::vector<std::pair<std::size_t, core::Count>> out;
-  for (const ppsc::petri::Arc& arc : span) {
-    out.emplace_back(arc.place, arc.count);
-  }
-  return out;
-}
-
-}  // namespace
 
 // The builder compiles its sparse rules straight into the net; the
-// dense add(Config, Config) is the reference spelling. Both must yield
-// the same net: dense pre/post, sparse pre and delta lists (checked
-// against lists derived here from the dense vectors), and the same
-// enabled transitions on random configurations.
+// dense add(Config, Config) is the reference spelling. The net rebuilt
+// through the dense add() from its own pre/post vectors must be the
+// same net: sparse pre, post and delta lists (checked against lists
+// derived here from the dense vectors), and the same enabled
+// transitions on random configurations.
 TEST(ProtocolBuilder, CompiledNetMatchesDenseRebuild) {
   std::vector<core::ConstructedProtocol> protocols = {
       core::example_4_1(4),
@@ -170,25 +172,37 @@ TEST(ProtocolBuilder, CompiledNetMatchesDenseRebuild) {
   for (const core::ConstructedProtocol& cp : protocols) {
     SCOPED_TRACE(cp.family);
     const ppsc::petri::PetriNet& net = cp.protocol.net();
-    ppsc::petri::PetriNet dense(net.num_states());
-    for (const ppsc::petri::Transition& t : net.transitions()) {
-      dense.add(t.pre, t.post);
+    const std::size_t d = net.num_states();
+    std::vector<ppsc::petri::Config> dense_pre;
+    std::vector<ppsc::petri::Config> dense_post;
+    ppsc::petri::PetriNet dense(d);
+    for (std::size_t t = 0; t < net.num_transitions(); ++t) {
+      dense_pre.emplace_back(d);
+      dense_post.emplace_back(d);
+      for (const ppsc::petri::Arc& arc : net.pre(t)) {
+        dense_pre[t][arc.place] = arc.count;
+      }
+      for (const ppsc::petri::Arc& arc : net.post(t)) {
+        dense_post[t][arc.place] = arc.count;
+      }
+      dense.add(dense_pre[t], dense_post[t]);
     }
     ASSERT_EQ(dense.num_transitions(), net.num_transitions());
     for (std::size_t t = 0; t < net.num_transitions(); ++t) {
-      const ppsc::petri::Transition& tr = net.transition(t);
-      EXPECT_EQ(dense.transition(t).pre, tr.pre);
-      EXPECT_EQ(dense.transition(t).post, tr.post);
-      std::vector<std::pair<std::size_t, core::Count>> pre;
-      std::vector<std::pair<std::size_t, core::Count>> delta;
-      for (std::size_t q = 0; q < net.num_states(); ++q) {
-        if (tr.pre[q] != 0) pre.emplace_back(q, tr.pre[q]);
-        if (tr.post[q] != tr.pre[q]) {
-          delta.emplace_back(q, tr.post[q] - tr.pre[q]);
-        }
+      const ppsc::petri::Config& pre_t = dense_pre[t];
+      const ppsc::petri::Config& post_t = dense_post[t];
+      ArcList pre;
+      ArcList post;
+      ArcList delta;
+      for (std::size_t q = 0; q < d; ++q) {
+        if (pre_t[q] != 0) pre.emplace_back(q, pre_t[q]);
+        if (post_t[q] != 0) post.emplace_back(q, post_t[q]);
+        if (post_t[q] != pre_t[q]) delta.emplace_back(q, post_t[q] - pre_t[q]);
       }
       EXPECT_EQ(arcs(net.pre(t)), pre);
       EXPECT_EQ(arcs(dense.pre(t)), pre);
+      EXPECT_EQ(arcs(net.post(t)), post);
+      EXPECT_EQ(arcs(dense.post(t)), post);
       EXPECT_EQ(arcs(net.delta(t)), delta);
       EXPECT_EQ(arcs(dense.delta(t)), delta);
     }
@@ -205,7 +219,7 @@ TEST(ProtocolBuilder, CompiledNetMatchesDenseRebuild) {
       EXPECT_EQ(from_net, from_dense);
       std::vector<std::size_t> scanned;
       for (std::size_t t = 0; t < net.num_transitions(); ++t) {
-        if (config.covers(net.transition(t).pre)) scanned.push_back(t);
+        if (config.covers(dense_pre[t])) scanned.push_back(t);
       }
       EXPECT_EQ(from_net, scanned);
     }

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -168,6 +169,12 @@ TEST(ObsJson, WriterPinnedOutput) {
   json.key("n").value(std::uint64_t{42});
   json.key("neg").value(std::int64_t{-7});
   json.key("half").value(0.5);
+  // Finite doubles all the way out to DBL_MAX keep their value.
+  json.key("huge")
+      .begin_array()
+      .value(1.75e308)
+      .value(-std::numeric_limits<double>::max())
+      .end_array();
   json.key("flag").value(true);
   json.key("list").begin_array().value(1).value(2).end_array();
   json.key("empty").begin_object().end_object();
@@ -175,6 +182,7 @@ TEST(ObsJson, WriterPinnedOutput) {
   EXPECT_TRUE(json.done());
   EXPECT_EQ(json.str(),
             "{\"name\":\"x\\ny\",\"n\":42,\"neg\":-7,\"half\":0.5,"
+            "\"huge\":[1.75e+308,-1.7976931348623157e+308],"
             "\"flag\":true,\"list\":[1,2],\"empty\":{}}");
 }
 
@@ -387,7 +395,9 @@ TEST(ObsEngines, CoveringWordCarriesExploreStats) {
   const auto result = ppsc::petri::shortest_covering_word(
       net, ppsc::petri::Config{2, 0}, ppsc::petri::Config{0, 2}, 1000);
   ASSERT_TRUE(result.word.has_value());
-  EXPECT_EQ(result.stats.configs, result.explored);
+  // {2,0}, {1,1}, {0,2}: the search stops on the third configuration.
+  EXPECT_EQ(result.stats.configs, 3u);
+  EXPECT_FALSE(result.stats.truncated);
   EXPECT_GT(result.stats.probes, 0u);
 }
 

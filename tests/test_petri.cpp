@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <array>
+#include <deque>
 #include <functional>
 #include <map>
 #include <optional>
@@ -55,6 +56,12 @@ PetriNet pump() {
   return net;
 }
 
+using Arcs = std::vector<petri::Arc>;
+
+Arcs list(ppsc::util::Span<petri::Arc> arcs) {
+  return Arcs(arcs.begin(), arcs.end());
+}
+
 // Toggle on {a, b} plus a pump a -> a + c.
 PetriNet toggle_pump() {
   PetriNet net(3);
@@ -70,7 +77,6 @@ TEST(PetriConfig, UnitRestrictAndNorms) {
   const Config u = Config::unit(4, 2, 5);
   EXPECT_EQ(u, (Config{0, 0, 5, 0}));
   EXPECT_EQ(u.norm_inf(), 5);
-  EXPECT_EQ(u.total(), 5);
   EXPECT_TRUE(u.covers(Config{0, 0, 3, 0}));
   EXPECT_FALSE(u.covers(Config{1, 0, 0, 0}));
   EXPECT_EQ(u.restrict({false, true, true, false}), (Config{0, 5}));
@@ -93,13 +99,13 @@ TEST(PetriNet, RestrictKeepsOnlySupportedTransitions) {
   // Projection keeps all three, truncated; indices preserved.
   const PetriNet projected = toggle_pump().project({true, true, false});
   EXPECT_EQ(projected.num_transitions(), 3u);
-  EXPECT_EQ(projected.transition(2).pre, (Config{1, 0}));
-  EXPECT_EQ(projected.transition(2).post, (Config{1, 0}));
+  EXPECT_EQ(list(projected.pre(2)), (Arcs{{0, 1}}));
+  EXPECT_EQ(list(projected.post(2)), (Arcs{{0, 1}}));
+  EXPECT_TRUE(list(projected.delta(2)).empty());
 }
 
 TEST(PetriNet, SparseAddValidatesItsArcs) {
   PetriNet net(3);
-  using Arcs = std::vector<petri::Arc>;
   // Places must increase, stay below the dimension, and carry counts > 0.
   EXPECT_THROW(net.add(Arcs{{1, 1}, {0, 1}}, Arcs{{2, 2}}),
                std::invalid_argument);
@@ -113,10 +119,12 @@ TEST(PetriNet, SparseAddValidatesItsArcs) {
   EXPECT_EQ(net.num_transitions(), 0u);
   // A valid sparse rule compiles like its dense spelling: a + b -> 2c.
   net.add(Arcs{{0, 1}, {1, 1}}, Arcs{{2, 2}});
-  EXPECT_EQ(net.transition(0).pre, (Config{1, 1, 0}));
-  EXPECT_EQ(net.transition(0).post, (Config{0, 0, 2}));
-  const Arcs delta(net.delta(0).begin(), net.delta(0).end());
-  EXPECT_EQ(delta, (Arcs{{0, -1}, {1, -1}, {2, 2}}));
+  net.add(Config{1, 1, 0}, Config{0, 0, 2});
+  for (std::size_t t = 0; t < 2; ++t) {
+    EXPECT_EQ(list(net.pre(t)), (Arcs{{0, 1}, {1, 1}}));
+    EXPECT_EQ(list(net.post(t)), (Arcs{{2, 2}}));
+    EXPECT_EQ(list(net.delta(t)), (Arcs{{0, -1}, {1, -1}, {2, 2}}));
+  }
 }
 
 TEST(Explore, FiniteGraphIsExact) {
@@ -158,6 +166,41 @@ TEST(Explore, EnabledChecksStayFarBelowADenseScan) {
 
 namespace {
 
+// A net as dense pre/post matrices: the reference the sparse engines
+// are checked against. The reference helpers below read only these
+// matrices, never the PetriNet compiled from them.
+struct DenseNet {
+  std::size_t dimension = 0;
+  std::vector<Config> pre;
+  std::vector<Config> post;
+
+  void add(Config p, Config q) {
+    pre.push_back(std::move(p));
+    post.push_back(std::move(q));
+  }
+  std::size_t size() const { return pre.size(); }
+  PetriNet compile() const {
+    PetriNet net(dimension);
+    for (std::size_t t = 0; t < size(); ++t) net.add(pre[t], post[t]);
+    return net;
+  }
+};
+
+// The matrices of a net that exists only compiled (the core/ products),
+// read off its pre and post lists. explore() reads pre and delta, so
+// firing post - pre from these matrices stays an independent check.
+DenseNet dense_of(const PetriNet& net) {
+  DenseNet dense{net.num_states(), {}, {}};
+  for (std::size_t t = 0; t < net.num_transitions(); ++t) {
+    Config pre(dense.dimension);
+    Config post(dense.dimension);
+    for (const petri::Arc& arc : net.pre(t)) pre[arc.place] = arc.count;
+    for (const petri::Arc& arc : net.post(t)) post[arc.place] = arc.count;
+    dense.add(std::move(pre), std::move(post));
+  }
+  return dense;
+}
+
 // Differential reference for explore(): the same BFS written as a
 // dense scan over every transition in index order, with dense pre/post
 // vectors and an ordered map -- none of the index machinery.
@@ -170,21 +213,21 @@ struct DenseGraph {
   std::optional<std::size_t> stopped;
 };
 
-bool dense_enabled(const PetriNet& net, std::size_t t, const Config& config) {
-  for (std::size_t p = 0; p < net.num_states(); ++p) {
-    if (config[p] < net.transition(t).pre[p]) return false;
+bool dense_enabled(const DenseNet& net, std::size_t t, const Config& config) {
+  for (std::size_t p = 0; p < net.dimension; ++p) {
+    if (config[p] < net.pre[t][p]) return false;
   }
   return true;
 }
 
-Config dense_fire(const PetriNet& net, std::size_t t, Config config) {
-  for (std::size_t p = 0; p < net.num_states(); ++p) {
-    config[p] += net.transition(t).post[p] - net.transition(t).pre[p];
+Config dense_fire(const DenseNet& net, std::size_t t, Config config) {
+  for (std::size_t p = 0; p < net.dimension; ++p) {
+    config[p] += net.post[t][p] - net.pre[t][p];
   }
   return config;
 }
 
-DenseGraph dense_explore(const PetriNet& net, const std::vector<Config>& roots,
+DenseGraph dense_explore(const DenseNet& net, const std::vector<Config>& roots,
                          std::size_t max_nodes,
                          const std::function<bool(petri::ConfigView)>& stop) {
   DenseGraph graph;
@@ -208,7 +251,7 @@ DenseGraph dense_explore(const PetriNet& net, const std::vector<Config>& roots,
   for (std::size_t head = 0; head < graph.nodes.size() && !graph.stopped;
        ++head) {
     const Config current = graph.nodes[head];
-    for (std::size_t t = 0; t < net.num_transitions(); ++t) {
+    for (std::size_t t = 0; t < net.size(); ++t) {
       if (!dense_enabled(net, t, current)) continue;
       const Config next = dense_fire(net, t, current);
       if (ids.count(next) == 0) {
@@ -230,7 +273,7 @@ DenseGraph dense_explore(const PetriNet& net, const std::vector<Config>& roots,
 // list, the same BFS tree and exits, and every stored hash equal to
 // the from-scratch ConfigHash of its node (so the incremental update
 // over the sparse delta never drifts).
-void expect_matches_dense(const PetriNet& net,
+void expect_matches_dense(const DenseNet& net,
                           const petri::ReachabilityGraph& graph,
                           const std::vector<Config>& roots,
                           std::size_t max_nodes,
@@ -238,8 +281,8 @@ void expect_matches_dense(const PetriNet& net,
   const DenseGraph reference = dense_explore(net, roots, max_nodes, stop);
   const std::size_t n = graph.size();
   ASSERT_EQ(n, reference.nodes.size());
-  ASSERT_EQ(graph.dimension, net.num_states());
-  ASSERT_EQ(graph.counts.size(), n * net.num_states());
+  ASSERT_EQ(graph.dimension, net.dimension);
+  ASSERT_EQ(graph.counts.size(), n * net.dimension);
   ASSERT_EQ(graph.edge_begin.size(), n + 1);
   EXPECT_EQ(graph.edge_begin.front(), 0u);
   EXPECT_EQ(graph.edge_begin.back(), graph.edges.size());
@@ -283,13 +326,13 @@ Config random_tokens(ppsc::util::Xoshiro256& rng, std::size_t dimension,
   return config;
 }
 
-// A random net over 2..5 places whose last place no transition reads;
-// `seen` tallies the shapes drawn.
-PetriNet random_net(ppsc::util::Xoshiro256& rng,
+// A random net over 2..5 places whose last place no transition reads,
+// as the dense matrices drawn; `seen` tallies the shapes drawn.
+DenseNet random_net(ppsc::util::Xoshiro256& rng,
                     std::array<std::size_t, kNumShapes>& seen) {
   const std::size_t dimension = 2 + rng.below(4);
   const std::size_t readable = dimension - 1;
-  PetriNet net(dimension);
+  DenseNet net{dimension, {}, {}};
   const std::size_t transitions = 2 + rng.below(9);
   for (std::size_t i = 0; i < transitions; ++i) {
     const auto shape = static_cast<Shape>(rng.below(kNumShapes));
@@ -337,7 +380,8 @@ TEST(Explore, IndexedScanMatchesDenseReferenceOnRandomNets) {
   std::size_t complete = 0;
   for (int trial = 0; trial < 400; ++trial) {
     SCOPED_TRACE("trial " + std::to_string(trial));
-    const PetriNet net = random_net(rng, seen);
+    const DenseNet dense = random_net(rng, seen);
+    const PetriNet net = dense.compile();
     const std::size_t d = net.num_states();
     const std::size_t num_roots = 1 + rng.below(2);
     std::vector<Config> roots;
@@ -356,7 +400,7 @@ TEST(Explore, IndexedScanMatchesDenseReferenceOnRandomNets) {
 
     const auto graph = petri::explore(net, roots, limits, stop);
     ASSERT_NO_FATAL_FAILURE(
-        expect_matches_dense(net, graph, roots, limits.max_nodes, stop));
+        expect_matches_dense(dense, graph, roots, limits.max_nodes, stop));
     truncated += graph.truncated ? 1 : 0;
     stopped += graph.stopped ? 1 : 0;
     complete += graph.truncated || graph.stopped ? 0 : 1;
@@ -364,7 +408,7 @@ TEST(Explore, IndexedScanMatchesDenseReferenceOnRandomNets) {
     for (std::size_t u = 0; u < graph.size(); ++u) {
       const Config node = graph.config(u);
       for (std::size_t t = 0; t < net.num_transitions(); ++t) {
-        ASSERT_EQ(net.enabled(t, node), dense_enabled(net, t, node));
+        ASSERT_EQ(net.enabled(t, node), dense_enabled(dense, t, node));
       }
       // The BFS word replays from the node's root onto the node.
       std::size_t root = u;
@@ -384,8 +428,8 @@ TEST(Explore, IndexedScanMatchesDenseReferenceOnRandomNets) {
         const std::size_t t = rng.below(net.num_transitions() + 1);
         word.push_back(t);
         if (!expected) continue;
-        if (t < net.num_transitions() && dense_enabled(net, t, *expected)) {
-          expected = dense_fire(net, t, *expected);
+        if (t < net.num_transitions() && dense_enabled(dense, t, *expected)) {
+          expected = dense_fire(dense, t, *expected);
         } else {
           expected = std::nullopt;
         }
@@ -413,8 +457,8 @@ TEST(Explore, TruncatesPumpingNets) {
 namespace {
 
 // place 0 -> place 1 -> ... -> place d-1.
-PetriNet chain(std::size_t d) {
-  PetriNet net(d);
+DenseNet chain(std::size_t d) {
+  DenseNet net{d, {}, {}};
   for (std::size_t p = 0; p + 1 < d; ++p) {
     net.add(Config::unit(d, p), Config::unit(d, p + 1));
   }
@@ -427,10 +471,10 @@ TEST(Explore, LargeGraphsMatchDenseReferenceAcrossTableGrowths) {
   // The intern table starts at 1024 slots and doubles at half load, so
   // every graph past 4096 nodes has grown it four times.
   // 14 tokens on a 6-chain: C(19, 5) = 11628 configurations.
-  const PetriNet six = chain(6);
+  const DenseNet six = chain(6);
   const std::vector<Config> six_roots = {Config::unit(6, 0, 14)};
   const std::size_t budget = petri::ExploreLimits{}.max_nodes;
-  const auto big = petri::explore(six, six_roots);
+  const auto big = petri::explore(six.compile(), six_roots);
   EXPECT_EQ(big.size(), 11628u);
   ASSERT_NO_FATAL_FAILURE(
       expect_matches_dense(six, big, six_roots, budget, {}));
@@ -439,23 +483,24 @@ TEST(Explore, LargeGraphsMatchDenseReferenceAcrossTableGrowths) {
   const PetriNet& wide = cp.protocol.net();
   const std::vector<Config> wide_roots = {
       Config(cp.protocol.initial_config({5}))};
-  ASSERT_NO_FATAL_FAILURE(expect_matches_dense(
-      wide, petri::explore(wide, wide_roots), wide_roots, budget, {}));
+  ASSERT_NO_FATAL_FAILURE(expect_matches_dense(dense_of(wide),
+                                               petri::explore(wide, wide_roots),
+                                               wide_roots, budget, {}));
   // Random nets with many tokens, pumping ones cut at the budget.
   ppsc::util::Xoshiro256 rng(77);
   std::array<std::size_t, kNumShapes> seen{};
   std::size_t grown = 0;
   for (int trial = 0; trial < 12; ++trial) {
     SCOPED_TRACE("trial " + std::to_string(trial));
-    const PetriNet net = random_net(rng, seen);
-    const std::size_t d = net.num_states();
+    const DenseNet dense = random_net(rng, seen);
+    const std::size_t d = dense.dimension;
     const std::vector<Config> roots = {
         random_tokens(rng, d, d, 10 + rng.below(20))};
     petri::ExploreLimits limits;
     limits.max_nodes = 12000;
-    const auto graph = petri::explore(net, roots, limits);
+    const auto graph = petri::explore(dense.compile(), roots, limits);
     ASSERT_NO_FATAL_FAILURE(
-        expect_matches_dense(net, graph, roots, limits.max_nodes, {}));
+        expect_matches_dense(dense, graph, roots, limits.max_nodes, {}));
     grown += graph.size() > 4096 ? 1 : 0;
   }
   EXPECT_GE(grown, 3u);
@@ -464,9 +509,10 @@ TEST(Explore, LargeGraphsMatchDenseReferenceAcrossTableGrowths) {
 TEST(Explore, TruncatesAtExactlyMaxNodes) {
   // A budget of exactly the reachable count keeps the whole graph; one
   // less drops the last-discovered node and every edge into it.
-  const std::vector<std::pair<PetriNet, Config>> cases = {
-      {chain3(), Config{2, 0, 0}}, {chain(6), Config::unit(6, 0, 14)}};
-  for (const auto& [net, root] : cases) {
+  const std::vector<std::pair<DenseNet, Config>> cases = {
+      {chain(3), Config{2, 0, 0}}, {chain(6), Config::unit(6, 0, 14)}};
+  for (const auto& [dense, root] : cases) {
+    const PetriNet net = dense.compile();
     const std::size_t reachable = petri::explore(net, {root}).size();
     for (const std::size_t budget : {reachable, reachable - 1}) {
       SCOPED_TRACE("budget " + std::to_string(budget));
@@ -477,7 +523,7 @@ TEST(Explore, TruncatesAtExactlyMaxNodes) {
       EXPECT_EQ(graph.truncated, budget < reachable);
       EXPECT_EQ(graph.stats.truncated, graph.truncated);
       ASSERT_NO_FATAL_FAILURE(
-          expect_matches_dense(net, graph, {root}, budget, {}));
+          expect_matches_dense(dense, graph, {root}, budget, {}));
     }
   }
 }
@@ -493,6 +539,125 @@ TEST(Explore, RejectsNodeBudgetsBeyond32BitIds) {
   EXPECT_EQ(petri::explore(chain3(), {Config{2, 0, 0}}, limits).size(), 6u);
 }
 
+namespace {
+
+// Dense reference for backward_basis: the same fixpoint with the same
+// worklist and pruning order, the predecessor read off the matrices as
+// max(pre, m - (post - pre)) on every place.
+std::vector<Config> dense_backward_basis(const DenseNet& net,
+                                         const Config& target) {
+  std::vector<Config> basis{target};
+  std::deque<Config> work{target};
+  while (!work.empty()) {
+    const Config m = work.front();
+    work.pop_front();
+    if (std::find(basis.begin(), basis.end(), m) == basis.end()) continue;
+    for (std::size_t t = 0; t < net.size(); ++t) {
+      Config pred(net.dimension);
+      for (std::size_t p = 0; p < net.dimension; ++p) {
+        pred[p] = std::max(net.pre[t][p],
+                           m[p] - (net.post[t][p] - net.pre[t][p]));
+      }
+      if (std::any_of(basis.begin(), basis.end(),
+                      [&pred](const Config& b) { return pred.covers(b); })) {
+        continue;
+      }
+      basis.erase(std::remove_if(basis.begin(), basis.end(),
+                                 [&pred](const Config& b) {
+                                   return b.covers(pred);
+                                 }),
+                  basis.end());
+      basis.push_back(pred);
+      work.push_back(pred);
+    }
+  }
+  return basis;
+}
+
+// The dense truncation of `net` to the kept places: every transition
+// (keep_all, as project() does) or only those supported on them (as
+// restrict() does).
+DenseNet dense_sub_net(const DenseNet& net, const std::vector<bool>& keep,
+                       bool keep_all) {
+  DenseNet out{static_cast<std::size_t>(
+                   std::count(keep.begin(), keep.end(), true)),
+               {},
+               {}};
+  for (std::size_t t = 0; t < net.size(); ++t) {
+    bool supported = true;
+    for (std::size_t p = 0; p < net.dimension; ++p) {
+      if (!keep[p] && (net.pre[t][p] != 0 || net.post[t][p] != 0)) {
+        supported = false;
+      }
+    }
+    if (keep_all || supported) {
+      out.add(net.pre[t].restrict(keep), net.post[t].restrict(keep));
+    }
+  }
+  return out;
+}
+
+// `net` holds exactly the transitions of `dense` as sparse lists: the
+// nonzero entries of pre, of post and of post - pre.
+void expect_compiles_to(const DenseNet& dense, const PetriNet& net) {
+  ASSERT_EQ(net.num_states(), dense.dimension);
+  ASSERT_EQ(net.num_transitions(), dense.size());
+  for (std::size_t t = 0; t < dense.size(); ++t) {
+    Arcs pre;
+    Arcs post;
+    Arcs delta;
+    for (std::size_t p = 0; p < dense.dimension; ++p) {
+      const petri::Count in = dense.pre[t][p];
+      const petri::Count out = dense.post[t][p];
+      if (in != 0) pre.push_back({p, in});
+      if (out != 0) post.push_back({p, out});
+      if (out != in) delta.push_back({p, out - in});
+    }
+    EXPECT_EQ(list(net.pre(t)), pre) << "transition " << t;
+    EXPECT_EQ(list(net.post(t)), post) << "transition " << t;
+    EXPECT_EQ(list(net.delta(t)), delta) << "transition " << t;
+  }
+}
+
+}  // namespace
+
+TEST(Coverability, BackwardBasisMatchesDenseFixpointOnRandomNets) {
+  ppsc::util::Xoshiro256 rng(31);
+  std::array<std::size_t, kNumShapes> seen{};
+  std::size_t grew = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const DenseNet dense = random_net(rng, seen);
+    const std::size_t d = dense.dimension;
+    const Config target = random_tokens(rng, d, d, 1 + rng.below(3));
+    const std::vector<Config> basis =
+        petri::backward_basis(dense.compile(), target);
+    ASSERT_EQ(basis, dense_backward_basis(dense, target));
+    grew += basis.size() > 1 ? 1 : 0;
+  }
+  EXPECT_GT(grew, 150u);
+}
+
+TEST(PetriNet, SubNetsMatchDenseTruncationOnRandomNets) {
+  ppsc::util::Xoshiro256 rng(32);
+  std::array<std::size_t, kNumShapes> seen{};
+  std::size_t dropped = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const DenseNet dense = random_net(rng, seen);
+    const PetriNet net = dense.compile();
+    ASSERT_NO_FATAL_FAILURE(expect_compiles_to(dense, net));
+    std::vector<bool> keep(dense.dimension);
+    for (std::size_t p = 0; p < keep.size(); ++p) keep[p] = rng.below(3) != 0;
+    const DenseNet restricted = dense_sub_net(dense, keep, false);
+    ASSERT_NO_FATAL_FAILURE(expect_compiles_to(restricted, net.restrict(keep)));
+    ASSERT_NO_FATAL_FAILURE(
+        expect_compiles_to(dense_sub_net(dense, keep, true), net.project(keep)));
+    dropped += restricted.size() < dense.size() ? 1 : 0;
+  }
+  EXPECT_GT(dropped, 100u);
+}
+
 TEST(Coverability, BackwardBasisIsMinimal) {
   // Net a -> b, target one b: basis is {b:1} plus {a:1}.
   PetriNet net(2);
@@ -501,6 +666,9 @@ TEST(Coverability, BackwardBasisIsMinimal) {
   ASSERT_EQ(basis.size(), 2u);
   EXPECT_NE(std::find(basis.begin(), basis.end(), Config{0, 1}), basis.end());
   EXPECT_NE(std::find(basis.begin(), basis.end(), Config{1, 0}), basis.end());
+  // A target is a marking: a negative count is rejected.
+  EXPECT_THROW(petri::backward_basis(net, Config{-1, 1}),
+               std::invalid_argument);
 }
 
 TEST(Coverability, PositiveAndNegative) {
@@ -529,7 +697,7 @@ TEST(Coverability, ShortestWordIsExact) {
   const auto missing = petri::shortest_covering_word(net, Config{1, 0, 0},
                                                      Config{0, 0, 2}, 1000);
   EXPECT_FALSE(missing.word.has_value());
-  EXPECT_FALSE(missing.truncated);
+  EXPECT_FALSE(missing.stats.truncated);
 }
 
 TEST(KarpMiller, AcceleratesPumpToOmega) {

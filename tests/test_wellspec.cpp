@@ -118,7 +118,7 @@ TEST(WellSpec, EmptyPopulationComputesFalse) {
 
 TEST(WellSpec, ConfigCapErrorExplainsTheExploration) {
   const auto cp = core::example_4_1(3);
-  verify::WellSpecOptions options;
+  verify::CheckOptions options;
   options.max_configs = 2;
   ppsc::petri::ExploreLimits limits;
   limits.max_nodes = options.max_configs;
