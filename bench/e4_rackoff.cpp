@@ -2,13 +2,20 @@
 // (‖ρ‖∞ + ‖T‖∞ + 2)^(|P|^|P|) (the numeric convention pinned in
 // bounds/formulas.h).
 //
-// On randomized nets of dimension 2..4 we compute exact shortest covering
-// words by forward BFS and compare the worst observed length against the
-// bound (in log2 space; the bound is astronomically loose, as expected of a
+// On randomized nets of dimension 2..4 we decide each case with the
+// backward-basis engine (petri::coverable) first, then compute exact
+// shortest covering words by forward BFS for the coverable cases only,
+// and compare the worst observed length against the bound (in log2
+// space; the bound is astronomically loose, as expected of a
 // Rackoff-style argument — the point is that it is never violated).
+// Uncoverable cases never reach the BFS, whose 100k-node budget they
+// would otherwise exhaust on pumping nets. A coverable case whose BFS
+// finds no word within that budget is an error (exit 1), never an
+// uncoverable count.
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 
 #include "bounds/formulas.h"
 #include "petri/coverability.h"
@@ -26,6 +33,7 @@ int main() {
   ppsc::util::TablePrinter table({"d", "nets", "coverable", "max |sigma|",
                                   "log2 max", "log2 bound", "holds"});
 
+  constexpr std::size_t kMaxWordNodes = 100000;
   ppsc::util::Xoshiro256 rng(2022);
   for (std::size_t d = 2; d <= 4; ++d) {
     std::size_t coverable_count = 0;
@@ -51,15 +59,21 @@ int main() {
         source[s] = static_cast<Count>(rng.below(4));
         target[s] = static_cast<Count>(rng.below(3));
       }
-      auto result =
-          ppsc::petri::shortest_covering_word(net, source, target, 100000);
-      if (result.word.has_value()) {
-        ++coverable_count;
-        if (result.word->size() > longest) {
-          longest = result.word->size();
-          worst_norm_rho = target.norm_inf();
-          worst_norm_t = net.norm_inf();
-        }
+      if (!ppsc::petri::coverable(net, source, target)) continue;
+      ++coverable_count;
+      auto result = ppsc::petri::shortest_covering_word(net, source, target,
+                                                        kMaxWordNodes);
+      if (!result.word.has_value()) {
+        std::fprintf(stderr,
+                     "e4: d=%zu net %d is coverable but no covering word "
+                     "was found within %zu markings\n",
+                     d, i, kMaxWordNodes);
+        return EXIT_FAILURE;
+      }
+      if (result.word->size() > longest) {
+        longest = result.word->size();
+        worst_norm_rho = target.norm_inf();
+        worst_norm_t = net.norm_inf();
       }
     }
     double log2_bound = ppsc::bounds::log2_rackoff_bound(

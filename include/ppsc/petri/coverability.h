@@ -32,20 +32,25 @@
 namespace ppsc {
 namespace petri {
 
-// Per-call statistics of the backward fixpoint, the quantities behind
-// its scaling behaviour: the dominance scan over the basis is a linear
-// pass per candidate predecessor, so `comparisons` (one per covers()
-// call) grows roughly with `predecessors` * `basis_peak` -- the e13
-// wall past ~30 places, made visible.
+// Per-call statistics of the backward fixpoint. Each alive marking m
+// steps only the transitions that put tokens on supp(m); any other
+// transition's predecessor is >= m and so already dominated, and is
+// counted in `skipped` without being built. Each domination test
+// x >= y is prefiltered by 64-bit support signatures (bit p % 64 set
+// iff a place of that residue is nonzero; x >= y needs
+// sig(y) & ~sig(x) == 0), so `comparisons` -- one per covers() call
+// actually made -- counts only the pairs the signatures cannot rule
+// out, far below `predecessors` * `basis_peak`.
 struct BackwardBasisStats {
   std::size_t basis_final = 0;        // minimal basis size at fixpoint
   std::size_t basis_peak = 0;         // largest intermediate basis
   std::uint64_t basis_size_sum = 0;   // basis size summed per iteration
   std::uint64_t iterations = 0;       // work-queue items processed
   std::uint64_t predecessors = 0;     // candidate predecessors generated
+  std::uint64_t skipped = 0;          // steps skipped as dominated upfront
   std::uint64_t pruned_dominated = 0; // candidates dropped as dominated
   std::uint64_t evictions = 0;        // basis elements a candidate evicted
-  std::uint64_t comparisons = 0;      // covers() calls in dominance scans
+  std::uint64_t comparisons = 0;      // covers() calls past the signatures
 };
 
 // Minimal basis of the set of markings from which `target` (a marking:

@@ -29,13 +29,40 @@ Config backward_step(const PetriNet& net, std::size_t t, const Config& m) {
   return pred;
 }
 
-bool dominated(const std::vector<Config>& basis, const Config& m,
-               std::uint64_t& comparisons) {
-  for (const Config& b : basis) {
-    ++comparisons;
-    if (m.covers(b)) return true;
+// True iff t puts tokens on a place m marks. Otherwise m - delta_t >= m
+// on supp(m), so t's predecessor is >= m, and the basis always holds
+// an element <= m (m itself, or one that evicted it) that dominates it.
+bool produces_on(const PetriNet& net, std::size_t t, const Config& m) {
+  for (const Arc& arc : net.delta(t)) {
+    if (arc.count > 0 && m[arc.place] > 0) return true;
   }
   return false;
+}
+
+// Support signature: bit p % 64 is set iff some place of that residue
+// is nonzero. x >= y implies supp(y) within supp(x), hence
+// sig(y) & ~sig(x) == 0; the fold onto 64 bits only weakens this
+// necessary condition, so it prefilters covers() exactly.
+std::uint64_t signature(const Config& m) {
+  std::uint64_t sig = 0;
+  for (std::size_t p = 0; p < m.size(); ++p) {
+    if (m[p] != 0) sig |= std::uint64_t{1} << (p % 64);
+  }
+  return sig;
+}
+
+// A marking of the basis or the work queue beside its signature.
+struct Element {
+  explicit Element(Config m) : marking(std::move(m)), sig(signature(marking)) {}
+  Config marking;
+  std::uint64_t sig;
+};
+
+// x >= y, deciding by signature first and counting each covers() call.
+bool covers(const Element& x, const Element& y, std::uint64_t& comparisons) {
+  if ((y.sig & ~x.sig) != 0) return false;
+  ++comparisons;
+  return x.marking.covers(y.marking);
 }
 
 }  // namespace
@@ -54,8 +81,9 @@ std::vector<Config> backward_basis(const PetriNet& net, const Config& target,
   obs::MetricRegistry& registry = obs::MetricRegistry::global();
   const bool obs_on = registry.enabled();
   BackwardBasisStats local;
-  std::vector<Config> basis{target};
-  std::deque<Config> work{target};
+  // Eviction is a stable remove_if, so the basis keeps insertion order.
+  std::vector<Element> basis{Element(target)};
+  std::deque<Element> work{basis.front()};
   // Backward steps and dominance scans interleave per popped marking;
   // chunk spans window them so a trace shows the basis trajectory
   // (args carry the basis size at each window start) without
@@ -63,7 +91,7 @@ std::vector<Config> backward_basis(const PetriNet& net, const Config& target,
   constexpr std::uint64_t kChunkIterations = 512;
   std::optional<obs::ScopedSpan> chunk_span;
   while (!work.empty()) {
-    const Config m = std::move(work.front());
+    const Element m = std::move(work.front());
     work.pop_front();
     if (local.iterations % kChunkIterations == 0 &&
         local.iterations + work.size() > kChunkIterations) {
@@ -77,35 +105,37 @@ std::vector<Config> backward_basis(const PetriNet& net, const Config& target,
     // bucketing it is only worth the map lookup when someone watches.
     if (obs_on) registry.record("coverability.basis_size", basis.size());
     // m may have been pruned by a strictly smaller element meanwhile.
-    bool alive = false;
-    for (const Config& b : basis) {
-      if (b == m) {
-        alive = true;
-        break;
-      }
+    if (std::none_of(basis.begin(), basis.end(), [&m](const Element& b) {
+          return b.sig == m.sig && b.marking == m.marking;
+        })) {
+      continue;
     }
-    if (!alive) continue;
     for (std::size_t t = 0; t < net.num_transitions(); ++t) {
-      Config pred = backward_step(net, t, m);
+      if (!produces_on(net, t, m.marking)) {
+        ++local.skipped;
+        continue;
+      }
+      Element pred(backward_step(net, t, m.marking));
       ++local.predecessors;
-      if (dominated(basis, pred, local.comparisons)) {
+      if (std::any_of(basis.begin(), basis.end(), [&](const Element& b) {
+            return covers(pred, b, local.comparisons);
+          })) {
         ++local.pruned_dominated;
         continue;
       }
       const std::size_t before = basis.size();
-      local.comparisons += before;
       basis.erase(std::remove_if(basis.begin(), basis.end(),
-                                 [&pred](const Config& b) {
-                                   return b.covers(pred);
+                                 [&](const Element& b) {
+                                   return covers(b, pred, local.comparisons);
                                  }),
                   basis.end());
       local.evictions += before - basis.size();
-      basis.push_back(pred);
+      work.push_back(pred);
+      basis.push_back(std::move(pred));
       local.basis_peak = std::max(local.basis_peak, basis.size());
       if (basis.size() > max_basis) {
         throw std::runtime_error("backward_basis: basis exceeds max_basis");
       }
-      work.push_back(std::move(pred));
     }
   }
   chunk_span.reset();
@@ -116,6 +146,7 @@ std::vector<Config> backward_basis(const PetriNet& net, const Config& target,
   if (obs_on) {
     registry.add("coverability.iterations", local.iterations);
     registry.add("coverability.predecessors", local.predecessors);
+    registry.add("coverability.skipped", local.skipped);
     registry.add("coverability.pruned_dominated", local.pruned_dominated);
     registry.add("coverability.evictions", local.evictions);
     registry.add("coverability.comparisons", local.comparisons);
@@ -123,7 +154,10 @@ std::vector<Config> backward_basis(const PetriNet& net, const Config& target,
     registry.record("coverability.basis_peak", local.basis_peak);
   }
   if (stats != nullptr) *stats = local;
-  return basis;
+  std::vector<Config> markings;
+  markings.reserve(basis.size());
+  for (Element& b : basis) markings.push_back(std::move(b.marking));
+  return markings;
 }
 
 bool coverable(const PetriNet& net, const Config& source, const Config& target,

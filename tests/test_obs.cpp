@@ -376,17 +376,46 @@ TEST(ObsEngines, ExploreStatsReportTruncation) {
 
 TEST(ObsEngines, BackwardBasisStats) {
   // Chain s0 -> s1 -> s2, cover s2: basis iterates {s2} -> {s1} -> {s0}.
+  // Each pop steps only the transition that produces on its support
+  // (4 of 6 steps skipped), and the one-place signatures of the two
+  // predecessors rule out every basis pair without a covers() call.
   ppsc::petri::PetriNet net(3);
   net.add(ppsc::petri::Config{1, 0, 0}, ppsc::petri::Config{0, 1, 0});
   net.add(ppsc::petri::Config{0, 1, 0}, ppsc::petri::Config{0, 0, 1});
   ppsc::petri::BackwardBasisStats stats;
   const auto basis = ppsc::petri::backward_basis(
       net, ppsc::petri::Config{0, 0, 1}, 1u << 22, &stats);
-  EXPECT_EQ(stats.basis_final, basis.size());
-  EXPECT_GE(stats.basis_peak, stats.basis_final);
-  EXPECT_GT(stats.iterations, 0u);
-  EXPECT_GT(stats.predecessors, 0u);
+  EXPECT_EQ(basis, (std::vector<ppsc::petri::Config>{
+                       {0, 0, 1}, {0, 1, 0}, {1, 0, 0}}));
+  EXPECT_EQ(stats.iterations, 3u);
+  EXPECT_EQ(stats.predecessors, 2u);
+  EXPECT_EQ(stats.skipped, 4u);
+  EXPECT_EQ(stats.comparisons, 0u);
+  EXPECT_EQ(stats.basis_final, 3u);
+  EXPECT_EQ(stats.basis_peak, 3u);
+}
+
+TEST(ObsEngines, BackwardBasisStatsCountOverlappingComparisons) {
+  // a -> b and 2a -> 2b, cover 2b: the basis is {0,2}, {1,1}, {2,0}.
+  // Popping {1,1}, both predecessors ({2,0}, {3,0}) share a signature
+  // with {2,0} and are pruned by a covers() call; popping {2,0}, neither
+  // transition produces on its support.
+  ppsc::petri::PetriNet net(2);
+  net.add(ppsc::petri::Config{1, 0}, ppsc::petri::Config{0, 1});
+  net.add(ppsc::petri::Config{2, 0}, ppsc::petri::Config{0, 2});
+  ppsc::petri::BackwardBasisStats stats;
+  const auto basis = ppsc::petri::backward_basis(
+      net, ppsc::petri::Config{0, 2}, 1u << 22, &stats);
+  EXPECT_EQ(basis,
+            (std::vector<ppsc::petri::Config>{{0, 2}, {1, 1}, {2, 0}}));
+  EXPECT_EQ(stats.iterations, 3u);
+  EXPECT_EQ(stats.predecessors, 4u);
+  EXPECT_EQ(stats.skipped, 2u);
+  EXPECT_EQ(stats.pruned_dominated, 2u);
+  EXPECT_EQ(stats.evictions, 0u);
   EXPECT_GT(stats.comparisons, 0u);
+  EXPECT_EQ(stats.comparisons, 4u);
+  EXPECT_EQ(stats.basis_final, 3u);
 }
 
 TEST(ObsEngines, CoveringWordCarriesExploreStats) {

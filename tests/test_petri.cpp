@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <map>
@@ -619,6 +620,56 @@ void expect_compiles_to(const DenseNet& dense, const PetriNet& net) {
   }
 }
 
+// Each token of `config` on place p lands on p or on its twin p + 64,
+// in a space of `dimension` places.
+Config spread(ppsc::util::Xoshiro256& rng, const Config& config,
+              std::size_t dimension) {
+  Config out(dimension);
+  for (std::size_t p = 0; p < config.size(); ++p) {
+    for (petri::Count k = 0; k < config[p]; ++k) {
+      out[p + 64 * rng.below(2)] += 1;
+    }
+  }
+  return out;
+}
+
+// `net` over 66 to 130 places: every pre and post token lands on its
+// place p or on p + 64, so transitions touch both places of a residue
+// class mod 64 and the basis mixes markings that share a support
+// signature bit without one covering the other.
+DenseNet widen(ppsc::util::Xoshiro256& rng, const DenseNet& net) {
+  DenseNet wide{64 + net.dimension + rng.below(62), {}, {}};
+  for (std::size_t t = 0; t < net.size(); ++t) {
+    wide.add(spread(rng, net.pre[t], wide.dimension),
+             spread(rng, net.post[t], wide.dimension));
+  }
+  return wide;
+}
+
+// Pairs (x, y) of the basis that the 64-bit fold cannot tell apart
+// (every residue marked in y is marked in x) although supp(y) is not
+// within supp(x).
+std::size_t aliased_pairs(const std::vector<Config>& basis) {
+  const auto residues = [](const Config& c) {
+    std::uint64_t sig = 0;
+    for (std::size_t p = 0; p < c.size(); ++p) {
+      if (c[p] != 0) sig |= std::uint64_t{1} << (p % 64);
+    }
+    return sig;
+  };
+  std::size_t aliased = 0;
+  for (const Config& x : basis) {
+    for (const Config& y : basis) {
+      bool within = true;
+      for (std::size_t p = 0; p < x.size(); ++p) {
+        if (y[p] != 0 && x[p] == 0) within = false;
+      }
+      if (!within && (residues(y) & ~residues(x)) == 0) ++aliased;
+    }
+  }
+  return aliased;
+}
+
 }  // namespace
 
 TEST(Coverability, BackwardBasisMatchesDenseFixpointOnRandomNets) {
@@ -636,6 +687,24 @@ TEST(Coverability, BackwardBasisMatchesDenseFixpointOnRandomNets) {
     grew += basis.size() > 1 ? 1 : 0;
   }
   EXPECT_GT(grew, 150u);
+  // The same shapes widened past 64 places, where support signatures
+  // fold two places onto one bit.
+  std::size_t aliased = 0;
+  for (int trial = 0; trial < 150; ++trial) {
+    SCOPED_TRACE("wide trial " + std::to_string(trial));
+    const DenseNet small = random_net(rng, seen);
+    const DenseNet dense = widen(rng, small);
+    const Config target = spread(
+        rng,
+        random_tokens(rng, small.dimension, small.dimension,
+                      1 + rng.below(3)),
+        dense.dimension);
+    const std::vector<Config> basis =
+        petri::backward_basis(dense.compile(), target);
+    ASSERT_EQ(basis, dense_backward_basis(dense, target));
+    aliased += aliased_pairs(basis) > 0 ? 1 : 0;
+  }
+  EXPECT_GT(aliased, 50u);
 }
 
 TEST(PetriNet, SubNetsMatchDenseTruncationOnRandomNets) {
@@ -669,6 +738,25 @@ TEST(Coverability, BackwardBasisIsMinimal) {
   // A target is a marking: a negative count is rejected.
   EXPECT_THROW(petri::backward_basis(net, Config{-1, 1}),
                std::invalid_argument);
+}
+
+TEST(Coverability, BackwardStepsSkipNonProducingTransitions) {
+  // The e13 stabilization query n! on unary_counting(8). Without the
+  // skip every alive pop steps every transition: 40,588 predecessors,
+  // and 1,797,948 covers() calls without the signature prefilter.
+  const auto c = ppsc::core::unary_counting(8);
+  const Config target =
+      Config::unit(c.protocol.num_states(), c.protocol.states().at("8!"));
+  petri::BackwardBasisStats stats;
+  const auto basis =
+      petri::backward_basis(c.protocol.net(), target, 1u << 22, &stats);
+  EXPECT_EQ(stats.predecessors + stats.skipped, 40588u);
+  EXPECT_GT(stats.skipped, 0u);
+  EXPECT_EQ(stats.iterations, 278u);
+  EXPECT_EQ(stats.basis_final, 278u);
+  EXPECT_EQ(stats.basis_peak, 278u);
+  EXPECT_EQ(basis.size(), stats.basis_final);
+  EXPECT_LE(stats.comparisons, 179794u);
 }
 
 TEST(Coverability, PositiveAndNegative) {
