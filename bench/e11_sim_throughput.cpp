@@ -139,7 +139,10 @@ BENCHMARK(BM_AgentArray_Unary)
 // unit as the agent-array arms. Only deterministic counters are
 // attached (bench_compare requires custom counters to be exact). The
 // shard workers run on other threads, so rates are taken over wall
-// clock (UseRealTime), not the main thread's CPU time.
+// clock (UseRealTime), not the main thread's CPU time. The arms carry
+// their own minimum time, which overrides --benchmark_min_time: at
+// 0.01 s a run is a handful of epochs and the rate measures cold
+// slices and worker start-up, not the steady-state kernel.
 void BM_Sharded_Unary(benchmark::State& state) {
   auto c = ppsc::core::unary_counting(8);
   auto table = ppsc::sim::PairRuleTable::build(c.protocol);
@@ -158,6 +161,7 @@ void BM_Sharded_Unary(benchmark::State& state) {
 }
 BENCHMARK(BM_Sharded_Unary)
     ->UseRealTime()
+    ->MinTime(0.2)
     ->Args({1000000, 8})
     ->Args({10000000, 1})
     ->Args({10000000, 2})

@@ -80,6 +80,20 @@
 // clamped to max(1, n/2), so every slice holds at least two agents and
 // can draw.
 //
+// Epoch barrier. At S > 1 the calling thread is worker 0 and the
+// spawned workers wait between epochs. run_epoch() releases them by
+// bumping an atomic epoch generation and collects them through an
+// atomic count of running workers. Both sides spin on those atomics
+// (a pause per probe, a yield every few hundred) for kSpinWindow
+// before parking on a condition variable, so a busy run crosses every
+// barrier without a futex wake-up and an idle simulator parks its
+// workers within milliseconds. Shutdown wakes spinners and parked
+// workers alike.
+//
+// Agent slots are 16 bits wide: PairRuleTable caps tables at
+// kMaxStates = 4096 states, so a slot fits any state, and the agent
+// array costs two bytes per agent.
+//
 // Silence is detected at epoch barriers from the exact summed census
 // (the enabled-ordered-pairs count); between barriers the shards run
 // free of any shared state. run(max_steps) stops each shard's batch
@@ -93,6 +107,7 @@
 #define PPSC_SIM_SHARDED_H
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
@@ -128,6 +143,13 @@ struct ShardedOptions {
 
 class ShardedSimulator {
  public:
+  // How long a waiting thread spins at the epoch barrier before it
+  // parks: about ten times the serial phase between epochs (exchange
+  // plus census refresh, about 0.4 ms at 2^24 agents and S = 8), so
+  // workers stay spinning through it. Shorter windows measured slower
+  // (docs/sim-sharding.md).
+  static constexpr std::chrono::microseconds kSpinWindow{4000};
+
   // The table must outlive the simulator. `initial` is a configuration
   // over the protocol's states.
   ShardedSimulator(const PairRuleTable& table, const core::Config& initial,
@@ -183,8 +205,13 @@ class ShardedSimulator {
   void publish_metrics() const;
 
  private:
+  // One agent's state; see "Agent slots" above.
+  using Slot = std::uint16_t;
+  static_assert(PairRuleTable::kMaxStates - 1 <= 0xffff,
+                "every table state must fit an agent slot");
+
   struct alignas(64) Shard {
-    std::uint32_t* base = nullptr;
+    Slot* base = nullptr;
     std::uint64_t size = 0;
     util::Xoshiro256 rng{0};
     core::Config counts;
@@ -209,7 +236,7 @@ class ShardedSimulator {
   void refresh_global();
 
   const PairRuleTable* table_;
-  std::vector<std::uint32_t> agents_;
+  std::vector<Slot> agents_;
   std::vector<Shard> shards_;
   util::Xoshiro256 exchange_rng_;
   std::uint64_t epoch_length_ = 0;
@@ -227,15 +254,17 @@ class ShardedSimulator {
   std::uint64_t prefetch_batches_ = 0;
   std::atomic<std::uint64_t> steals_{0};
 
-  // Epoch barrier: the main thread bumps epoch_gen_ and participates
-  // as worker 0; spawned workers park on cv_work_ between epochs.
+  // Epoch barrier (see the header comment): the main thread bumps
+  // epoch_gen_ and participates as worker 0; spawned workers spin, then
+  // park on cv_work_, between epochs. mu_ orders the parking paths
+  // against the stores that end a wait.
   std::vector<std::thread> threads_;
   std::mutex mu_;
   std::condition_variable cv_work_;
   std::condition_variable cv_done_;
-  std::uint64_t epoch_gen_ = 0;
-  unsigned running_ = 0;
-  bool shutdown_ = false;
+  std::atomic<std::uint64_t> epoch_gen_{0};
+  std::atomic<unsigned> running_{0};
+  std::atomic<bool> shutdown_{false};
   std::atomic<std::size_t> next_shard_{0};
 };
 

@@ -22,6 +22,36 @@ constexpr std::uint64_t kGroup = 64;
 constexpr std::uint64_t kMinEpoch = 64;
 constexpr std::uint64_t kMaxEpoch = 8192;
 
+// One spin-wait probe: tells the core this is a busy-wait loop, which
+// frees pipeline resources for a sibling hyperthread.
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+// Spins until done() holds or ShardedSimulator::kSpinWindow has
+// passed, and returns done(). The clock is read, and the thread
+// yields, only every kProbesPerYield probes, so a short wait costs a
+// few loads and pauses.
+template <typename Done>
+bool spin_until(const Done& done) {
+  constexpr unsigned kProbesPerYield = 256;
+  if (done()) return true;
+  const auto deadline =
+      std::chrono::steady_clock::now() + ShardedSimulator::kSpinWindow;
+  for (unsigned probe = 1;; ++probe) {
+    cpu_relax();
+    if (done()) return true;
+    if (probe % kProbesPerYield == 0) {
+      if (std::chrono::steady_clock::now() >= deadline) return false;
+      std::this_thread::yield();
+    }
+  }
+}
+
 }  // namespace
 
 ShardedSimulator::ShardedSimulator(const PairRuleTable& table,
@@ -62,7 +92,7 @@ ShardedSimulator::ShardedSimulator(const PairRuleTable& table,
 
   agents_.resize(n);
   shards_.resize(num_shards);
-  std::vector<std::uint32_t*> cursor(num_shards);
+  std::vector<Slot*> cursor(num_shards);
   {
     // Slice s holds positions {i : i mod S == s} of the state-major
     // agent order, made contiguous: sizes differ by at most one and
@@ -85,7 +115,7 @@ ShardedSimulator::ShardedSimulator(const PairRuleTable& table,
     for (std::size_t q = 0; q < initial.size(); ++q) {
       for (core::Count k = 0; k < initial[q]; ++k) {
         Shard& shard = shards_[dealt % num_shards];
-        *cursor[dealt % num_shards]++ = static_cast<std::uint32_t>(q);
+        *cursor[dealt % num_shards]++ = static_cast<Slot>(q);
         ++shard.counts[q];
         ++dealt;
       }
@@ -109,7 +139,7 @@ ShardedSimulator::ShardedSimulator(const PairRuleTable& table,
 ShardedSimulator::~ShardedSimulator() {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    shutdown_ = true;
+    shutdown_.store(true, std::memory_order_release);
   }
   cv_work_.notify_all();
   for (std::thread& t : threads_) t.join();
@@ -118,7 +148,7 @@ ShardedSimulator::~ShardedSimulator() {
 void ShardedSimulator::run_shard_batch(Shard& shard) {
   const std::uint64_t m = shard.size;
   if (m < 2) return;
-  std::uint32_t* const slice = shard.base;
+  Slot* const slice = shard.base;
   std::uint64_t pi[kGroup];
   std::uint64_t pj[kGroup];
   std::uint64_t remaining = epoch_length_;
@@ -148,8 +178,8 @@ void ShardedSimulator::run_shard_batch(Shard& shard) {
       --shard.counts[slice[pj[k]]];
       ++shard.counts[outcome->first];
       ++shard.counts[outcome->second];
-      slice[pi[k]] = outcome->first;
-      slice[pj[k]] = outcome->second;
+      slice[pi[k]] = static_cast<Slot>(outcome->first);
+      slice[pj[k]] = static_cast<Slot>(outcome->second);
       ++fired;
     }
     shard.productive += fired;
@@ -174,17 +204,23 @@ void ShardedSimulator::drain_shards(unsigned worker) {
 
 void ShardedSimulator::worker_loop(unsigned worker) {
   std::uint64_t seen = 0;
+  const auto released = [&] {
+    return shutdown_.load(std::memory_order_acquire) ||
+           epoch_gen_.load(std::memory_order_acquire) != seen;
+  };
   while (true) {
-    {
+    if (!spin_until(released)) {
       std::unique_lock<std::mutex> lock(mu_);
-      cv_work_.wait(lock, [&] { return shutdown_ || epoch_gen_ != seen; });
-      if (shutdown_) return;
-      seen = epoch_gen_;
+      cv_work_.wait(lock, released);
     }
+    if (shutdown_.load(std::memory_order_acquire)) return;
+    seen = epoch_gen_.load(std::memory_order_acquire);
     drain_shards(worker);
-    {
+    if (running_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      // The main thread may have parked; taking mu_ orders this
+      // notify after its predicate check.
       std::lock_guard<std::mutex> lock(mu_);
-      if (--running_ == 0) cv_done_.notify_one();
+      cv_done_.notify_one();
     }
   }
 }
@@ -195,8 +231,8 @@ void ShardedSimulator::exchange() {
       (static_cast<std::uint64_t>(num_shards) * epoch_length_) >>
       exchange_shift_;
   struct Swap {
-    std::uint32_t* a;
-    std::uint32_t* b;
+    Slot* a;
+    Slot* b;
     std::size_t s;
     std::size_t t;
   };
@@ -222,8 +258,8 @@ void ShardedSimulator::exchange() {
     }
     for (std::uint64_t k = 0; k < group; ++k) {
       const Swap& swap = plan[k];
-      const std::uint32_t qa = *swap.a;
-      const std::uint32_t qb = *swap.b;
+      const Slot qa = *swap.a;
+      const Slot qb = *swap.b;
       if (qa != qb) {
         *swap.a = qb;
         *swap.b = qa;
@@ -270,16 +306,23 @@ bool ShardedSimulator::run_epoch(std::uint64_t budget) {
   if (threads_.empty()) {
     for (Shard& shard : shards_) run_shard_batch(shard);
   } else {
+    running_.store(static_cast<unsigned>(threads_.size()),
+                   std::memory_order_relaxed);
     {
+      // Under mu_ so a worker between its predicate check and its park
+      // cannot miss the release; notify_all is a no-op while every
+      // worker is still spinning.
       std::lock_guard<std::mutex> lock(mu_);
-      ++epoch_gen_;
-      running_ = static_cast<unsigned>(threads_.size());
+      epoch_gen_.fetch_add(1, std::memory_order_release);
     }
     cv_work_.notify_all();
     drain_shards(0);
-    {
+    const auto drained = [&] {
+      return running_.load(std::memory_order_acquire) == 0;
+    };
+    if (!spin_until(drained)) {
       std::unique_lock<std::mutex> lock(mu_);
-      cv_done_.wait(lock, [&] { return running_ == 0; });
+      cv_done_.wait(lock, drained);
     }
   }
   if (shards_.size() > 1) exchange();

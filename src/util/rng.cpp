@@ -5,10 +5,6 @@ namespace util {
 
 namespace {
 
-std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
 // splitmix64, the recommended seeder for xoshiro.
 std::uint64_t splitmix(std::uint64_t& state) {
   std::uint64_t z = (state += 0x9e3779b97f4a7c15ull);
@@ -21,36 +17,6 @@ std::uint64_t splitmix(std::uint64_t& state) {
 
 Xoshiro256::Xoshiro256(std::uint64_t seed) {
   for (auto& word : state_) word = splitmix(seed);
-}
-
-std::uint64_t Xoshiro256::next() {
-  const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
-}
-
-std::uint64_t Xoshiro256::below(std::uint64_t bound) {
-  if (bound == 0) return 0;
-  // Lemire's multiply-shift with rejection.
-  while (true) {
-    const std::uint64_t x = next();
-    const unsigned __int128 product =
-        static_cast<unsigned __int128>(x) * bound;
-    const std::uint64_t low = static_cast<std::uint64_t>(product);
-    if (low >= (0ull - bound) % bound) {
-      return static_cast<std::uint64_t>(product >> 64);
-    }
-  }
-}
-
-double Xoshiro256::unit() {
-  return static_cast<double>(next() >> 11) * 0x1.0p-53;
 }
 
 namespace {

@@ -14,8 +14,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -240,9 +242,9 @@ TEST(ConcurrencyParallel, SweepRacesRegistryReaders) {
 // them. Maximal exchange pressure (shift 0: one transposition per
 // intra-shard draw) with short epochs (500-agent slices: K = R = 77,
 // the table's partner entries) keeps the barriers firing as often as
-// possible. Under TSan this proves the mutex/cv barrier orders every
-// slot write; under a plain build it is a determinism and
-// conservation test.
+// possible. Under TSan this proves the epoch barrier (atomic release
+// and collection, spinning then parking) orders every slot write;
+// under a plain build it is a determinism and conservation test.
 TEST(ConcurrencySharded, ExchangeRacesIntraShardBatches) {
   const ppsc::core::ConstructedProtocol cp = ppsc::core::unary_counting(4);
   const auto table = ppsc::sim::PairRuleTable::build(cp.protocol);
@@ -338,5 +340,89 @@ TEST(ConcurrencyObsOff, RegistriesAreInert) {
 }
 
 #endif  // PPSC_OBS_ENABLED
+
+// The sharded epoch barrier's wait paths. Workers spin for
+// ShardedSimulator::kSpinWindow after each epoch and park after it;
+// these tests drive both paths and shutdown from each, and hold every
+// observable to the one-worker chain.
+
+// A 4000-agent population in 8 slices: K = 77 draws per epoch, so
+// barriers come every few microseconds and the workers stay spinning.
+struct ShardedFixture {
+  ppsc::core::ConstructedProtocol cp = ppsc::core::unary_counting(4);
+  std::optional<ppsc::sim::PairRuleTable> table =
+      ppsc::sim::PairRuleTable::build(cp.protocol);
+  ppsc::core::Config initial = cp.protocol.initial_config({4000});
+
+  ppsc::sim::ShardedOptions options(unsigned workers) const {
+    ppsc::sim::ShardedOptions options;
+    options.shards = 8;
+    options.workers = workers;
+    return options;
+  }
+};
+
+void expect_same_chain(const ppsc::sim::ShardedSimulator& threaded,
+                       const ppsc::sim::ShardedSimulator& serial) {
+  EXPECT_EQ(threaded.census(), serial.census());
+  EXPECT_EQ(threaded.steps(), serial.steps());
+  EXPECT_EQ(threaded.interactions(), serial.interactions());
+  EXPECT_EQ(threaded.cross_swaps(), serial.cross_swaps());
+}
+
+// run(budget) crosses every barrier on the spin path. Budgets one step
+// apart end each epoch early (a shard stops at its first productive
+// draw), so the run crosses 761 barriers, and must continue the
+// one-worker chain through all of them.
+TEST(ConcurrencySharded, SpinningRunMatchesOneWorker) {
+  const ShardedFixture f;
+  ASSERT_TRUE(f.table.has_value());
+  ppsc::sim::ShardedSimulator threaded(*f.table, f.initial, 5, f.options(4));
+  ppsc::sim::ShardedSimulator serial(*f.table, f.initial, 5, f.options(1));
+  ASSERT_EQ(threaded.num_workers(), 4u);
+  for (std::uint64_t budget = 1; budget < 6000; ++budget) {
+    threaded.run(budget);
+    serial.run(budget);
+    ASSERT_EQ(threaded.steps(), serial.steps()) << "budget " << budget;
+  }
+  expect_same_chain(threaded, serial);
+  EXPECT_FALSE(threaded.silent());
+  EXPECT_EQ(threaded.epochs(), 761u);
+}
+
+// Destruction must wake workers wherever they wait: right after
+// start-up, mid-spin after a run, and parked after an idle pause.
+TEST(ConcurrencySharded, ShutdownWhileWorkersSpinOrPark) {
+  const ShardedFixture f;
+  ASSERT_TRUE(f.table.has_value());
+  ppsc::sim::ShardedSimulator serial(*f.table, f.initial, 9, f.options(1));
+  serial.run(3000);
+  for (int round = 0; round < 30; ++round) {
+    ppsc::sim::ShardedSimulator threaded(*f.table, f.initial, 9,
+                                         f.options(4));
+    if (round % 3 == 0) continue;  // shut down before the first epoch
+    threaded.run(3000);
+    expect_same_chain(threaded, serial);
+    if (round % 3 == 2) {
+      std::this_thread::sleep_for(2 * ppsc::sim::ShardedSimulator::kSpinWindow);
+    }
+  }
+}
+
+// A pause longer than the spin window between epochs sends every
+// worker, and the main thread's collection, through the park path.
+TEST(ConcurrencySharded, ParkedWorkersWakeForEveryEpoch) {
+  const ShardedFixture f;
+  ASSERT_TRUE(f.table.has_value());
+  ppsc::sim::ShardedSimulator threaded(*f.table, f.initial, 13, f.options(4));
+  ppsc::sim::ShardedSimulator serial(*f.table, f.initial, 13, f.options(1));
+  for (int e = 0; e < 12; ++e) {
+    std::this_thread::sleep_for(2 * ppsc::sim::ShardedSimulator::kSpinWindow);
+    threaded.epoch();
+    serial.epoch();
+  }
+  expect_same_chain(threaded, serial);
+  EXPECT_EQ(threaded.epochs(), 12u);
+}
 
 }  // namespace

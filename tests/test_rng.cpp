@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <set>
 
 #include "util/rng.h"
@@ -95,6 +96,55 @@ TEST(Rng, StreamStatisticalSmoke) {
     for (int b = 0; b < 8; ++b) {
       EXPECT_NEAR(buckets[b], samples / 8, 300) << "stream " << index;
     }
+  }
+}
+
+// Reference: Lemire's rejection in its always-modulo form, computing
+// the threshold 2^64 mod bound on every draw.
+std::uint64_t below_modulo_reference(Xoshiro256& rng, std::uint64_t bound) {
+  if (bound == 0) return 0;
+  while (true) {
+    const std::uint64_t x = rng.next();
+    const unsigned __int128 product =
+        static_cast<unsigned __int128>(x) * bound;
+    const std::uint64_t low = static_cast<std::uint64_t>(product);
+    if (low >= (0ull - bound) % bound) {
+      return static_cast<std::uint64_t>(product >> 64);
+    }
+  }
+}
+
+TEST(Rng, BelowMatchesModuloReference) {
+  // Same accept/reject decisions, hence the same output and the same
+  // generator position after every draw. The bounds past 2^63 reject
+  // up to half the draws, so the rejection loop runs often.
+  const std::uint64_t bounds[] = {0,
+                                  1,
+                                  2,
+                                  3,
+                                  63,
+                                  1000,
+                                  (1ull << 32) - 1,
+                                  (1ull << 32) + 1,
+                                  1ull << 63,
+                                  (1ull << 63) + 1,
+                                  ~0ull};
+  for (const std::uint64_t bound : bounds) {
+    Xoshiro256 fast(0xb0b);
+    Xoshiro256 reference(0xb0b);
+    for (int i = 0; i < 4096; ++i) {
+      ASSERT_EQ(fast.below(bound), below_modulo_reference(reference, bound))
+          << "bound " << bound << " draw " << i;
+    }
+    EXPECT_EQ(fast.next(), reference.next()) << "bound " << bound;
+  }
+  // Mixed bounds on one stream, as the simulators draw them.
+  Xoshiro256 fast(7);
+  Xoshiro256 reference(7);
+  for (int i = 0; i < 4096; ++i) {
+    const std::uint64_t bound = bounds[i % std::size(bounds)];
+    ASSERT_EQ(fast.below(bound), below_modulo_reference(reference, bound))
+        << "draw " << i;
   }
 }
 
