@@ -7,7 +7,8 @@
 // conservative nets); their convergence statistics must agree within
 // sampling noise while their throughput characteristics differ by
 // orders of magnitude. Part 1 forces each scheduler through
-// measure_convergence on identical protocols, populations and seeds;
+// measure_convergence on identical protocols, populations and seeds,
+// beside the default kAuto dispatch (kernel, then census handoff);
 // part 2 reports raw throughput in each scheduler's natural unit; part
 // 3 demonstrates the parallel sweep runner's determinism.
 
@@ -96,13 +97,19 @@ int main() {
   std::printf(
       "E15 part 1: convergence agreement across the schedulers\n\n");
   // Identical protocol, populations and seeds for every arm: only the
-  // forced scheduler differs, so the mean productive-step counts must
-  // agree within sampling noise and every converged run must reach the
+  // scheduler differs, so the mean productive-step counts must agree
+  // within sampling noise and every converged run must reach the
   // correct consensus. (The sharded arm uses 4 shards so each shard
-  // holds a non-trivial slice even at the small populations.)
+  // holds a non-trivial slice even at the small populations.) The
+  // kAuto arm starts on the one-shard kernel and hands the run to the
+  // census sampler once fewer than one draw in
+  // SchedulerPlan::kHandoffDivisor is productive; ns/step (wall time
+  // per productive step) shows the crossover that constant encodes:
+  // the kernel pays for every null draw of the slow tail, the census
+  // sampler a fixed cost per productive step.
   {
     ppsc::util::TablePrinter agreement(
-        {"scheduler", "population", "mean steps", "correct"});
+        {"scheduler", "population", "mean steps", "correct", "ns/step"});
     struct Arm {
       const char* name;
       ppsc::sim::SchedulerChoice scheduler;
@@ -113,19 +120,25 @@ int main() {
         {"sharded", ppsc::sim::SchedulerChoice::kSharded, 4},
         {"census", ppsc::sim::SchedulerChoice::kCensus, 0},
         {"count-based", ppsc::sim::SchedulerChoice::kCount, 0},
+        {"auto (handoff)", ppsc::sim::SchedulerChoice::kAuto, 0},
     };
     auto c = ppsc::core::unary_counting(6);
-    for (ppsc::core::Count population : {64, 256}) {
+    for (ppsc::core::Count population : {64, 256, 1024}) {
       for (const Arm& arm : arms) {
         ppsc::sim::RunOptions options;
         options.scheduler = arm.scheduler;
         options.shards = arm.shards;
+        const auto start = Clock::now();
         auto stats =
             ppsc::sim::measure_convergence(c, {population}, 8, options);
+        const std::chrono::duration<double> elapsed = Clock::now() - start;
         report.add_items(8);
-        agreement.add_row({arm.name, std::to_string(population),
-                           ppsc::util::format_double(stats.mean_steps, 5),
-                           std::to_string(stats.correct) + "/8"});
+        agreement.add_row(
+            {arm.name, std::to_string(population),
+             ppsc::util::format_double(stats.mean_steps, 5),
+             std::to_string(stats.correct) + "/8",
+             ppsc::util::format_double(
+                 1e9 * elapsed.count() / (8.0 * stats.mean_steps), 3)});
       }
     }
     agreement.print();

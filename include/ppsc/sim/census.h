@@ -52,9 +52,13 @@ class CensusSimulator {
 
   // The table is read only here. `initial` is a configuration
   // over the protocol's states; std::invalid_argument if its population
-  // exceeds kMaxPopulation.
+  // exceeds kMaxPopulation. The sampler draws from `rng`; the seed form
+  // is Xoshiro256(seed).
   CensusSimulator(const PairRuleTable& table, const core::Config& initial,
-                  std::uint64_t seed);
+                  util::Xoshiro256 rng);
+  CensusSimulator(const PairRuleTable& table, const core::Config& initial,
+                  std::uint64_t seed)
+      : CensusSimulator(table, initial, util::Xoshiro256(seed)) {}
 
   // Fires one productive interaction (the null draws between it and
   // the previous one are skipped analytically and accounted to

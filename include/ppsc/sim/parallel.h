@@ -9,9 +9,13 @@
 // the three scheduler paths (the agent-array kernel at S shards /
 // census / count) per sweep from RunOptions, the population and the
 // state count, degrading to the count scheduler whenever the protocol
-// does not compile to a pair table. Every path runs through one
-// driver: run(max_steps), then silent(), steps(), census() and
-// publish_metrics().
+// does not compile to a pair table. A kAuto run on the one-shard
+// kernel over a table of at most 64 states hands off to the census
+// sampler once its productive fraction collapses (SchedulerPlan::
+// handoff_pairs), so a run takes one of four paths: kernel, census,
+// count or handoff, each counted by its sim.dispatch.* counter. Every
+// path runs through one driver: run(max_steps), then silent(),
+// steps(), census() and publish_metrics().
 
 #ifndef PPSC_SIM_PARALLEL_H
 #define PPSC_SIM_PARALLEL_H
@@ -35,22 +39,47 @@ ConvergenceStats measure_convergence_parallel(
 
 // A resolved dispatch decision.
 struct SchedulerPlan {
+  // A kAuto run on the one-shard kernel hands off to the census
+  // sampler at the first epoch barrier where fewer than n(n-1) /
+  // kHandoffDivisor ordered pairs are enabled: once fewer than one
+  // draw in 16 would be productive. The kernel pays about 8.6 ns per
+  // draw, productive or not; the census sampler 100-330 ns per
+  // productive step, whatever the population, so they break even at
+  // productive fractions between 1/12 (Example 4.2) and 1/38
+  // (unary_counting(8)). On a 4-vCPU host, one thread, divisors
+  // 4 / 8 / 10 / 16 / 32 / 64 took 0.073 / 0.028 / 0.026 / 0.023 /
+  // 0.025 / 0.033 s on 150 unary_counting(8) runs at 1000 agents
+  // (kernel alone 1.46 s) and 0.89 / 0.84 / 0.84 / 0.99 / 1.58 /
+  // 1.43 s on 24 Example 4.2 runs (n = 32, x = 31, 400,000 steps;
+  // kernel alone 1.60 s); docs/sim-sharding.md has the rest. Decided
+  // from exact integers at a barrier, never from a clock.
+  static constexpr long long kHandoffDivisor = 16;
+
   // kSharded, kCensus or kCount; never kAuto.
   SchedulerChoice scheduler = SchedulerChoice::kCount;
   // Agent slices S of the kSharded kernel (before its max(1, n/2)
   // clamp); 0 on the census and count paths, which keep no agent
   // array.
   std::size_t shards = 0;
+  // The kernel stops at the first barrier with fewer enabled ordered
+  // pairs than this, ceil(n(n-1) / kHandoffDivisor), and the census
+  // sampler runs the rest of the budget from that barrier's census;
+  // 0 = never (forced schedulers, S > 1, tables of more than 64
+  // states).
+  long long handoff_pairs = 0;
 };
 
-// The scheduler and shard count the dispatch heuristic selects for one
-// run: resolves options.scheduler (kAuto picks census for small-state/
-// large-population runs and the agent-array kernel otherwise; every
-// table-based choice degrades to kCount when `has_table` is false),
-// then the kernel's S (options.shards when nonzero, else 1 below 2^22
-// agents and ShardedOptions::kDefaultShards at or above). Exposed so
-// the heuristic's thresholds are unit-testable; measure_convergence
-// routes every run through exactly this function.
+// The scheduler, shard count and handoff floor the dispatch heuristic
+// selects for one run: resolves options.scheduler (kAuto picks census
+// for small-state/large-population runs and the agent-array kernel
+// otherwise; every table-based choice degrades to kCount when
+// `has_table` is false), then the kernel's S (options.shards when
+// nonzero, else 1 below 2^22 agents and
+// ShardedOptions::kDefaultShards at or above), then the handoff floor
+// of a kAuto run on the one-shard kernel over a table the census
+// sampler accepts. Exposed so the heuristic's thresholds are
+// unit-testable; measure_convergence routes every run through exactly
+// this function.
 SchedulerPlan planned_scheduler(const RunOptions& options, bool has_table,
                                 std::size_t num_states,
                                 core::Count population);

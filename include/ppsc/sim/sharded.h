@@ -99,9 +99,11 @@
 // free of any shared state. run(max_steps) stops each shard's batch
 // once its productive steps in the epoch reach the remaining budget,
 // so one shard stops exactly at the budget and S shards overshoot it
-// by less than S*K. Per-shard counters (draws, productive, prefetch
-// batches) are plain local increments; publish_metrics() reports a
-// one-shard run as sim.agent.* and a multi-shard run as sim.shard.*.
+// by less than S*K; a pair floor stops it, too, at the first barrier
+// whose enabled-pairs count falls below the floor. Per-shard counters
+// (draws, productive, prefetch batches) are plain local increments;
+// publish_metrics() reports a one-shard run as sim.agent.* and a
+// multi-shard run as sim.shard.*.
 
 #ifndef PPSC_SIM_SHARDED_H
 #define PPSC_SIM_SHARDED_H
@@ -168,8 +170,12 @@ class ShardedSimulator {
   // Epochs until silent or steps() >= max_steps; returns steps(). Each
   // shard stops its batch once its productive steps in the epoch reach
   // the remaining budget, so one shard stops exactly at max_steps and
-  // S shards overshoot it by less than S * epoch_length().
-  std::uint64_t run(std::uint64_t max_steps);
+  // S shards overshoot it by less than S * epoch_length(). A nonzero
+  // `pair_floor` also stops the run at the first barrier (construction
+  // included) with fewer than `pair_floor` enabled ordered pairs: the
+  // point where kAuto hands a run to the census sampler
+  // (sim/parallel.h).
+  std::uint64_t run(std::uint64_t max_steps, long long pair_floor = 0);
 
   bool silent() const { return enabled_pairs_ == 0; }
   // Productive interactions so far (summed at the last barrier).

@@ -2,9 +2,11 @@
 // sim/scheduler.h: run_to_silence drives a CountSimulator (exact
 // silence detection for any conservative net), while
 // measure_convergence routes every run through the agent-array kernel
-// (or, for small state spaces and large populations, the census
-// sampler) whenever the protocol compiles to a PairRuleTable and falls
-// back to the count scheduler otherwise. Steps always count
+// or the census sampler whenever the protocol compiles to a
+// PairRuleTable (small state spaces: the census sampler from 2^16
+// agents, below that the kernel until most draws are null, then the
+// census sampler) and falls back to the count scheduler otherwise.
+// Steps always count
 // *productive* interactions -- for width-2 rules every scheduler
 // reproduces the classical uniform random-pair scheduler restricted to
 // productive interactions -- and a run is silent when no transition is
@@ -23,7 +25,9 @@ namespace ppsc {
 namespace sim {
 
 // Which scheduler drives a run. kAuto picks by population and state
-// count (see docs/sim-sharding.md for the heuristic); the explicit
+// count, and hands a small-population run from the kernel to the
+// census sampler once its productive fraction collapses (see
+// docs/sim-sharding.md for the heuristic); the explicit
 // values force a path. kSharded is the agent-array kernel at any shard
 // count S, one included. Paths that require a PairRuleTable (sharded,
 // census) fall back to the count scheduler when the protocol does not

@@ -18,8 +18,8 @@ static_assert(CensusSimulator::kMaxPopulation >
 
 CensusSimulator::CensusSimulator(const PairRuleTable& table,
                                  const core::Config& initial,
-                                 std::uint64_t seed)
-    : rng_(seed), counts_(initial) {
+                                 util::Xoshiro256 rng)
+    : rng_(rng), counts_(initial) {
   if (initial.size() != table.num_states()) {
     throw std::invalid_argument(
         "CensusSimulator: configuration dimension does not match table");

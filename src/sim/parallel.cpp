@@ -5,10 +5,12 @@
 #include <thread>
 #include <utility>
 
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/census.h"
 #include "sim/scheduler.h"
 #include "sim/sharded.h"
+#include "util/rng.h"
 
 namespace ppsc {
 namespace sim {
@@ -21,17 +23,37 @@ struct RunOutcome {
   OutputSummary output;
 };
 
-// The one run driver. Every scheduler exposes run(max_steps),
-// silent(), steps(), census() and publish_metrics().
+// The path a run took; each run adds 1 to one sim.dispatch.* counter.
+enum class Path { kKernel, kCensus, kCount, kHandoff };
+
+void publish_dispatch(Path path) {
+  obs::MetricRegistry& registry = obs::MetricRegistry::global();
+  if (!registry.enabled()) return;
+  switch (path) {
+    case Path::kKernel:
+      registry.add("sim.dispatch.kernel", 1);
+      break;
+    case Path::kCensus:
+      registry.add("sim.dispatch.census", 1);
+      break;
+    case Path::kCount:
+      registry.add("sim.dispatch.count", 1);
+      break;
+    case Path::kHandoff:
+      registry.add("sim.dispatch.handoff", 1);
+      break;
+  }
+}
+
+// The one run driver's tail, after run(max_steps): every scheduler
+// exposes silent(), census() and publish_metrics(); `steps` is the
+// run's productive step count.
 template <typename Simulator>
-RunOutcome drive(Simulator& simulator, const core::Protocol& protocol,
-                 std::uint64_t max_steps) {
-  simulator.run(max_steps);
+RunOutcome finish(const Simulator& simulator, const core::Protocol& protocol,
+                  std::uint64_t steps) {
   RunOutcome outcome;
   outcome.silent = simulator.silent();
-  // A multi-shard epoch can overshoot the budget; report at most the
-  // budget, like the paths that stop exactly.
-  outcome.steps = std::min(simulator.steps(), max_steps);
+  outcome.steps = steps;
   outcome.output = summarize_output(protocol, simulator.census());
   simulator.publish_metrics();
   return outcome;
@@ -43,27 +65,38 @@ SchedulerPlan planned_scheduler(const RunOptions& options, bool has_table,
                                 std::size_t num_states,
                                 core::Count population) {
   // Thresholds (rationale in docs/sim-sharding.md): the census path
-  // needs a small rule-cell table and enough agents that skipping null
-  // draws matters; sharding the agent array only pays once the array
-  // has fallen out of cache. All committed goldens and sweep benches
-  // run populations far below both cutoffs, so kAuto runs them on the
-  // one-shard kernel.
+  // needs a small rule-cell table; from 2^16 agents on it runs the
+  // whole of a kAuto run. Below that, kAuto starts on the one-shard
+  // kernel, which beats the census sampler while most draws are
+  // productive, and hands off to the sampler once the productive
+  // fraction falls below 1 / SchedulerPlan::kHandoffDivisor. Sharding
+  // the agent array only pays once the array has fallen out of cache.
   constexpr std::size_t kCensusMaxStates = 64;
   constexpr core::Count kCensusMinPopulation = 1 << 16;
   constexpr core::Count kShardMinPopulation = core::Count{1} << 22;
   if (!has_table) return {SchedulerChoice::kCount, 0};
   SchedulerChoice scheduler = options.scheduler;
+  const bool census_table = num_states <= kCensusMaxStates;
   if (scheduler == SchedulerChoice::kAuto) {
-    scheduler = num_states <= kCensusMaxStates &&
-                        population >= kCensusMinPopulation
+    scheduler = census_table && population >= kCensusMinPopulation
                     ? SchedulerChoice::kCensus
                     : SchedulerChoice::kSharded;
   }
   if (scheduler != SchedulerChoice::kSharded) return {scheduler, 0};
-  if (options.shards != 0) return {scheduler, options.shards};
-  return {scheduler, population >= kShardMinPopulation
-                         ? ShardedOptions::kDefaultShards
-                         : std::size_t{1}};
+  SchedulerPlan plan{scheduler, options.shards};
+  if (plan.shards == 0) {
+    plan.shards = population >= kShardMinPopulation
+                      ? ShardedOptions::kDefaultShards
+                      : std::size_t{1};
+  }
+  if (options.scheduler == SchedulerChoice::kAuto && plan.shards == 1 &&
+      census_table && population >= 2) {
+    // n < 2^16 here, so n(n-1) is exact.
+    plan.handoff_pairs =
+        (population * (population - 1) + SchedulerPlan::kHandoffDivisor - 1) /
+        SchedulerPlan::kHandoffDivisor;
+  }
+  return plan;
 }
 
 ConvergenceStats measure_convergence_parallel(
@@ -99,7 +132,9 @@ ConvergenceStats measure_convergence_parallel(
     obs::ScopedSpan span("sim.run", "sim");
     span.arg("seed", seed);
     RunOutcome& outcome = outcomes[r];
+    const std::uint64_t max_steps = options.max_steps;
     std::size_t shards = 0;  // 0: the census and count paths
+    Path path = Path::kCount;
     switch (plan.scheduler) {
       case SchedulerChoice::kSharded: {
         ShardedOptions sharded;
@@ -109,22 +144,45 @@ ConvergenceStats measure_convergence_parallel(
         // locality + prefetch batching, and the result is
         // worker-count-independent either way.
         if (workers > 1) sharded.workers = 1;
-        ShardedSimulator simulator(*table, initial, seed, sharded);
-        shards = simulator.num_shards();
-        outcome = drive(simulator, cp.protocol, options.max_steps);
+        ShardedSimulator kernel(*table, initial, seed, sharded);
+        shards = kernel.num_shards();
+        kernel.run(max_steps, plan.handoff_pairs);
+        if (kernel.silent() || kernel.steps() >= max_steps) {
+          path = Path::kKernel;
+          // A multi-shard epoch can overshoot the budget; report at
+          // most the budget, like the paths that stop exactly.
+          outcome = finish(kernel, cp.protocol,
+                           std::min(kernel.steps(), max_steps));
+          break;
+        }
+        // Stopped under the pair floor. The productive chain's law
+        // depends on the census alone (sim/sharded.h), so the census
+        // sampler continues it exactly from this barrier, on a stream
+        // disjoint from the kernel's shard streams 0..S-1, for the
+        // rest of the budget.
+        path = Path::kHandoff;
+        kernel.publish_metrics();
+        CensusSimulator census(*table, kernel.census(),
+                               util::Xoshiro256::stream(seed, shards));
+        census.run(max_steps - kernel.steps());
+        outcome = finish(census, cp.protocol, kernel.steps() + census.steps());
         break;
       }
       case SchedulerChoice::kCensus: {
+        path = Path::kCensus;
         CensusSimulator simulator(*table, initial, seed);
-        outcome = drive(simulator, cp.protocol, options.max_steps);
+        simulator.run(max_steps);
+        outcome = finish(simulator, cp.protocol, simulator.steps());
         break;
       }
       default: {
         CountSimulator simulator(cp.protocol, initial, seed);
-        outcome = drive(simulator, cp.protocol, options.max_steps);
+        simulator.run(max_steps);
+        outcome = finish(simulator, cp.protocol, simulator.steps());
         break;
       }
     }
+    publish_dispatch(path);
     span.arg("shards", shards);
     span.arg("steps", outcome.steps);
   };

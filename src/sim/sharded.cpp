@@ -330,8 +330,10 @@ bool ShardedSimulator::run_epoch(std::uint64_t budget) {
   return enabled_pairs_ != 0;
 }
 
-std::uint64_t ShardedSimulator::run(std::uint64_t max_steps) {
-  while (enabled_pairs_ != 0 && steps_ < max_steps) {
+std::uint64_t ShardedSimulator::run(std::uint64_t max_steps,
+                                    long long pair_floor) {
+  while (enabled_pairs_ != 0 && enabled_pairs_ >= pair_floor &&
+         steps_ < max_steps) {
     run_epoch(max_steps - steps_);
   }
   return steps_;

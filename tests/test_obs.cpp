@@ -13,7 +13,9 @@
 #include <cstdlib>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -319,6 +321,76 @@ TEST(ObsEngines, ParallelSweepSnapshotIsThreadCountInvariant) {
   EXPECT_EQ(serial.mean_steps, parallel.mean_steps);
   EXPECT_EQ(snap1, snap4);
   EXPECT_FALSE(snap1.find("sim.agent.runs") == std::string::npos);
+}
+
+TEST(ObsEngines, AutoRunHandsTheSlowTailToTheCensusSampler) {
+  // The performance cliff, pinned by counters instead of a clock:
+  // near silence almost every kernel draw of unary_counting(8) at
+  // 60,000 agents is null: on the kernel alone one run (seed 1000)
+  // took 4.07e9 draws for 110,133 productive steps, 32 s on a 4-vCPU
+  // host. kAuto must hand the run to the census sampler instead. The
+  // kernel part took 285,000-292,500 draws over seeds 0..199 (whole
+  // epochs of K = 7,500), so 10^6 leaves room for table or epoch
+  // changes while still failing on the cliff by three orders of
+  // magnitude.
+  MetricRegistry& registry = MetricRegistry::global();
+  registry.reset();
+  registry.set_enabled(true);
+  ppsc::sim::RunOptions options;
+  options.seed = 2026;
+  const auto stats = ppsc::sim::measure_convergence(
+      ppsc::core::unary_counting(8), {60000}, 1, options);
+  const MetricSnapshot snapshot = registry.snapshot();
+  registry.set_enabled(false);
+
+  EXPECT_EQ(stats.converged, 1u);
+  EXPECT_EQ(stats.correct, 1u);
+  EXPECT_EQ(snapshot.counters.at("sim.dispatch.handoff"), 1u);
+  EXPECT_EQ(snapshot.counters.count("sim.dispatch.kernel"), 0u);
+  EXPECT_LT(snapshot.counters.at("sim.agent.draws"), 1000000u);
+  // Both parts did productive work, and together they are the run.
+  const std::uint64_t kernel = snapshot.counters.at("sim.agent.productive");
+  const std::uint64_t census = snapshot.counters.at("sim.census.productive");
+  EXPECT_GT(kernel, 0u);
+  EXPECT_GT(census, 0u);
+  EXPECT_EQ(static_cast<double>(kernel + census), stats.mean_steps);
+}
+
+TEST(ObsEngines, DispatchCountersNameThePathOfEveryRun) {
+  // One sim.dispatch.* count per run, for the path the run took.
+  using ppsc::sim::SchedulerChoice;
+  MetricRegistry& registry = MetricRegistry::global();
+  const auto paths = [&](const ppsc::core::ConstructedProtocol& cp,
+                         SchedulerChoice scheduler) {
+    registry.reset();
+    registry.set_enabled(true);
+    ppsc::sim::RunOptions options;
+    options.scheduler = scheduler;
+    ppsc::sim::measure_convergence(cp, {40}, 3, options);
+    std::map<std::string, std::uint64_t> counts;
+    for (const auto& [name, value] : registry.snapshot().counters) {
+      if (name.rfind("sim.dispatch.", 0) == 0) counts[name] = value;
+    }
+    registry.set_enabled(false);
+    return counts;
+  };
+  using Counts = std::map<std::string, std::uint64_t>;
+  const auto unary = ppsc::core::unary_counting(3);
+  EXPECT_EQ(paths(unary, SchedulerChoice::kSharded),
+            (Counts{{"sim.dispatch.kernel", 3}}));
+  EXPECT_EQ(paths(unary, SchedulerChoice::kCensus),
+            (Counts{{"sim.dispatch.census", 3}}));
+  EXPECT_EQ(paths(unary, SchedulerChoice::kCount),
+            (Counts{{"sim.dispatch.count", 3}}));
+  // kAuto on a table-free protocol degrades to the count sampler.
+  EXPECT_EQ(paths(ppsc::core::destructive_unary_counting(3),
+                  SchedulerChoice::kAuto),
+            (Counts{{"sim.dispatch.count", 3}}));
+  // kAuto at 40 agents: every run ends on the kernel or hands off.
+  Counts automatic = paths(unary, SchedulerChoice::kAuto);
+  EXPECT_EQ(automatic["sim.dispatch.kernel"] +
+                automatic["sim.dispatch.handoff"],
+            3u);
 }
 
 TEST(ObsEngines, ExploreCollisionsDoNotDependOnTheRegistry) {

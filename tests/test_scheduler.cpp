@@ -854,6 +854,169 @@ TEST(DispatchHeuristic, PicksByPopulationAndStateCount) {
   forced.scheduler = SchedulerChoice::kCount;
   EXPECT_EQ(plan(forced, true, 5, core::Count{1} << 30),
             std::make_pair(SchedulerChoice::kCount, std::size_t{0}));
+
+  // The census handoff: only a kAuto run on the one-shard kernel over
+  // a table of at most 64 states gets a floor, ceil(n(n-1) / 16).
+  ASSERT_EQ(sim::SchedulerPlan::kHandoffDivisor, 16);
+  const auto floor = [](const sim::RunOptions& options, std::size_t states,
+                        core::Count population) {
+    return sim::planned_scheduler(options, true, states, population)
+        .handoff_pairs;
+  };
+  EXPECT_EQ(floor(automatic, 5, 100), 619);  // 9900 / 16 = 618.75
+  EXPECT_EQ(floor(automatic, 5, 17), 17);    // 272 / 16 = 17 exactly
+  EXPECT_EQ(floor(automatic, 64, (1 << 16) - 1), 268423169);
+  EXPECT_EQ(floor(automatic, 5, 2), 1);
+  EXPECT_EQ(floor(automatic, 5, 1), 0);
+  EXPECT_EQ(floor(automatic, 5, 0), 0);
+  EXPECT_EQ(floor(automatic, 65, 100), 0);      // no census table
+  EXPECT_EQ(floor(automatic, 5, 1 << 16), 0);   // census from the start
+  EXPECT_EQ(sim::planned_scheduler(automatic, false, 5, 100).handoff_pairs,
+            0);
+  sim::RunOptions auto_sharded;
+  auto_sharded.shards = 4;  // the kernel would overshoot the budget
+  EXPECT_EQ(floor(auto_sharded, 5, 100), 0);
+  auto_sharded.shards = 1;
+  EXPECT_EQ(floor(auto_sharded, 5, 100), 619);
+  forced = {};
+  forced.scheduler = SchedulerChoice::kSharded;
+  EXPECT_EQ(floor(forced, 5, 100), 0);
+  forced.scheduler = SchedulerChoice::kCensus;
+  EXPECT_EQ(floor(forced, 5, 100), 0);
+}
+
+// The kernel part of a kAuto run: the one-shard kernel on the run's
+// seed, stopped under the plan's pair floor. Returns true iff the run
+// hands off (stopped neither silent nor at the budget) after at least
+// one productive kernel step.
+bool hands_off_mid_run(const core::ConstructedProtocol& cp,
+                       const sim::PairRuleTable& table, core::Count input,
+                       std::uint64_t seed, std::uint64_t max_steps) {
+  const core::Config initial = cp.protocol.initial_config({input});
+  const sim::SchedulerPlan plan = sim::planned_scheduler(
+      {}, true, cp.protocol.num_states(),
+      core::Protocol::population(initial));
+  EXPECT_EQ(plan.shards, 1u);
+  EXPECT_GT(plan.handoff_pairs, 0);
+  sim::ShardedOptions options;
+  options.shards = 1;
+  sim::ShardedSimulator kernel(table, initial, seed, options);
+  kernel.run(max_steps, plan.handoff_pairs);
+  return !kernel.silent() && kernel.steps() < max_steps &&
+         kernel.steps() > 0;
+}
+
+TEST(ShardedSimulator, PairFloorStopsAtTheFirstBarrierBelowIt) {
+  // run(max, floor) is the epoch-by-epoch chain stopped at the first
+  // barrier (construction included) whose enabled-pairs count is below
+  // the floor.
+  const auto cp = core::unary_counting(4);
+  const auto table = sim::PairRuleTable::build(cp.protocol);
+  ASSERT_TRUE(table.has_value());
+  const core::Config initial = cp.protocol.initial_config({1000});
+  sim::ShardedOptions options;
+  options.shards = 1;
+  for (const long long floor : {1000LL, 20000LL, 999000LL, 999001LL}) {
+    sim::ShardedSimulator stopped(*table, initial, 31, options);
+    stopped.run(~std::uint64_t{0}, floor);
+    sim::ShardedSimulator stepped(*table, initial, 31, options);
+    while (stepped.enabled_pairs() >= floor && stepped.epoch()) {
+    }
+    EXPECT_EQ(stopped.epochs(), stepped.epochs()) << "floor " << floor;
+    EXPECT_EQ(stopped.census(), stepped.census()) << "floor " << floor;
+    EXPECT_EQ(stopped.interactions(), stepped.interactions());
+    EXPECT_LT(stopped.enabled_pairs(), floor);
+  }
+  // 1000 agents in state 1 enable all 999,000 ordered pairs: a floor
+  // of 999,000 lets the first epoch run, one pair more stops the run
+  // before it.
+  sim::ShardedSimulator at_start(*table, initial, 31, options);
+  EXPECT_EQ(at_start.run(~std::uint64_t{0}, 999001), 0u);
+  EXPECT_EQ(at_start.epochs(), 0u);
+}
+
+TEST(CensusHandoff, MeanStepsMatchTheExactOracle) {
+  // kAuto runs that start on the kernel and finish on the census
+  // sampler are still the exact productive-step chain, so their mean
+  // time to silence must match expected_interactions_to_silence within
+  // 4 standard errors, |mean - E| < 4 s / sqrt(kRuns), as in
+  // CensusSimulator.MeanStepsMatchTheExactOracle. The cases are
+  // chosen so most runs hand off mid-run: unary_counting(4) at 24
+  // agents (E ~ 37.16, a tolerance of about 0.3%, so a step lost or
+  // counted twice at the handoff fails) and Example 4.2 with 6 leaders
+  // at x = 5 (E ~ 352.7, about 4%).
+  constexpr std::size_t kRuns = 4000;
+  const auto check = [&](const core::ConstructedProtocol& cp,
+                         core::Count input) {
+    const sim::ExpectedTimeResult exact =
+        sim::expected_interactions_to_silence(cp.protocol, {input});
+    ASSERT_TRUE(exact.computed);
+    const auto table = sim::PairRuleTable::build(cp.protocol);
+    ASSERT_TRUE(table.has_value());
+    double sum = 0.0;
+    double sum_sq = 0.0;
+    std::size_t mid_run = 0;
+    for (std::size_t r = 0; r < kRuns; ++r) {
+      sim::RunOptions options;
+      options.seed = 9000 + r;
+      options.max_steps = ~std::uint64_t{0};
+      const sim::ConvergenceStats stats =
+          sim::measure_convergence(cp, {input}, 1, options);
+      ASSERT_EQ(stats.correct, 1u);
+      sum += stats.mean_steps;
+      sum_sq += stats.mean_steps * stats.mean_steps;
+      if (hands_off_mid_run(cp, *table, input, options.seed,
+                            options.max_steps)) {
+        ++mid_run;
+      }
+    }
+    EXPECT_GT(mid_run, kRuns / 2);
+    const double n = static_cast<double>(kRuns);
+    const double mean = sum / n;
+    const double sd = std::sqrt((sum_sq - sum * mean) / (n - 1.0));
+    EXPECT_NEAR(mean, exact.expected_steps, 4.0 * sd / std::sqrt(n));
+  };
+  check(core::unary_counting(4), 24);
+  check(core::example_4_2(6), 5);
+}
+
+TEST(CensusHandoff, StopsExactlyAtTheBudget) {
+  // Example 4.2 with 32 leaders at x = 31 hands off within its first
+  // few epochs and practically never falls silent: the census sampler
+  // runs the rest of the budget, and the run ends on it exactly.
+  const auto cp = core::example_4_2(32);
+  const auto table = sim::PairRuleTable::build(cp.protocol);
+  ASSERT_TRUE(table.has_value());
+  for (const std::uint64_t max : {1000u, 1001u, 4097u, 30000u}) {
+    sim::RunOptions options;
+    options.seed = 5;
+    options.max_steps = max;
+    ASSERT_TRUE(hands_off_mid_run(cp, *table, 31, options.seed, max))
+        << "budget " << max;
+    const sim::ConvergenceStats stats =
+        sim::measure_convergence(cp, {31}, 1, options);
+    EXPECT_EQ(stats.converged, 0u) << "budget " << max;
+    EXPECT_EQ(stats.max_steps_observed, static_cast<double>(max));
+  }
+}
+
+TEST(CensusHandoff, SweepsAreBitIdenticalAcrossThreadCounts) {
+  const auto check = [](const core::ConstructedProtocol& cp,
+                        core::Count input, std::uint64_t max_steps) {
+    sim::RunOptions options;
+    options.max_steps = max_steps;
+    const sim::ConvergenceStats one =
+        sim::measure_convergence_parallel(cp, {input}, 16, options, 1);
+    const sim::ConvergenceStats four =
+        sim::measure_convergence_parallel(cp, {input}, 16, options, 4);
+    EXPECT_EQ(one.converged, four.converged) << cp.family;
+    EXPECT_EQ(one.correct, four.correct) << cp.family;
+    EXPECT_EQ(one.mean_steps, four.mean_steps) << cp.family;
+    EXPECT_EQ(one.max_steps_observed, four.max_steps_observed) << cp.family;
+  };
+  check(core::unary_counting(8), 1000, 20000000);
+  check(core::example_4_2(6), 5, 20000000);
+  check(core::example_4_2(32), 31, 20000);
 }
 
 TEST(DispatchHeuristic, ForcedSchedulersAgreeOnOutcomes) {
