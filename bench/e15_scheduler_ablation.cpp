@@ -1,7 +1,7 @@
 // E15 — Ablation: the three interchangeable schedulers.
 //
 // The three schedulers (the agent-array kernel, at one shard and
-// sharded; the census Fenwick sampler; the count-based sampler)
+// sharded; the census row-sum sampler; the count-based sampler)
 // implement the same productive interaction distribution (uniform
 // random pair ≙ instantiation-weighted transition sampling on pairwise
 // conservative nets); their convergence statistics must agree within

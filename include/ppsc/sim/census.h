@@ -14,17 +14,23 @@
 // geometric with success probability W / (n(n-1)), sampled in O(1) and
 // reported through interactions().
 //
-// Sampling is exact integer arithmetic: the weights sit in a Fenwick
-// (binary-indexed) tree, and a productive step draws r = below(W) and
+// Sampling is exact integer arithmetic: cells are kept in a-major
+// order, grouped into one row per state a, and each row keeps the sum
+// of its cells' weights. A productive step draws r = below(W) and
 // fires the smallest cell whose weight prefix sum exceeds r, found by
-// one top-down descent. A zero-weight cell can never be drawn. Per
-// productive step the RNG supplies one unit() for the geometric skip
-// (only while some pair is null) and one below(W) for the cell.
+// scanning the row sums and then that row's cells. A zero-weight cell
+// can never be drawn. Per productive step the RNG supplies one unit()
+// for the geometric skip (only while some pair is null) and one
+// below(W) for the cell.
 //
-// Per productive step: O(changed cells * log R) work (R = number of
-// rule cells; the changed cells are those touching the <= 4 states
-// whose counts moved) -- entirely independent of the population, which
-// is what makes 10^9-agent populations free. Weights are exact 64-bit
+// Per productive step: O(1) work per changed cell (the cells touching
+// the <= 4 states whose counts moved; each moves its weight and its
+// row's sum) plus a scan over the rows and one row's cells, at most
+// states + R for R rule cells -- entirely independent of the
+// population, which is what makes 10^9-agent populations free. On the
+// tables the census path serves (<= 64 states) that scan is cheaper
+// than the log R updates of a Fenwick tree for each of the tens of
+// cells a step can change. Weights are exact 64-bit
 // integers (products c_a * c_b and the ordered-pair count n(n-1) stay
 // below 2^63 for populations up to kMaxPopulation ~ 3.04e9, the same
 // bound the agent-array kernel's enabled-pairs count lives under;
@@ -79,7 +85,7 @@ class CensusSimulator {
   std::uint64_t interactions() const { return interactions_; }
   // Analytically skipped null draws (subset of interactions()).
   std::uint64_t null_skipped() const { return null_skipped_; }
-  // Cell weights changed so far, one Fenwick-tree update each.
+  // Cell weights changed so far, one row-sum update each.
   std::uint64_t weight_updates() const { return weight_updates_; }
 
   const core::Config& census() const { return counts_; }
@@ -97,12 +103,19 @@ class CensusSimulator {
     std::uint32_t b = 0;       // a <= b
     std::uint32_t first = 0;   // successor of a
     std::uint32_t second = 0;  // successor of b
+    std::uint32_t row = 0;     // index into rows_
+  };
+  // The cells of one state a, which start at cells_[begin], and their
+  // summed weight.
+  struct Row {
+    long long sum = 0;
+    std::uint32_t begin = 0;
   };
 
   long long cell_weight(const Cell& cell) const;
-  // Fenwick-tree primitives over the cell weights (tree_ is 1-based).
-  void tree_add(std::size_t cell, long long delta);
-  std::uint32_t tree_find(long long r) const;
+  // The cell with the smallest weight prefix sum above r; needs
+  // 0 <= r < enabled_pairs_.
+  std::uint32_t find_cell(long long r) const;
 
   util::Xoshiro256 rng_;
   core::Config counts_;
@@ -112,11 +125,9 @@ class CensusSimulator {
   // cells_of_state_[q]: indices of cells with a == q or b == q.
   std::vector<std::vector<std::uint32_t>> cells_of_state_;
   std::vector<long long> weights_;
+  // One row per state with at least one cell, in a-major order.
+  std::vector<Row> rows_;
   long long enabled_pairs_ = 0;
-  // tree_[i] sums weights_ over (i - (i & -i), i]; tree_top_ is the
-  // largest power of two <= cells_.size() (0 without cells).
-  std::vector<long long> tree_;
-  std::size_t tree_top_ = 0;
 
   std::uint64_t steps_ = 0;
   std::uint64_t interactions_ = 0;

@@ -68,7 +68,9 @@
 // long_jump'd seed generator, so runs with equal (seed, shards) are
 // bit-identical regardless of worker count or OS scheduling -- workers
 // only decide *where* a shard's batch executes, never what it
-// computes.
+// computes. The tests pin that chain at S > 1 too, against a per-draw
+// loop that deals agents one at a time and runs each epoch's exchange
+// one swap at a time.
 //
 // Epoch length. K is derived, not configured: K = clamp(max(m/8, R),
 // 64, 8192) for the smallest slice size m and the table's partner-entry
@@ -89,6 +91,16 @@
 // barrier without a futex wake-up and an idle simulator parks its
 // workers within milliseconds. Shutdown wakes spinners and parked
 // workers alike.
+//
+// Exchange plan. An epoch's transpositions depend only on the exchange
+// stream and the fixed slice bases and sizes, never on agent states,
+// so the calling thread draws them into a flat plan right after it
+// releases the workers, before it claims shards of its own; work
+// stealing spreads that cost over the workers. The barrier then only
+// applies the plan, in order, so the chain is the one of drawing and
+// applying each swap in turn. Nobody else reads the plan, and the
+// slice placement it is drawn from is read-only, off the cache lines
+// the workers write.
 //
 // Agent slots are 16 bits wide: PairRuleTable caps tables at
 // kMaxStates = 4096 states, so a slot fits any state, and the agent
@@ -138,18 +150,21 @@ struct ShardedOptions {
   unsigned workers = 0;
   // Cross-shard transpositions per epoch = (shards * K) >> shift; the
   // default refreshes one slot per eight draw-touched slots --
-  // measured as the knee where weaker exchange stops buying throughput
-  // (each swap costs four RNG draws plus two far-cache accesses).
+  // measured as the knee where weaker exchange stops buying throughput.
+  // Each swap costs four RNG draws, overlapped with the epoch's draws,
+  // and two far-cache accesses in the serial apply at the barrier; the
+  // plan takes 24 bytes per swap.
   unsigned exchange_shift = 3;
 };
 
 class ShardedSimulator {
  public:
   // How long a waiting thread spins at the epoch barrier before it
-  // parks: about ten times the serial phase between epochs (exchange
-  // plus census refresh, about 0.4 ms at 2^24 agents and S = 8), so
-  // workers stay spinning through it. Shorter windows measured slower
-  // (docs/sim-sharding.md).
+  // parks: well over the serial phase between epochs (the exchange
+  // apply plus census refresh, about 0.15-0.20 ms at 2^24 agents and
+  // S = 8), so workers stay spinning through it, and short enough that
+  // an idle simulator parks its workers within milliseconds. Shorter
+  // windows measured slower (docs/sim-sharding.md).
   static constexpr std::chrono::microseconds kSpinWindow{4000};
 
   // The table must outlive the simulator. `initial` is a configuration
@@ -216,9 +231,9 @@ class ShardedSimulator {
   static_assert(PairRuleTable::kMaxStates - 1 <= 0xffff,
                 "every table state must fit an agent slot");
 
+  // A shard's mutable state, written by whichever worker runs its
+  // batch; each on its own cache lines.
   struct alignas(64) Shard {
-    Slot* base = nullptr;
-    std::uint64_t size = 0;
     util::Xoshiro256 rng{0};
     core::Config counts;
     std::uint64_t draws = 0;
@@ -226,17 +241,37 @@ class ShardedSimulator {
     std::uint64_t batches = 0;
   };
 
+  // Shard s's slice of the agent array, fixed at construction and
+  // read-only afterwards, kept apart from the Shard records so the plan
+  // draws never read a line a worker writes.
+  struct Slice {
+    Slot* base;
+    std::uint64_t size;
+  };
+
+  // One planned transposition: slot a of shard s with slot b of shard t.
+  struct Swap {
+    Slot* a;
+    Slot* b;
+    std::uint32_t s;
+    std::uint32_t t;
+  };
+
   static constexpr std::uint64_t kUnbounded = ~std::uint64_t{0};
 
   // One epoch in which each shard fires at most `budget` productive
   // steps; returns true iff not silent afterwards.
   bool run_epoch(std::uint64_t budget);
-  void run_shard_batch(Shard& shard);
+  void run_shard_batch(std::size_t s);
   // Claims shards off next_shard_ until the epoch's work is drained.
   void drain_shards(unsigned worker);
   void worker_loop(unsigned worker);
-  // X uniform cross-shard transpositions (serial, between barriers).
-  void exchange();
+  // Draws the epoch's X uniform cross-shard transpositions into plan_
+  // from exchange_rng_; reads no agent slot, so it runs while the
+  // shards draw.
+  void draw_plan();
+  // Applies plan_ in order (serial, at the barrier).
+  void apply_plan();
   // Re-derives counts_, enabled_pairs_ and the run totals from the
   // shards; serial, at every epoch barrier.
   void refresh_global();
@@ -244,6 +279,9 @@ class ShardedSimulator {
   const PairRuleTable* table_;
   std::vector<Slot> agents_;
   std::vector<Shard> shards_;
+  std::vector<Slice> slices_;
+  // The current epoch's transpositions; empty at S = 1.
+  std::vector<Swap> plan_;
   util::Xoshiro256 exchange_rng_;
   std::uint64_t epoch_length_ = 0;
   // Productive steps each shard may still fire in the current epoch;

@@ -36,6 +36,8 @@ CensusSimulator::CensusSimulator(const PairRuleTable& table,
   }
   cells_of_state_.assign(table.num_states(), {});
   for (std::uint32_t a = 0; a < table.num_states(); ++a) {
+    const std::uint32_t row = static_cast<std::uint32_t>(rows_.size());
+    const std::uint32_t begin = static_cast<std::uint32_t>(cells_.size());
     for (std::uint32_t b : table.partners(a)) {
       if (b < a) continue;  // (b, a) is the same interaction as (a, b)
       const PairRuleTable::Outcome* outcome = table.rule(a, b);
@@ -44,27 +46,20 @@ CensusSimulator::CensusSimulator(const PairRuleTable& table,
       cell.b = b;
       cell.first = outcome->first;
       cell.second = outcome->second;
+      cell.row = row;
       const std::uint32_t index = static_cast<std::uint32_t>(cells_.size());
       cells_.push_back(cell);
       cells_of_state_[a].push_back(index);
       if (b != a) cells_of_state_[b].push_back(index);
     }
+    if (cells_.size() != begin) rows_.push_back({0, begin});
   }
   weights_.assign(cells_.size(), 0);
   for (std::size_t i = 0; i < cells_.size(); ++i) {
     weights_[i] = cell_weight(cells_[i]);
+    rows_[cells_[i].row].sum += weights_[i];
     enabled_pairs_ += weights_[i];
   }
-  // Linear-time Fenwick build: each node adds its finished sum into
-  // its parent.
-  tree_.assign(cells_.size() + 1, 0);
-  for (std::size_t i = 1; i < tree_.size(); ++i) {
-    tree_[i] += weights_[i - 1];
-    const std::size_t parent = i + (i & (0 - i));
-    if (parent < tree_.size()) tree_[parent] += tree_[i];
-  }
-  tree_top_ = cells_.empty() ? 0 : 1;
-  while (tree_top_ * 2 <= cells_.size()) tree_top_ *= 2;
 }
 
 long long CensusSimulator::cell_weight(const Cell& cell) const {
@@ -72,25 +67,21 @@ long long CensusSimulator::cell_weight(const Cell& cell) const {
   return cell.a == cell.b ? ca * (ca - 1) : 2 * ca * counts_[cell.b];
 }
 
-void CensusSimulator::tree_add(std::size_t cell, long long delta) {
-  for (std::size_t i = cell + 1; i < tree_.size(); i += i & (0 - i)) {
-    tree_[i] += delta;
+std::uint32_t CensusSimulator::find_cell(long long r) const {
+  // The smallest cell whose weight prefix sum exceeds r: skip whole
+  // rows while r reaches past their sum, then cells of the row it
+  // lands in. A zero-weight row or cell never ends either scan.
+  const Row* row = rows_.data();
+  while (r >= row->sum) {
+    r -= row->sum;
+    ++row;
   }
-}
-
-std::uint32_t CensusSimulator::tree_find(long long r) const {
-  // Top-down descent: `pos` grows to the longest prefix of cells whose
-  // weight sum is <= r, so the cell after it is the smallest one whose
-  // prefix sum exceeds r. A zero-weight cell never ends that search.
-  std::size_t pos = 0;
-  for (std::size_t bit = tree_top_; bit != 0; bit >>= 1) {
-    const std::size_t next = pos + bit;
-    if (next < tree_.size() && tree_[next] <= r) {
-      pos = next;
-      r -= tree_[next];
-    }
+  std::uint32_t cell = row->begin;
+  while (r >= weights_[cell]) {
+    r -= weights_[cell];
+    ++cell;
   }
-  return static_cast<std::uint32_t>(pos);
+  return cell;
 }
 
 bool CensusSimulator::step() {
@@ -113,7 +104,7 @@ bool CensusSimulator::step() {
   }
   ++interactions_;
 
-  const Cell& cell = cells_[tree_find(static_cast<long long>(
+  const Cell& cell = cells_[find_cell(static_cast<long long>(
       rng_.below(static_cast<std::uint64_t>(enabled_pairs_))))];
   --counts_[cell.a];
   --counts_[cell.b];
@@ -137,7 +128,7 @@ bool CensusSimulator::step() {
         const long long delta = updated - weights_[index];
         enabled_pairs_ += delta;
         weights_[index] = updated;
-        tree_add(index, delta);
+        rows_[cells_[index].row].sum += delta;
         ++weight_updates_;
       }
     }

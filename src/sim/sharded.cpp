@@ -18,6 +18,11 @@ namespace {
 // time (pair k's application sees every earlier application).
 constexpr std::uint64_t kGroup = 64;
 
+// How many planned swaps ahead the exchange apply prefetches both
+// agent slots: enough far-cache misses in flight to cover their
+// latency.
+constexpr std::size_t kSwapLookahead = 16;
+
 // Bounds of the derived epoch length K (see sim/sharded.h).
 constexpr std::uint64_t kMinEpoch = 64;
 constexpr std::uint64_t kMaxEpoch = 8192;
@@ -92,34 +97,43 @@ ShardedSimulator::ShardedSimulator(const PairRuleTable& table,
 
   agents_.resize(n);
   shards_.resize(num_shards);
-  std::vector<Slot*> cursor(num_shards);
+  slices_.resize(num_shards);
   {
     // Slice s holds positions {i : i mod S == s} of the state-major
     // agent order, made contiguous: sizes differ by at most one and
     // every state's count stripes across the shards in floor/ceil
     // shares -- the proportional initial censuses the mixing argument
     // starts from. At S = 1 this is exactly the state-major fill.
+    std::vector<Slot*> cursor(num_shards);
     std::size_t offset = 0;
     for (std::size_t s = 0; s < num_shards; ++s) {
-      Shard& shard = shards_[s];
-      shard.size = n / num_shards + (s < n % num_shards ? 1 : 0);
-      shard.base = agents_.data() + offset;
-      cursor[s] = shard.base;
-      shard.counts.assign(initial.size(), 0);
-      shard.rng = util::Xoshiro256::stream(seed, s);
-      offset += static_cast<std::size_t>(shard.size);
+      const std::size_t size = n / num_shards + (s < n % num_shards ? 1 : 0);
+      slices_[s] = {agents_.data() + offset, size};
+      cursor[s] = slices_[s].base;
+      shards_[s].counts.assign(initial.size(), 0);
+      shards_[s].rng = util::Xoshiro256::stream(seed, s);
+      offset += size;
+    }
+    // State q occupies positions [begin, end) of that order, and slice
+    // s receives the (end + S-1-s)/S - (begin + S-1-s)/S of them that
+    // are congruent to s, one run per state and slice.
+    std::size_t begin = 0;
+    for (std::size_t q = 0; q < initial.size(); ++q) {
+      const std::size_t end = begin + static_cast<std::size_t>(initial[q]);
+      for (std::size_t s = 0; s < num_shards; ++s) {
+        const std::size_t lift = num_shards - 1 - s;
+        const std::size_t run =
+            (end + lift) / num_shards - (begin + lift) / num_shards;
+        cursor[s] = std::fill_n(cursor[s], run, static_cast<Slot>(q));
+        shards_[s].counts[q] += static_cast<core::Count>(run);
+      }
+      begin = end;
     }
   }
-  {
-    std::size_t dealt = 0;
-    for (std::size_t q = 0; q < initial.size(); ++q) {
-      for (core::Count k = 0; k < initial[q]; ++k) {
-        Shard& shard = shards_[dealt % num_shards];
-        *cursor[dealt % num_shards]++ = static_cast<Slot>(q);
-        ++shard.counts[q];
-        ++dealt;
-      }
-    }
+  if (num_shards > 1) {
+    plan_.resize(static_cast<std::size_t>(
+        (static_cast<std::uint64_t>(num_shards) * epoch_length_) >>
+        exchange_shift_));
   }
   refresh_global();
 
@@ -145,10 +159,11 @@ ShardedSimulator::~ShardedSimulator() {
   for (std::thread& t : threads_) t.join();
 }
 
-void ShardedSimulator::run_shard_batch(Shard& shard) {
-  const std::uint64_t m = shard.size;
+void ShardedSimulator::run_shard_batch(std::size_t s) {
+  Shard& shard = shards_[s];
+  const std::uint64_t m = slices_[s].size;
   if (m < 2) return;
-  Slot* const slice = shard.base;
+  Slot* const slice = slices_[s].base;
   std::uint64_t pi[kGroup];
   std::uint64_t pj[kGroup];
   std::uint64_t remaining = epoch_length_;
@@ -198,7 +213,7 @@ void ShardedSimulator::drain_shards(unsigned worker) {
     // Home assignment is round-robin; claiming someone else's shard is
     // the steal the sim.shard.steals counter reports.
     if (s % workers != worker) steals_.fetch_add(1, std::memory_order_relaxed);
-    run_shard_batch(shards_[s]);
+    run_shard_batch(s);
   }
 }
 
@@ -225,51 +240,39 @@ void ShardedSimulator::worker_loop(unsigned worker) {
   }
 }
 
-void ShardedSimulator::exchange() {
-  const std::size_t num_shards = shards_.size();
-  const std::uint64_t swaps =
-      (static_cast<std::uint64_t>(num_shards) * epoch_length_) >>
-      exchange_shift_;
-  struct Swap {
-    Slot* a;
-    Slot* b;
-    std::size_t s;
-    std::size_t t;
-  };
-  Swap plan[kGroup];
-  std::uint64_t remaining = swaps;
-  while (remaining > 0) {
-    const std::uint64_t group = std::min(remaining, kGroup);
-    for (std::uint64_t k = 0; k < group; ++k) {
-      const std::size_t s =
-          static_cast<std::size_t>(exchange_rng_.below(num_shards));
-      std::size_t t =
-          static_cast<std::size_t>(exchange_rng_.below(num_shards - 1));
-      if (t >= s) ++t;
-      const std::uint64_t i = exchange_rng_.below(shards_[s].size);
-      const std::uint64_t j = exchange_rng_.below(shards_[t].size);
-      Swap& swap = plan[k];
-      swap.a = shards_[s].base + i;
-      swap.b = shards_[t].base + j;
-      swap.s = s;
-      swap.t = t;
-      __builtin_prefetch(swap.a, 1);
-      __builtin_prefetch(swap.b, 1);
+void ShardedSimulator::draw_plan() {
+  const std::size_t num_shards = slices_.size();
+  for (Swap& swap : plan_) {
+    const std::size_t s =
+        static_cast<std::size_t>(exchange_rng_.below(num_shards));
+    std::size_t t =
+        static_cast<std::size_t>(exchange_rng_.below(num_shards - 1));
+    if (t >= s) ++t;
+    swap.a = slices_[s].base + exchange_rng_.below(slices_[s].size);
+    swap.b = slices_[t].base + exchange_rng_.below(slices_[t].size);
+    swap.s = static_cast<std::uint32_t>(s);
+    swap.t = static_cast<std::uint32_t>(t);
+  }
+}
+
+void ShardedSimulator::apply_plan() {
+  const std::size_t swaps = plan_.size();
+  for (std::size_t k = 0; k < swaps; ++k) {
+    if (k + kSwapLookahead < swaps) {
+      __builtin_prefetch(plan_[k + kSwapLookahead].a, 1);
+      __builtin_prefetch(plan_[k + kSwapLookahead].b, 1);
     }
-    for (std::uint64_t k = 0; k < group; ++k) {
-      const Swap& swap = plan[k];
-      const Slot qa = *swap.a;
-      const Slot qb = *swap.b;
-      if (qa != qb) {
-        *swap.a = qb;
-        *swap.b = qa;
-        --shards_[swap.s].counts[qa];
-        ++shards_[swap.s].counts[qb];
-        --shards_[swap.t].counts[qb];
-        ++shards_[swap.t].counts[qa];
-      }
+    const Swap& swap = plan_[k];
+    const Slot qa = *swap.a;
+    const Slot qb = *swap.b;
+    if (qa != qb) {
+      *swap.a = qb;
+      *swap.b = qa;
+      --shards_[swap.s].counts[qa];
+      ++shards_[swap.s].counts[qb];
+      --shards_[swap.t].counts[qb];
+      ++shards_[swap.t].counts[qa];
     }
-    remaining -= group;
   }
   cross_swaps_ += swaps;
 }
@@ -304,7 +307,8 @@ bool ShardedSimulator::run_epoch(std::uint64_t budget) {
   epoch_budget_ = budget;
   next_shard_.store(0, std::memory_order_relaxed);
   if (threads_.empty()) {
-    for (Shard& shard : shards_) run_shard_batch(shard);
+    draw_plan();
+    for (std::size_t s = 0; s < shards_.size(); ++s) run_shard_batch(s);
   } else {
     running_.store(static_cast<unsigned>(threads_.size()),
                    std::memory_order_relaxed);
@@ -316,6 +320,7 @@ bool ShardedSimulator::run_epoch(std::uint64_t budget) {
       epoch_gen_.fetch_add(1, std::memory_order_release);
     }
     cv_work_.notify_all();
+    draw_plan();
     drain_shards(0);
     const auto drained = [&] {
       return running_.load(std::memory_order_acquire) == 0;
@@ -325,7 +330,7 @@ bool ShardedSimulator::run_epoch(std::uint64_t budget) {
       cv_done_.wait(lock, drained);
     }
   }
-  if (shards_.size() > 1) exchange();
+  apply_plan();
   refresh_global();
   return enabled_pairs_ != 0;
 }

@@ -1,9 +1,11 @@
 // Scheduler architecture: pair-table compilation, scheduler
 // equivalence across the three schedulers (the agent-array kernel at
 // one and several shards, census, count) and a per-draw reference
-// loop, the kernel's exact budget stop and determinism contract, the
-// census sampler's exact law (chi-square and the exact expected-time
-// oracle), the dispatch heuristic, and the deterministic parallel
+// loop, the kernel matched draw for draw to per-draw references at one
+// and several shards, its exact budget stop and determinism contract,
+// the census sampler's exact law (chi-square and the exact
+// expected-time oracle) and its draw-for-draw match with a Fenwick-tree
+// sampler, the dispatch heuristic, and the deterministic parallel
 // sweep runner.
 
 #include <gtest/gtest.h>
@@ -92,6 +94,213 @@ struct ReferenceChain {
   std::vector<std::uint32_t> agents;
   std::uint64_t steps = 0;
   std::uint64_t draws = 0;
+};
+
+// The multi-shard kernel one draw at a time: agent k of the
+// state-major order is dealt to slice k mod S, shard s draws its K
+// pairs per epoch from Xoshiro256::stream(seed, s), and every epoch
+// ends with the serial cross-shard exchange, one swap at a time -- four
+// draws from the long_jump'd seed stream, then the swap. The reference
+// the S > 1 kernel must reproduce exactly, for any worker count.
+struct ShardedReference {
+  ShardedReference(const sim::PairRuleTable& rules, const core::Config& initial,
+                   std::uint64_t seed, std::size_t shards,
+                   std::uint64_t length, unsigned exchange_shift)
+      : table(&rules),
+        exchange_rng(seed),
+        census(initial),
+        slices(shards),
+        counts(shards, core::Config(initial.size(), 0)),
+        epoch_length(length),
+        swaps_per_epoch((shards * length) >> exchange_shift) {
+    exchange_rng.long_jump();
+    std::size_t dealt = 0;
+    for (std::size_t q = 0; q < initial.size(); ++q) {
+      for (core::Count k = 0; k < initial[q]; ++k, ++dealt) {
+        slices[dealt % shards].push_back(static_cast<std::uint32_t>(q));
+        ++counts[dealt % shards][q];
+      }
+    }
+    for (std::size_t s = 0; s < shards; ++s) {
+      rngs.push_back(ppsc::util::Xoshiro256::stream(seed, s));
+    }
+  }
+
+  bool silent() const { return brute_force_silent(*table, census); }
+
+  // K draws per shard, each shard stopping once it has fired `budget`
+  // productive steps, then the exchange.
+  void epoch(std::uint64_t budget) {
+    for (std::size_t s = 0; s < slices.size(); ++s) {
+      std::vector<std::uint32_t>& slice = slices[s];
+      const std::uint64_t m = slice.size();
+      std::uint64_t fired = 0;
+      for (std::uint64_t k = 0; k < epoch_length && fired < budget; ++k) {
+        const std::uint64_t i = rngs[s].below(m);
+        std::uint64_t j = rngs[s].below(m - 1);
+        if (j >= i) ++j;
+        ++draws;
+        const sim::PairRuleTable::Outcome* outcome =
+            table->rule(slice[i], slice[j]);
+        if (outcome == nullptr) continue;
+        --counts[s][slice[i]];
+        --counts[s][slice[j]];
+        ++counts[s][outcome->first];
+        ++counts[s][outcome->second];
+        slice[i] = outcome->first;
+        slice[j] = outcome->second;
+        ++fired;
+      }
+      steps += fired;
+    }
+    exchange();
+    std::fill(census.begin(), census.end(), 0);
+    for (const core::Config& shard_counts : counts) {
+      for (std::size_t q = 0; q < census.size(); ++q) {
+        census[q] += shard_counts[q];
+      }
+    }
+  }
+
+  void exchange() {
+    const std::size_t num_shards = slices.size();
+    for (std::uint64_t k = 0; k < swaps_per_epoch; ++k) {
+      const std::size_t s =
+          static_cast<std::size_t>(exchange_rng.below(num_shards));
+      std::size_t t =
+          static_cast<std::size_t>(exchange_rng.below(num_shards - 1));
+      if (t >= s) ++t;
+      const std::uint64_t i = exchange_rng.below(slices[s].size());
+      const std::uint64_t j = exchange_rng.below(slices[t].size());
+      const std::uint32_t qa = slices[s][i];
+      const std::uint32_t qb = slices[t][j];
+      if (qa != qb) {
+        slices[s][i] = qb;
+        slices[t][j] = qa;
+        --counts[s][qa];
+        ++counts[s][qb];
+        --counts[t][qb];
+        ++counts[t][qa];
+      }
+    }
+    cross_swaps += swaps_per_epoch;
+  }
+
+  // Epochs until silent or `max_steps` productive steps, as
+  // ShardedSimulator::run does.
+  void run(std::uint64_t max_steps) {
+    while (!silent() && steps < max_steps) epoch(max_steps - steps);
+  }
+
+  const sim::PairRuleTable* table;
+  ppsc::util::Xoshiro256 exchange_rng;
+  core::Config census;
+  std::vector<std::vector<std::uint32_t>> slices;
+  std::vector<core::Config> counts;
+  std::vector<ppsc::util::Xoshiro256> rngs;
+  std::uint64_t epoch_length;
+  std::uint64_t swaps_per_epoch;
+  std::uint64_t steps = 0;
+  std::uint64_t draws = 0;
+  std::uint64_t cross_swaps = 0;
+};
+
+// The census sampler on a Fenwick tree over the same a-major cells:
+// the same geometric null skip, and the cell found by a top-down
+// descent for the smallest weight prefix sum above r = below(W).
+// CensusSimulator must match it draw for draw. Weights are
+// recomputed over every cell after each step; only cells touching a
+// moved state can change, so the count of changed weights is the
+// sampler's weight_updates().
+struct FenwickCensusReference {
+  struct Cell {
+    std::uint32_t a, b, first, second;
+  };
+
+  FenwickCensusReference(const sim::PairRuleTable& table,
+                         const core::Config& initial, std::uint64_t seed)
+      : rng(seed), census(initial) {
+    for (const core::Count c : initial) population += c;
+    for (std::uint32_t a = 0; a < table.num_states(); ++a) {
+      for (std::uint32_t b : table.partners(a)) {
+        if (b < a) continue;
+        const sim::PairRuleTable::Outcome* outcome = table.rule(a, b);
+        cells.push_back({a, b, outcome->first, outcome->second});
+      }
+    }
+    weights.assign(cells.size(), 0);
+    tree.assign(cells.size() + 1, 0);
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      weights[i] = weight(cells[i]);
+      add(i, weights[i]);
+      total += weights[i];
+    }
+    while (top * 2 <= cells.size()) top *= 2;
+  }
+
+  long long weight(const Cell& cell) const {
+    const long long ca = census[cell.a];
+    return cell.a == cell.b ? ca * (ca - 1) : 2 * ca * census[cell.b];
+  }
+  void add(std::size_t cell, long long delta) {
+    for (std::size_t i = cell + 1; i < tree.size(); i += i & (0 - i)) {
+      tree[i] += delta;
+    }
+  }
+  std::size_t find(long long r) const {
+    std::size_t pos = 0;
+    for (std::size_t bit = top; bit != 0; bit >>= 1) {
+      const std::size_t next = pos + bit;
+      if (next < tree.size() && tree[next] <= r) {
+        pos = next;
+        r -= tree[next];
+      }
+    }
+    return pos;
+  }
+
+  bool step() {
+    if (total == 0) return false;
+    const long long ordered_pairs = population * (population - 1);
+    if (total < ordered_pairs) {
+      const double p =
+          static_cast<double>(total) / static_cast<double>(ordered_pairs);
+      const double u = rng.unit();
+      const double skipped = std::floor(std::log1p(-u) / std::log1p(-p));
+      interactions += skipped >= 0x1.0p62
+                          ? (1ull << 62)
+                          : static_cast<std::uint64_t>(skipped);
+    }
+    ++interactions;
+    const Cell& cell = cells[find(static_cast<long long>(
+        rng.below(static_cast<std::uint64_t>(total))))];
+    --census[cell.a];
+    --census[cell.b];
+    ++census[cell.first];
+    ++census[cell.second];
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      const long long updated = weight(cells[i]);
+      if (updated == weights[i]) continue;
+      add(i, updated - weights[i]);
+      total += updated - weights[i];
+      weights[i] = updated;
+      ++weight_updates;
+    }
+    ++steps;
+    return true;
+  }
+
+  ppsc::util::Xoshiro256 rng;
+  core::Config census;
+  core::Count population = 0;
+  std::vector<Cell> cells;
+  std::vector<long long> weights;
+  std::vector<long long> tree;  // 1-based Fenwick tree over weights
+  std::size_t top = 1;          // largest power of two <= cells.size()
+  long long total = 0;
+  std::uint64_t steps = 0;
+  std::uint64_t interactions = 0;
+  std::uint64_t weight_updates = 0;
 };
 
 struct DirectStats {
@@ -451,6 +660,98 @@ TEST(ShardedSimulator, OneShardRunStopsExactlyAtTheBudget) {
   EXPECT_EQ(kernel.steps(), reference.steps);
 }
 
+TEST(ShardedSimulator, MultiShardMatchesThePerDrawReferenceAtEveryBarrier) {
+  // The S > 1 contract: for every (seed, shards), whatever the worker
+  // count, the kernel's chain is the per-draw reference's -- the same
+  // deal, the same shard streams and the same exchange swaps -- so
+  // census, steps, draws and swaps match at every epoch barrier. 40
+  // agents at S = 8 and shift 0 leave slices of five agents, where
+  // one epoch's swaps hit most positions more than once.
+  struct Case {
+    core::ConstructedProtocol cp;
+    core::Count agents;
+    std::size_t shards;
+    unsigned shift;
+  };
+  std::vector<Case> cases;
+  for (const std::size_t shards : {2u, 3u, 8u}) {
+    for (const unsigned shift : {0u, 3u}) {
+      cases.push_back({core::unary_counting(4), 1000, shards, shift});
+      cases.push_back({core::threshold_belief(12), 701, shards, shift});
+    }
+  }
+  cases.push_back({core::unary_counting(4), 40, 8, 0});
+  for (const Case& c : cases) {
+    const auto table = sim::PairRuleTable::build(c.cp.protocol);
+    ASSERT_TRUE(table.has_value());
+    const core::Config initial = c.cp.protocol.initial_config({c.agents});
+    for (const unsigned workers : {1u, 4u}) {
+      SCOPED_TRACE(c.cp.family + " n=" + std::to_string(c.agents) +
+                   " S=" + std::to_string(c.shards) +
+                   " shift=" + std::to_string(c.shift) +
+                   " workers=" + std::to_string(workers));
+      sim::ShardedOptions options;
+      options.shards = c.shards;
+      options.workers = workers;
+      options.exchange_shift = c.shift;
+      sim::ShardedSimulator kernel(*table, initial, 31 + c.agents, options);
+      ASSERT_EQ(kernel.num_shards(), c.shards);
+      ShardedReference reference(*table, initial, 31 + c.agents, c.shards,
+                                 kernel.epoch_length(), c.shift);
+      ASSERT_EQ(kernel.census(), reference.census);
+      for (int e = 0; e < 400 && !kernel.silent(); ++e) {
+        kernel.epoch();
+        reference.epoch(~std::uint64_t{0});
+        ASSERT_EQ(kernel.census(), reference.census) << "epoch " << e;
+        ASSERT_EQ(kernel.steps(), reference.steps) << "epoch " << e;
+        ASSERT_EQ(kernel.interactions(), reference.draws) << "epoch " << e;
+        ASSERT_EQ(kernel.cross_swaps(), reference.cross_swaps)
+            << "epoch " << e;
+        ASSERT_EQ(kernel.silent(), reference.silent()) << "epoch " << e;
+      }
+      EXPECT_GT(kernel.cross_swaps(), 0u);
+    }
+  }
+}
+
+TEST(ShardedSimulator, MultiShardBudgetsResumeThePerDrawReference) {
+  // run(max) budgets that stop mid-epoch, each resumed by the next:
+  // every shard stops after the draw that fills its share of the
+  // budget, the exchange still runs, and the next run() continues the
+  // same chain as the reference's budgeted epochs.
+  const auto cp = core::unary_counting(4);
+  const auto table = sim::PairRuleTable::build(cp.protocol);
+  ASSERT_TRUE(table.has_value());
+  const core::Config initial = cp.protocol.initial_config({3000});
+  for (const unsigned workers : {1u, 4u}) {
+    for (const unsigned shift : {0u, 3u}) {
+      SCOPED_TRACE("workers=" + std::to_string(workers) +
+                   " shift=" + std::to_string(shift));
+      sim::ShardedOptions options;
+      options.shards = 3;
+      options.workers = workers;
+      options.exchange_shift = shift;
+      sim::ShardedSimulator kernel(*table, initial, 808, options);
+      ShardedReference reference(*table, initial, 808, 3,
+                                 kernel.epoch_length(), shift);
+      // The last budget runs both to silence (about 4,700 steps).
+      for (const std::uint64_t max :
+           {1u, 2u, 3u, 63u, 64u, 65u, 500u, 501u, 4000u, 100000u}) {
+        kernel.run(max);
+        reference.run(max);
+        ASSERT_TRUE(kernel.steps() >= max || kernel.silent())
+            << "budget " << max;
+        ASSERT_EQ(kernel.census(), reference.census) << "budget " << max;
+        ASSERT_EQ(kernel.steps(), reference.steps) << "budget " << max;
+        ASSERT_EQ(kernel.interactions(), reference.draws) << "budget " << max;
+        ASSERT_EQ(kernel.cross_swaps(), reference.cross_swaps)
+            << "budget " << max;
+      }
+      EXPECT_TRUE(kernel.silent());
+    }
+  }
+}
+
 TEST(ShardedSimulator, MultiShardRunOvershootsByLessThanShardsTimesEpoch) {
   const auto cp = core::unary_counting(4);
   const auto table = sim::PairRuleTable::build(cp.protocol);
@@ -722,6 +1023,44 @@ TEST(CensusSimulator, SamplesCellsWithExactWeights) {
     chi_square += diff * diff / expected;
   }
   EXPECT_LT(chi_square, 24.32);
+}
+
+TEST(CensusSimulator, MatchesAFenwickTreeSamplerDrawForDraw) {
+  // Scanning per-state row sums must pick the cell a Fenwick-tree
+  // descent picks for every r, so the chain, the skipped null draws
+  // and the weight-update count all match at every step -- on tables
+  // from 6 to 62 states, with null draws skipped throughout.
+  struct Case {
+    core::ConstructedProtocol cp;
+    std::vector<core::Count> input;
+  };
+  const Case cases[] = {{core::unary_counting(8), {3000}},
+                        {core::example_4_2(8), {7}},
+                        {core::example_4_2(8), {3000}},
+                        {core::threshold_belief(8), {3000}},
+                        {core::threshold_belief(62), {3000}}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.cp.family + " x=" + std::to_string(c.input[0]));
+    const auto table = sim::PairRuleTable::build(c.cp.protocol);
+    ASSERT_TRUE(table.has_value());
+    const core::Config initial = c.cp.protocol.initial_config(c.input);
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      sim::CensusSimulator census(*table, initial, seed);
+      FenwickCensusReference reference(*table, initial, seed);
+      for (int k = 0; k < 20000; ++k) {
+        const bool fired = census.step();
+        ASSERT_EQ(fired, reference.step()) << "step " << k;
+        if (!fired) break;
+        ASSERT_EQ(census.census(), reference.census) << "step " << k;
+        ASSERT_EQ(census.interactions(), reference.interactions)
+            << "step " << k;
+        ASSERT_EQ(census.weight_updates(), reference.weight_updates)
+            << "step " << k;
+        ASSERT_EQ(census.enabled_pairs(), reference.total) << "step " << k;
+      }
+      EXPECT_GT(census.steps(), 0u);
+    }
+  }
 }
 
 TEST(CensusSimulator, SoleEnabledCellAlwaysFires) {
