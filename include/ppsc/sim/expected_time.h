@@ -11,7 +11,11 @@
 // otherwise. The system is solved per SCC of petri::explore's
 // reachability graph in reverse-topological order -- most protocol
 // chains are progress-measured DAGs with small cyclic pockets, so the
-// dense Gaussian elimination only ever sees the pockets.
+// dense Gaussian elimination only ever sees the pockets. A one-node
+// SCC is solved in closed form, E = (1 + sum_{j != i} p_ij E_j) /
+// (1 - p_ii), with the elimination's own sums, singularity test and
+// division for a 1x1 block, so its E and the pivot count are the ones
+// the elimination would give.
 //
 // Numerics: long-double Gaussian elimination with partial pivoting;
 // a pivot below 1e-12 of the column scale marks the system singular
@@ -33,6 +37,8 @@
 #include <vector>
 
 #include "core/protocol.h"
+#include "petri/config.h"
+#include "petri/petri_net.h"
 
 namespace ppsc {
 namespace sim {
@@ -64,6 +70,14 @@ struct ExpectedTimeResult {
 // exploring at most `max_configs` configurations.
 ExpectedTimeResult expected_interactions_to_silence(
     const core::Protocol& protocol, const std::vector<core::Count>& input,
+    std::size_t max_configs = 200000);
+
+// The same on any net from `initial`; the form above reads
+// protocol.net() and protocol.initial_config(input). Unlike a
+// protocol's, a bare net may hold identity transitions, whose edges
+// are self-loops of the chain.
+ExpectedTimeResult expected_interactions_to_silence(
+    const petri::PetriNet& net, const petri::Config& initial,
     std::size_t max_configs = 200000);
 
 }  // namespace sim

@@ -4,8 +4,11 @@
 // like the serial measure_convergence always has, and stores each
 // run's outcome at its run index before aggregating in index order --
 // so the statistics are bit-identical for 1 thread and N threads, and
-// independent of how the OS interleaves the workers. Worker threads
-// share one immutable PairRuleTable: planned_scheduler picks one of
+// independent of how the OS interleaves the workers. The runs execute
+// on util::parallel_for's persistent pool, the calling thread
+// included; a sweep starts no thread of its own, so traced sweeps
+// register a bounded number of trace rings. The threads share one
+// immutable PairRuleTable: planned_scheduler picks one of
 // the three scheduler paths (the agent-array kernel at S shards /
 // census / count) per sweep from RunOptions, the population and the
 // state count, degrading to the count scheduler whenever the protocol
@@ -13,7 +16,9 @@
 // kernel over a table of at most 64 states hands off to the census
 // sampler once its productive fraction collapses (SchedulerPlan::
 // handoff_pairs), so a run takes one of four paths: kernel, census,
-// count or handoff, each counted by its sim.dispatch.* counter. Every
+// count or handoff, each counted by its sim.dispatch.* counter; a
+// census already under the floor starts on the census sampler, with
+// the chain and counters of a kernel that stops at construction. Every
 // path runs through one driver: run(max_steps), then silent(),
 // steps(), census() and publish_metrics().
 
@@ -29,8 +34,9 @@
 namespace ppsc {
 namespace sim {
 
-// Runs `runs` independent simulations across `num_threads` worker
-// threads (0 = one per hardware thread, capped at the run count) and
+// Runs `runs` independent simulations on up to `num_threads` threads
+// of util::parallel_for's pool, the caller included (0 = all of them;
+// never more than util::parallel_width() or the run count), and
 // aggregates their convergence statistics in run-index order.
 ConvergenceStats measure_convergence_parallel(
     const core::ConstructedProtocol& cp, const std::vector<core::Count>& input,

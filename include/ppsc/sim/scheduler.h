@@ -89,6 +89,12 @@ class PairRuleTable {
     return partners_[a];
   }
 
+  // Ordered pairs of distinct agents whose states have a rule, in a
+  // population with census `counts`; 0 iff the census is silent. The
+  // agent-array kernel's silence test and the kAuto handoff floor
+  // (sim/parallel.h) read this.
+  long long enabled_pairs(const core::Config& counts) const;
+
  private:
   std::size_t num_states_ = 0;
   std::vector<Outcome> cells_;  // num_states^2, row-major

@@ -1,0 +1,50 @@
+// One process-wide ordered parallel-for: the thread layer under the
+// input odometers (verify::check_up_to, check_well_specification_up_to)
+// and the convergence sweeps (sim::measure_convergence_parallel).
+//
+// Thread model:
+//
+//  * A persistent pool of hardware_concurrency() - 1 workers, started
+//    on the first call that can use more than one thread and joined at
+//    exit. The calling thread takes part, so a call runs on at most
+//    hardware_concurrency() threads, and the number of threads (and of
+//    obs trace rings) a process ever creates stays bounded.
+//  * Idle workers park on a condition variable and never spin: a
+//    parked pool takes no core from the sharded kernel's own spinning
+//    workers (sim/sharded.h).
+//  * Workers claim the lowest unclaimed index and the caller the
+//    highest, so a caller whose indices grow in cost (the odometers'
+//    populations) keeps the largest items on its own thread. Callers
+//    write results into per-index slots and read them back in index
+//    order, so the answer is the same for 1 and N threads, bit for bit.
+//  * Runs inline, on the calling thread alone, when max_threads is 1,
+//    when count < 2, when called from inside a pool task (a nested
+//    call cannot deadlock on a pool it occupies), and when another
+//    thread's call holds the pool.
+//  * Exceptions: if some body(i) throws, the lowest-index exception is
+//    rethrown once every claimed index has finished -- the exception a
+//    serial loop in index order would throw. Indices above the lowest
+//    failing index claimed so far are not started.
+
+#ifndef PPSC_UTIL_PARALLEL_H
+#define PPSC_UTIL_PARALLEL_H
+
+#include <cstddef>
+#include <functional>
+
+namespace ppsc {
+namespace util {
+
+// Threads a call may run on: the pool's workers plus the caller.
+unsigned parallel_width();
+
+// Calls body(i) once for every i in [0, count), on the calling thread
+// and up to max_threads - 1 pool workers (0 = parallel_width()).
+void parallel_for(std::size_t count,
+                  const std::function<void(std::size_t)>& body,
+                  unsigned max_threads = 0);
+
+}  // namespace util
+}  // namespace ppsc
+
+#endif  // PPSC_UTIL_PARALLEL_H

@@ -9,18 +9,22 @@
 //
 // check_up_to materializes the full reachability graph for every input
 // vector in [0, bound]^arity and checks exactly that condition, so a
-// "verified" verdict is a machine-checked proof for those inputs.
+// "verified" verdict is a machine-checked proof for those inputs. The
+// inputs are checked in parallel (map_points below); the verdicts come
+// back in odometer order, the same for any thread count.
 
 #ifndef PPSC_VERIFY_STABLE_H
 #define PPSC_VERIFY_STABLE_H
 
 #include <cstddef>
+#include <exception>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/protocol.h"
 #include "petri/reachability.h"
+#include "util/parallel.h"
 
 namespace ppsc {
 namespace verify {
@@ -100,6 +104,52 @@ void for_each_point(std::size_t dimension, core::Count bound, Visit visit) {
     if (dim == dimension) return;
     ++point[dim];
   }
+}
+
+// check_up_to's and check_well_specification_up_to's sweep: visit(point)
+// for every point of [0, bound]^dimension, returned in for_each_point's
+// order; Result carries the point's reachable_configs. Points run from
+// the last one (the largest population) down, alone on the calling
+// thread, until a point's graph holds at least half as many configs as
+// the one before it; the points below it then run through
+// util::parallel_for. The largest graph thus never overlaps another
+// one, and while graphs shrink by more than half per point the points
+// left hold fewer configs than the one just explored, so the pool
+// would gain little and its workers' allocator arenas would keep the
+// pages of mid-size graphs (docs/verification.md has the peak-RSS
+// measurements). If visits throw, the lowest-index exception is
+// rethrown: the one the serial loop would throw.
+template <typename Result, typename Visit>
+std::vector<Result> map_points(std::size_t dimension, core::Count bound,
+                               Visit visit) {
+  std::vector<std::vector<core::Count>> points;
+  for_each_point<std::vector<core::Count>>(
+      dimension, bound, [&points](const std::vector<core::Count>& point) {
+        points.push_back(point);
+        return true;
+      });
+  std::vector<Result> results(points.size());
+  std::size_t rest = points.size();  // points [0, rest) are left
+  std::size_t above = 0;             // configs of the point above
+  std::exception_ptr error;
+  while (rest > 0) {
+    --rest;
+    try {
+      results[rest] = visit(points[rest]);
+    } catch (...) {
+      error = std::current_exception();
+      break;
+    }
+    const std::size_t configs = results[rest].reachable_configs;
+    if (above > 0 && 2 * configs >= above) break;
+    above = configs;
+  }
+  // parallel_for's exception, if any, comes from below every point run
+  // alone, so it is the lower one.
+  util::parallel_for(
+      rest, [&](std::size_t i) { results[i] = visit(points[i]); });
+  if (error) std::rethrow_exception(error);
+  return results;
 }
 
 }  // namespace verify

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <cstdint>
-#include <optional>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -84,6 +83,14 @@ bool solve_dense(std::vector<std::vector<long double>>& a,
 ExpectedTimeResult expected_interactions_to_silence(
     const core::Protocol& protocol, const std::vector<core::Count>& input,
     std::size_t max_configs) {
+  return expected_interactions_to_silence(
+      protocol.net(), petri::Config(protocol.initial_config(input)),
+      max_configs);
+}
+
+ExpectedTimeResult expected_interactions_to_silence(
+    const petri::PetriNet& net, const petri::Config& initial,
+    std::size_t max_configs) {
   obs::ScopedSpan span("expected_time", "sim");
   ExpectedTimeResult result;
   // Every exit path reports the same summary counters; the lambda
@@ -101,11 +108,9 @@ ExpectedTimeResult expected_interactions_to_silence(
       registry.record("expected_time.largest_scc", result.largest_scc);
     }
   };
-  const petri::PetriNet& net = protocol.net();
   petri::ExploreLimits limits;
   limits.max_nodes = max_configs;
-  const petri::ReachabilityGraph graph =
-      petri::explore(net, {protocol.initial_config(input)}, limits);
+  const petri::ReachabilityGraph graph = petri::explore(net, {initial}, limits);
   result.reachable_configs = graph.size();
   if (graph.truncated) {
     result.truncated = true;
@@ -139,14 +144,22 @@ ExpectedTimeResult expected_interactions_to_silence(
     obs::ScopedSpan scc_span("expected_time.scc", "sim");
     return petri::scc_decompose(graph);
   }();
-  std::vector<std::vector<std::size_t>> members(scc.count);
-  for (std::size_t i = 0; i < n; ++i) {
-    members[scc.component[i]].push_back(i);
+  // Component members, CSR: component c's nodes, ascending, are
+  // member[member_begin[c], member_begin[c + 1]).
+  std::vector<std::size_t> member_begin(scc.count + 1, 0);
+  for (std::size_t i = 0; i < n; ++i) ++member_begin[scc.component[i] + 1];
+  for (std::size_t c = 0; c < scc.count; ++c) {
+    member_begin[c + 1] += member_begin[c];
+    result.largest_scc =
+        std::max(result.largest_scc, member_begin[c + 1] - member_begin[c]);
+  }
+  std::vector<std::size_t> member(n);
+  {
+    std::vector<std::size_t> cursor(member_begin.begin(),
+                                    member_begin.end() - 1);
+    for (std::size_t i = 0; i < n; ++i) member[cursor[scc.component[i]]++] = i;
   }
   result.sccs = scc.count;
-  for (const auto& component : members) {
-    result.largest_scc = std::max(result.largest_scc, component.size());
-  }
 
   // Tarjan numbers components in reverse topological order: every edge
   // leaving component c lands in a component with a smaller id, so a
@@ -154,24 +167,44 @@ ExpectedTimeResult expected_interactions_to_silence(
   std::vector<long double> expected(n, 0.0L);
   std::vector<std::size_t> local(n, 0);
   for (std::size_t c = 0; c < scc.count; ++c) {
-    const std::vector<std::size_t>& nodes = members[c];
-    if (nodes.size() == 1 && graph.out_edges(nodes[0]).empty()) {
+    const std::size_t* nodes = member.data() + member_begin[c];
+    const std::size_t m = member_begin[c + 1] - member_begin[c];
+    if (m == 1 && graph.out_edges(nodes[0]).empty()) {
       expected[nodes[0]] = 0.0L;  // silent, absorbing
       continue;
     }
-    const std::size_t m = nodes.size();
     if (m > kMaxDenseComponent) {
       publish();
       return result;
     }
-    // Solve spans only for nontrivial blocks: a chain can have tens of
-    // thousands of singleton SCCs, and their "solves" are a few adds.
-    std::optional<obs::ScopedSpan> solve_span;
-    if (m >= 2) {
-      solve_span.emplace("expected_time.solve", "sim");
-      solve_span->arg("scc_size", m);
-    }
     result.pivots += m;
+    if (m == 1) {
+      // solve_dense's arithmetic for a 1x1 block, in closed form: the
+      // same sums in edge order, the same singularity test, the same
+      // division, so E is bit-identical.
+      const std::size_t i = nodes[0];
+      long double a = 1.0L;
+      long double b = 1.0L;
+      for (std::size_t e = graph.edge_begin[i]; e < graph.edge_begin[i + 1];
+           ++e) {
+        const std::size_t j = graph.edges[e].target;
+        if (j == i) {
+          a -= edge_probability[e];
+        } else {
+          b += edge_probability[e] * expected[j];
+        }
+      }
+      if (std::abs(a) <= 1e-12L * std::max(1.0L, std::abs(a))) {
+        publish();
+        return result;
+      }
+      expected[i] = b / a;
+      continue;
+    }
+    // One span per block of two or more nodes; the singletons above
+    // take none (a chain can have tens of thousands of them).
+    obs::ScopedSpan solve_span("expected_time.solve", "sim");
+    solve_span.arg("scc_size", m);
     for (std::size_t li = 0; li < m; ++li) local[nodes[li]] = li;
     // Row li: E_i - sum_{j in C} p_ij E_j = 1 + sum_{j notin C} p_ij E_j.
     std::vector<std::vector<long double>> a(m,

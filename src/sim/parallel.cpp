@@ -1,8 +1,6 @@
 #include "sim/parallel.h"
 
 #include <algorithm>
-#include <atomic>
-#include <thread>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -10,6 +8,7 @@
 #include "sim/census.h"
 #include "sim/scheduler.h"
 #include "sim/sharded.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace ppsc {
@@ -43,6 +42,16 @@ void publish_dispatch(Path path) {
       registry.add("sim.dispatch.handoff", 1);
       break;
   }
+}
+
+// What a one-shard kernel run that stops at its construction barrier
+// publishes (ShardedSimulator::publish_metrics): one run, no draws.
+void publish_undrawn_kernel_run() {
+  obs::MetricRegistry& registry = obs::MetricRegistry::global();
+  if (!registry.enabled()) return;
+  registry.add("sim.agent.runs", 1);
+  registry.add("sim.agent.draws", 0);
+  registry.add("sim.agent.productive", 0);
 }
 
 // The one run driver's tail, after run(max_steps): every scheduler
@@ -115,13 +124,20 @@ ConvergenceStats measure_convergence_parallel(
   const SchedulerPlan plan = planned_scheduler(
       options, table.has_value(), cp.protocol.num_states(), population);
 
-  unsigned workers = num_threads;
-  if (workers == 0) {
-    workers = std::thread::hardware_concurrency();
-    if (workers == 0) workers = 1;
-  }
-  workers = static_cast<unsigned>(
-      std::min<std::size_t>(workers, std::max<std::size_t>(runs, 1)));
+  // Threads the sweep may run on: the pool's cap, the request and the
+  // run count.
+  const unsigned workers = static_cast<unsigned>(std::min<std::size_t>(
+      {num_threads == 0 ? util::parallel_width() : num_threads,
+       util::parallel_width(), std::max<std::size_t>(runs, 1)}));
+
+  // A kAuto census already under the handoff floor: the kernel would
+  // stop at its construction barrier with nothing drawn, so every run
+  // starts on the census sampler and no agent array is built.
+  const bool census_from_start = [&] {
+    if (plan.handoff_pairs == 0 || options.max_steps == 0) return false;
+    const long long pairs = table->enabled_pairs(initial);
+    return pairs > 0 && pairs < plan.handoff_pairs;
+  }();
 
   std::vector<RunOutcome> outcomes(runs);
   const auto run_one = [&, plan, workers](std::size_t r) {
@@ -137,6 +153,18 @@ ConvergenceStats measure_convergence_parallel(
     Path path = Path::kCount;
     switch (plan.scheduler) {
       case SchedulerChoice::kSharded: {
+        if (census_from_start) {
+          // The handoff below, from the initial census, on the stream
+          // the one-shard kernel would have handed over.
+          path = Path::kHandoff;
+          shards = 1;
+          publish_undrawn_kernel_run();
+          CensusSimulator census(*table, initial,
+                                 util::Xoshiro256::stream(seed, shards));
+          census.run(max_steps);
+          outcome = finish(census, cp.protocol, census.steps());
+          break;
+        }
         ShardedOptions sharded;
         sharded.shards = plan.shards;
         // A sweep that already parallelizes across runs keeps each
@@ -186,22 +214,7 @@ ConvergenceStats measure_convergence_parallel(
     span.arg("shards", shards);
     span.arg("steps", outcome.steps);
   };
-  if (workers <= 1) {
-    for (std::size_t r = 0; r < runs; ++r) run_one(r);
-  } else {
-    std::atomic<std::size_t> next{0};
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (unsigned w = 0; w < workers; ++w) {
-      pool.emplace_back([&]() {
-        for (std::size_t r = next.fetch_add(1); r < runs;
-             r = next.fetch_add(1)) {
-          run_one(r);
-        }
-      });
-    }
-    for (std::thread& worker : pool) worker.join();
-  }
+  util::parallel_for(runs, run_one, workers);
 
   // Aggregation in run-index order: the floating-point sums below are
   // evaluated in the same order regardless of thread count, which is

@@ -60,6 +60,18 @@ std::optional<PairRuleTable> PairRuleTable::build(
   return table;
 }
 
+long long PairRuleTable::enabled_pairs(const core::Config& counts) const {
+  long long pairs = 0;
+  for (std::size_t q = 0; q < num_states_; ++q) {
+    // Counts each enabled ordered cell exactly once: cell (a, b) is
+    // visited from row a only.
+    for (const std::uint32_t b : partners_[q]) {
+      pairs += q == b ? counts[q] * (counts[q] - 1) : counts[q] * counts[b];
+    }
+  }
+  return pairs;
+}
+
 // ---------------------------------------------------------------------------
 // CountSimulator
 // ---------------------------------------------------------------------------

@@ -290,15 +290,8 @@ void ShardedSimulator::refresh_global() {
     interactions_ += shard.draws;
     prefetch_batches_ += shard.batches;
   }
-  enabled_pairs_ = 0;
-  for (std::size_t q = 0; q < counts_.size(); ++q) {
-    // Counts each enabled ordered cell exactly once: cell (a, b) is
-    // visited from row a only -- recomputed exactly at every barrier.
-    for (std::uint32_t b : table_->partners(q)) {
-      enabled_pairs_ += q == b ? counts_[q] * (counts_[q] - 1)
-                               : counts_[q] * counts_[b];
-    }
-  }
+  // Recomputed exactly at every barrier.
+  enabled_pairs_ = table_->enabled_pairs(counts_);
 }
 
 bool ShardedSimulator::run_epoch(std::uint64_t budget) {

@@ -134,11 +134,9 @@ CheckResult check_up_to(const core::Protocol& protocol,
     throw std::invalid_argument("check_up_to: bound must be >= 0");
   }
   CheckResult result;
-  for_each_point<std::vector<Count>>(
+  result.verdicts = map_points<Verdict>(
       protocol.input_arity(), bound, [&](const std::vector<Count>& input) {
-        result.verdicts.push_back(
-            check_input(protocol, predicate, input, options));
-        return true;
+        return check_input(protocol, predicate, input, options);
       });
   return result;
 }

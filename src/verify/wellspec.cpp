@@ -61,12 +61,11 @@ WellSpecResult check_well_specification_up_to(const core::Protocol& protocol,
         "check_well_specification_up_to: bound must be >= 0");
   }
   WellSpecResult result;
-  // The same enumeration order as verify::check_up_to.
-  for_each_point<std::vector<core::Count>>(
+  // The same sweep as verify::check_up_to.
+  result.verdicts = map_points<WellSpecVerdict>(
       protocol.input_arity(), bound,
       [&](const std::vector<core::Count>& input) {
-        result.verdicts.push_back(classify_input(protocol, input, options));
-        return true;
+        return classify_input(protocol, input, options);
       });
   return result;
 }

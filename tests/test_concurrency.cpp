@@ -4,7 +4,9 @@
 // deliberately overlap writers with readers -- trace-ring appends
 // racing collect() during ring wrap, metric publishes racing
 // snapshot() across short-lived threads, sim/parallel sweeps racing a
-// registry reader -- and assert that nothing tears. Under a plain
+// registry reader -- and assert that nothing tears. The last cases
+// hold the pool-backed parallel-for (util/parallel.h) and the input
+// odometers on it to their serial loops. Under a plain
 // build they are functional tests; under TSan they are the race
 // detectors the static-analysis gate blocks on (docs/static-analysis.md).
 //
@@ -18,16 +20,21 @@
 #include <cstdint>
 #include <cstdio>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/combinators.h"
 #include "core/constructions.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/parallel.h"
 #include "sim/scheduler.h"
 #include "sim/sharded.h"
+#include "util/parallel.h"
+#include "verify/stable.h"
+#include "verify/wellspec.h"
 
 namespace {
 
@@ -423,6 +430,246 @@ TEST(ConcurrencySharded, ParkedWorkersWakeForEveryEpoch) {
   }
   expect_same_chain(threaded, serial);
   EXPECT_EQ(threaded.epochs(), 12u);
+}
+
+// The ordered parallel-for (util/parallel.h) and the input odometers
+// on it. The parallel check_up_to and check_well_specification_up_to
+// must return, element for element, what the serial odometer loop
+// over check_input / classify_input returns, and throw what it throws.
+
+// Every verdict of the serial loop over the box, in odometer order.
+std::vector<ppsc::verify::Verdict> serial_check(
+    const ppsc::core::Protocol& protocol,
+    const ppsc::core::Predicate& predicate, ppsc::core::Count bound,
+    const ppsc::verify::CheckOptions& options = {}) {
+  std::vector<ppsc::verify::Verdict> verdicts;
+  ppsc::verify::for_each_point<std::vector<ppsc::core::Count>>(
+      protocol.input_arity(), bound,
+      [&](const std::vector<ppsc::core::Count>& input) {
+        verdicts.push_back(
+            ppsc::verify::check_input(protocol, predicate, input, options));
+        return true;
+      });
+  return verdicts;
+}
+
+std::vector<ppsc::verify::WellSpecVerdict> serial_classify(
+    const ppsc::core::Protocol& protocol, ppsc::core::Count bound,
+    const ppsc::verify::CheckOptions& options = {}) {
+  std::vector<ppsc::verify::WellSpecVerdict> verdicts;
+  ppsc::verify::for_each_point<std::vector<ppsc::core::Count>>(
+      protocol.input_arity(), bound,
+      [&](const std::vector<ppsc::core::Count>& input) {
+        verdicts.push_back(
+            ppsc::verify::classify_input(protocol, input, options));
+        return true;
+      });
+  return verdicts;
+}
+
+void expect_same_verdicts(const std::vector<ppsc::verify::Verdict>& parallel,
+                          const std::vector<ppsc::verify::Verdict>& serial) {
+  ASSERT_EQ(parallel.size(), serial.size());
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    EXPECT_EQ(parallel[i].input, serial[i].input) << "verdict " << i;
+    EXPECT_EQ(parallel[i].ok, serial[i].ok) << "verdict " << i;
+    EXPECT_EQ(parallel[i].reachable_configs, serial[i].reachable_configs)
+        << "verdict " << i;
+    EXPECT_EQ(parallel[i].detail, serial[i].detail) << "verdict " << i;
+  }
+}
+
+void expect_same_verdicts(
+    const std::vector<ppsc::verify::WellSpecVerdict>& parallel,
+    const std::vector<ppsc::verify::WellSpecVerdict>& serial) {
+  ASSERT_EQ(parallel.size(), serial.size());
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    EXPECT_EQ(parallel[i].input, serial[i].input) << "verdict " << i;
+    EXPECT_EQ(parallel[i].value, serial[i].value) << "verdict " << i;
+    EXPECT_EQ(parallel[i].reachable_configs, serial[i].reachable_configs)
+        << "verdict " << i;
+    EXPECT_EQ(parallel[i].detail, serial[i].detail) << "verdict " << i;
+  }
+}
+
+// x >= 2 by "x + x -> x + y, x + y -> y + y", mutated by a rule that
+// turns two y back into an x + y: no input of two or more agents ever
+// falls silent on consensus 1, and the verdicts name a bottom config.
+ppsc::core::ConstructedProtocol mutated_threshold() {
+  ppsc::core::ProtocolBuilder b;
+  b.state("x", ppsc::core::Output::kZero);
+  b.state("y", ppsc::core::Output::kOne);
+  b.initial("x");
+  b.rule("x + x -> x + y");
+  b.rule("x + y -> y + y");
+  b.rule("y + y -> x + y");
+  return {"mutated", b.build(), ppsc::core::counting_predicate(2)};
+}
+
+// The protocols the odometer tests sweep: the counting families, an
+// arity-2 product, a product whose graphs grow geometrically, the
+// mutated protocol, and a family checked against a predicate it does
+// not compute.
+struct Sweep {
+  ppsc::core::ConstructedProtocol cp;
+  ppsc::core::Count bound;
+};
+
+std::vector<Sweep> odometer_sweeps() {
+  std::vector<Sweep> sweeps;
+  for (ppsc::core::ConstructedProtocol& cp :
+       ppsc::core::counting_families(3)) {
+    sweeps.push_back({std::move(cp), 9});
+  }
+  sweeps.push_back({ppsc::core::example_4_2(3), 9});
+  sweeps.push_back({ppsc::core::modulo_counting(3, 1), 9});
+  sweeps.push_back({ppsc::core::conjunction(
+                        ppsc::core::majority(),
+                        ppsc::core::weighted_threshold({1, 2}, 3)),
+                    4});
+  // Graphs shrinking by more than half per point: the sweep runs most
+  // of the box alone before it reaches the pool.
+  sweeps.push_back({ppsc::core::conjunction(ppsc::core::unary_counting(2),
+                                            ppsc::core::modulo_counting(2, 1)),
+                    6});
+  sweeps.push_back({mutated_threshold(), 9});
+  ppsc::core::ConstructedProtocol shifted = ppsc::core::unary_counting(3);
+  shifted.predicate = ppsc::core::counting_predicate(4);
+  sweeps.push_back({std::move(shifted), 9});
+  return sweeps;
+}
+
+TEST(ConcurrencyOdometer, CheckUpToMatchesTheSerialLoop) {
+  // The verify.* counters, too: per-thread sheets merge into the same
+  // snapshot as the serial loop's.
+  MetricRegistry& metrics = MetricRegistry::global();
+  std::size_t failing = 0;
+  for (const Sweep& sweep : odometer_sweeps()) {
+    SCOPED_TRACE(sweep.cp.predicate.name);
+    metrics.reset();
+    metrics.set_enabled(true);
+    const std::vector<ppsc::verify::Verdict> serial =
+        serial_check(sweep.cp.protocol, sweep.cp.predicate, sweep.bound);
+    const std::string serial_snapshot = metrics.snapshot().to_json();
+    metrics.reset();
+    const std::vector<ppsc::verify::Verdict> parallel =
+        ppsc::verify::check_up_to(sweep.cp.protocol, sweep.cp.predicate,
+                                  sweep.bound)
+            .verdicts;
+    EXPECT_EQ(metrics.snapshot().to_json(), serial_snapshot);
+    metrics.reset();
+    metrics.set_enabled(false);
+    expect_same_verdicts(parallel, serial);
+    for (const ppsc::verify::Verdict& verdict : serial) {
+      if (!verdict.ok) ++failing;
+    }
+  }
+  // The mutated protocol and the shifted predicate fail somewhere, so
+  // the detail strings were compared too.
+  EXPECT_GT(failing, 0u);
+}
+
+TEST(ConcurrencyOdometer, WellSpecificationMatchesTheSerialLoop) {
+  std::size_t unresolved = 0;
+  for (const Sweep& sweep : odometer_sweeps()) {
+    SCOPED_TRACE(sweep.cp.predicate.name);
+    const std::vector<ppsc::verify::WellSpecVerdict> serial =
+        serial_classify(sweep.cp.protocol, sweep.bound);
+    expect_same_verdicts(ppsc::verify::check_well_specification_up_to(
+                             sweep.cp.protocol, sweep.bound)
+                             .verdicts,
+                         serial);
+    for (const ppsc::verify::WellSpecVerdict& verdict : serial) {
+      if (!verdict.ok()) ++unresolved;
+    }
+  }
+  EXPECT_GT(unresolved, 0u);
+}
+
+// Inputs past the cap throw; the parallel sweep must throw the first
+// one's message, not the last point's (which it explores first) or
+// whichever a pool worker hit first.
+TEST(ConcurrencyOdometer, CapExceptionIsTheSerialLoops) {
+  const ppsc::core::ConstructedProtocol cp = ppsc::core::unary_counting(4);
+  ppsc::verify::CheckOptions options;
+  options.max_configs = 40;
+  const auto message = [](const auto& call) {
+    try {
+      call();
+    } catch (const std::runtime_error& error) {
+      return std::string(error.what());
+    }
+    return std::string("no exception");
+  };
+  const std::string serial = message(
+      [&] { serial_check(cp.protocol, cp.predicate, 14, options); });
+  ASSERT_NE(serial, "no exception");
+  EXPECT_EQ(message([&] {
+              ppsc::verify::check_up_to(cp.protocol, cp.predicate, 14,
+                                        options);
+            }),
+            serial);
+  const std::string serial_wellspec =
+      message([&] { serial_classify(cp.protocol, 14, options); });
+  ASSERT_NE(serial_wellspec, "no exception");
+  EXPECT_EQ(message([&] {
+              ppsc::verify::check_well_specification_up_to(cp.protocol, 14,
+                                                           options);
+            }),
+            serial_wellspec);
+}
+
+// A check_up_to made from inside pool tasks runs inline there: it
+// finishes, and returns what a top-level call returns.
+TEST(ConcurrencyOdometer, CheckUpToInsideAPoolTaskRunsInline) {
+  const ppsc::core::ConstructedProtocol cp = ppsc::core::unary_counting(3);
+  const std::vector<ppsc::verify::Verdict> direct =
+      ppsc::verify::check_up_to(cp.protocol, cp.predicate, 10).verdicts;
+  std::vector<std::vector<ppsc::verify::Verdict>> nested(6);
+  ppsc::util::parallel_for(nested.size(), [&](std::size_t i) {
+    nested[i] =
+        ppsc::verify::check_up_to(cp.protocol, cp.predicate, 10).verdicts;
+  });
+  for (const auto& verdicts : nested) expect_same_verdicts(verdicts, direct);
+}
+
+TEST(ConcurrencyParallelFor, RethrowsTheLowestIndexException) {
+  for (int round = 0; round < 20; ++round) {
+    std::vector<std::atomic<int>> calls(64);
+    try {
+      ppsc::util::parallel_for(calls.size(), [&](std::size_t i) {
+        calls[i].fetch_add(1);
+        if (i % 7 == 5) throw std::runtime_error(std::to_string(i));
+      });
+      ADD_FAILURE() << "no exception";
+    } catch (const std::runtime_error& error) {
+      EXPECT_STREQ(error.what(), "5");
+    }
+    // Every index below the failure ran, exactly once.
+    for (std::size_t i = 0; i <= 5; ++i) EXPECT_EQ(calls[i].load(), 1);
+    for (std::atomic<int>& c : calls) EXPECT_LE(c.load(), 1);
+  }
+}
+
+// Callers on several threads at once: one holds the pool, the others
+// run inline; every call sees each index exactly once.
+TEST(ConcurrencyParallelFor, ConcurrentCallersEachSeeEveryIndex) {
+  constexpr std::size_t kCallers = 4;
+  constexpr std::size_t kCount = 200;
+  std::vector<std::vector<int>> seen(kCallers, std::vector<int>(kCount, 0));
+  std::vector<std::thread> callers;
+  for (std::size_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&seen, c] {
+      for (int round = 0; round < 25; ++round) {
+        ppsc::util::parallel_for(kCount,
+                                 [&](std::size_t i) { ++seen[c][i]; });
+      }
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  for (const std::vector<int>& counts : seen) {
+    for (const int count : counts) EXPECT_EQ(count, 25);
+  }
 }
 
 }  // namespace

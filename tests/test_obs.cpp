@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -27,8 +28,12 @@
 #include "petri/petri_net.h"
 #include "petri/reachability.h"
 #include "report.h"
+#include "sim/census.h"
 #include "sim/parallel.h"
+#include "sim/scheduler.h"
+#include "sim/sharded.h"
 #include "sim/simulator.h"
+#include "util/rng.h"
 
 namespace {
 
@@ -356,6 +361,81 @@ TEST(ObsEngines, AutoRunHandsTheSlowTailToTheCensusSampler) {
   EXPECT_EQ(static_cast<double>(kernel + census), stats.mean_steps);
 }
 
+TEST(ObsEngines, CensusUnderTheFloorFromTheStartSkipsTheAgentArray) {
+  // Example 4.2 with 8 leaders at x = 60,000: the initial census has
+  // far fewer enabled pairs than the handoff floor, so a kAuto run
+  // starts on the census sampler and builds no agent array. Pinned
+  // against the path it replaces: a forced one-shard kernel stopped
+  // at the floor (at construction, nothing drawn), published, then
+  // the census sampler on the stream the kernel hands over. The
+  // sweep's statistics and its whole metric snapshot (every
+  // sim.census.* count of the chain, sim.agent.runs,
+  // sim.dispatch.handoff) must equal the reference's.
+  const auto cp = ppsc::core::example_4_2(8);
+  const ppsc::core::Config initial = cp.protocol.initial_config({60000});
+  const auto table = ppsc::sim::PairRuleTable::build(cp.protocol);
+  ASSERT_TRUE(table.has_value());
+  const ppsc::sim::SchedulerPlan plan = ppsc::sim::planned_scheduler(
+      {}, true, cp.protocol.num_states(),
+      ppsc::core::Protocol::population(initial));
+  ASSERT_EQ(plan.shards, 1u);
+  const long long pairs = table->enabled_pairs(initial);
+  ASSERT_GT(pairs, 0);
+  ASSERT_LT(pairs, plan.handoff_pairs);
+
+  constexpr std::size_t kRuns = 20;
+  ppsc::sim::RunOptions options;
+  options.seed = 77;
+  MetricRegistry& registry = MetricRegistry::global();
+  registry.reset();
+  registry.set_enabled(true);
+  double total_steps = 0.0;
+  std::size_t silent = 0;
+  for (std::size_t r = 0; r < kRuns; ++r) {
+    ppsc::sim::ShardedOptions forced;
+    forced.shards = 1;
+    ppsc::sim::ShardedSimulator kernel(*table, initial, options.seed + r,
+                                       forced);
+    kernel.run(options.max_steps, plan.handoff_pairs);
+    ASSERT_EQ(kernel.steps(), 0u);
+    ASSERT_EQ(kernel.interactions(), 0u);
+    kernel.publish_metrics();
+    ppsc::sim::CensusSimulator census(
+        *table, kernel.census(),
+        ppsc::util::Xoshiro256::stream(options.seed + r, 1));
+    census.run(options.max_steps);
+    census.publish_metrics();
+    registry.add("sim.dispatch.handoff", 1);
+    total_steps += static_cast<double>(census.steps());
+    if (census.silent()) ++silent;
+  }
+  const std::string reference = registry.snapshot().to_json();
+
+  registry.reset();
+  const auto stats =
+      ppsc::sim::measure_convergence_parallel(cp, {60000}, kRuns, options, 4);
+  const MetricSnapshot snapshot = registry.snapshot();
+  registry.set_enabled(false);
+
+  EXPECT_EQ(snapshot.to_json(), reference);
+  EXPECT_EQ(snapshot.counters.at("sim.dispatch.handoff"), kRuns);
+  EXPECT_EQ(snapshot.counters.at("sim.agent.runs"), kRuns);
+  EXPECT_EQ(snapshot.counters.at("sim.agent.draws"), 0u);
+  EXPECT_EQ(stats.converged, silent);
+  EXPECT_EQ(stats.mean_steps, total_steps / static_cast<double>(kRuns));
+
+  // A zero budget ends on the kernel, as before: it stops at the
+  // budget before the floor is looked at.
+  options.max_steps = 0;
+  registry.reset();
+  registry.set_enabled(true);
+  ppsc::sim::measure_convergence_parallel(cp, {60000}, 2, options, 1);
+  const MetricSnapshot zero = registry.snapshot();
+  registry.set_enabled(false);
+  EXPECT_EQ(zero.counters.at("sim.dispatch.kernel"), 2u);
+  EXPECT_EQ(zero.counters.count("sim.dispatch.handoff"), 0u);
+}
+
 TEST(ObsEngines, DispatchCountersNameThePathOfEveryRun) {
   // One sim.dispatch.* count per run, for the path the run took.
   using ppsc::sim::SchedulerChoice;
@@ -414,6 +494,34 @@ TEST(ObsEngines, ExploreCollisionsDoNotDependOnTheRegistry) {
   EXPECT_GT(off.stats.collisions, 0u);
   EXPECT_EQ(off.stats.collisions, on.stats.collisions);
   EXPECT_EQ(snapshot.counters.at("explore.collisions"), on.stats.collisions);
+}
+
+TEST(ObsTrace, TracedSweepsReuseThePoolThreadsRings) {
+  // Every thread that opens a span while tracing is on gets a ring of
+  // TraceRegistry::kRingCapacity slots (about 6.8 MB), which the
+  // registry keeps for the life of the process. Sweeps run on the
+  // persistent pool (util/parallel.h), so 20 traced 4-thread sweeps
+  // register rings for the pool's workers and the caller at most. With
+  // a thread spawned per worker per sweep, the ring ids (and peak RSS,
+  // about 26 MB a sweep) grew with every sweep.
+  ppsc::obs::TraceRegistry& traces = ppsc::obs::TraceRegistry::global();
+  traces.reset();
+  traces.set_enabled(true);
+  const auto cp = ppsc::core::unary_counting(3);
+  for (int sweep = 0; sweep < 20; ++sweep) {
+    ppsc::sim::RunOptions options;
+    options.seed = 100 * static_cast<std::uint64_t>(sweep);
+    ppsc::sim::measure_convergence_parallel(cp, {50}, 8, options, 4);
+  }
+  const std::vector<ppsc::obs::TraceEvent> events = traces.collect();
+  traces.reset();
+  traces.set_enabled(false);
+  ASSERT_FALSE(events.empty());
+  std::uint32_t largest = 0;
+  for (const ppsc::obs::TraceEvent& event : events) {
+    largest = std::max(largest, event.thread_id);
+  }
+  EXPECT_LT(largest, std::thread::hardware_concurrency() + 1);
 }
 
 #endif  // PPSC_OBS_ENABLED

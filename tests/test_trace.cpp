@@ -250,19 +250,26 @@ TEST(TraceSim, ParallelSweepSpansAreThreadCountInvariant) {
     if (std::get<0>(entry) == "sim.run") ++runs;
   }
   EXPECT_EQ(runs, 8u);
-  // The multi-thread sweep executes every run on a pool thread, so its
-  // sim.run spans land on worker ring tracks, never the main thread's
-  // (which owns the sim.sweep parent). How many distinct workers show
-  // up is scheduler-dependent -- on a loaded single-CPU machine one
-  // worker can drain the whole queue -- so only the track separation
-  // is asserted.
-  std::uint32_t sweep_tid = 0;
+  // The multi-thread sweep runs on the persistent pool, and the calling
+  // thread takes part: a sim.run on the sweep's own track nests inside
+  // the sim.sweep span, one on a pool worker's track is that track's
+  // top level. How the runs spread over the tracks is scheduler-
+  // dependent -- on a loaded single-CPU machine one thread can drain
+  // the whole queue -- so only the nesting is asserted.
+  const TraceEvent* sweep = nullptr;
   for (const TraceEvent& event : threaded_events) {
-    if (std::string(event.name) == "sim.sweep") sweep_tid = event.thread_id;
+    if (std::string(event.name) == "sim.sweep") sweep = &event;
   }
+  ASSERT_NE(sweep, nullptr);
   for (const TraceEvent& event : threaded_events) {
     if (std::string(event.name) != "sim.run") continue;
-    EXPECT_NE(event.thread_id, sweep_tid);
+    if (event.thread_id == sweep->thread_id) {
+      EXPECT_EQ(event.depth, sweep->depth + 1);
+      EXPECT_LE(sweep->t_start_ns, event.t_start_ns);
+      EXPECT_LE(event.t_end_ns, sweep->t_end_ns);
+    } else {
+      EXPECT_EQ(event.depth, 0u);
+    }
   }
 }
 
