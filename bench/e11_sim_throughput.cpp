@@ -8,8 +8,8 @@
 // draws/s against the one-shard arm's 42-55M, about 2x -- the 5x once
 // quoted was measured against the unbatched per-draw agent array, which
 // no longer exists, and nothing here asserts a ratio), the census
-// scheduler at populations no agent array can hold (10^9), and the
-// count-based scheduler for comparison.
+// sampler at populations no agent array can hold (10^9), and the census
+// sampler's count role on a protocol without a pair table.
 //
 // Before any benchmark runs, main() executes the observability overhead
 // guard: it runs the one-shard kernel with the metric registry off and
@@ -181,18 +181,17 @@ BENCHMARK(BM_Sharded_Unary)
 // census.
 void BM_Census_Unary(benchmark::State& state) {
   auto c = ppsc::core::unary_counting(8);
-  auto table = ppsc::sim::PairRuleTable::build(c.protocol);
   const ppsc::core::Config initial =
       c.protocol.initial_config({state.range(0)});
   std::uint64_t seed = 42;
   std::optional<ppsc::sim::CensusSimulator> simulator;
-  simulator.emplace(*table, initial, seed);
+  simulator.emplace(c.protocol.net(), initial, seed);
   std::uint64_t productive = 0;
   for (auto _ : state) {
     if (!simulator->step()) {
       state.PauseTiming();
       productive += simulator->steps();
-      simulator.emplace(*table, initial, ++seed);
+      simulator.emplace(c.protocol.net(), initial, ++seed);
       state.ResumeTiming();
     }
   }
@@ -217,22 +216,25 @@ void BM_AgentArray_Majority(benchmark::State& state) {
 }
 BENCHMARK(BM_AgentArray_Majority)->Arg(1000)->Arg(100000);
 
-// Count scheduler: items count productive steps. unary_counting(8)
-// at 100 agents falls silent within the time budget; like the census
-// arm, a silent run is restarted on the next seed with timing paused.
+// The census sampler's count role: destructive_unary_counting(8) has a
+// width-1 rule, so it compiles to no pair table, and every step pays
+// instantiation weights with no null draw to skip. Items count
+// productive steps. At 100 agents a run falls silent within the time
+// budget; like the census arm, a silent run is restarted on the next
+// seed with timing paused.
 void BM_CountScheduler_Unary(benchmark::State& state) {
-  auto c = ppsc::core::unary_counting(8);
+  auto c = ppsc::core::destructive_unary_counting(8);
   const ppsc::core::Config initial =
       c.protocol.initial_config({state.range(0)});
   std::uint64_t seed = 42;
-  std::optional<ppsc::sim::CountSimulator> simulator;
-  simulator.emplace(c.protocol, initial, seed);
+  std::optional<ppsc::sim::CensusSimulator> simulator;
+  simulator.emplace(c.protocol.net(), initial, seed);
   std::uint64_t productive = 0;
   for (auto _ : state) {
     if (!simulator->step()) {
       state.PauseTiming();
       productive += simulator->steps();
-      simulator.emplace(c.protocol, initial, ++seed);
+      simulator.emplace(c.protocol.net(), initial, ++seed);
       state.ResumeTiming();
     }
   }

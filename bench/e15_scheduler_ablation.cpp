@@ -1,16 +1,17 @@
-// E15 — Ablation: the three interchangeable schedulers.
+// E15 — Ablation: the two interchangeable schedulers.
 //
-// The three schedulers (the agent-array kernel, at one shard and
-// sharded; the census row-sum sampler; the count-based sampler)
-// implement the same productive interaction distribution (uniform
-// random pair ≙ instantiation-weighted transition sampling on pairwise
-// conservative nets); their convergence statistics must agree within
-// sampling noise while their throughput characteristics differ by
-// orders of magnitude. Part 1 forces each scheduler through
-// measure_convergence on identical protocols, populations and seeds,
-// beside the default kAuto dispatch (kernel, then census handoff);
-// part 2 reports raw throughput in each scheduler's natural unit; part
-// 3 demonstrates the parallel sweep runner's determinism.
+// The two schedulers (the agent-array kernel, at one shard and
+// sharded; the census sampler) implement the same productive
+// interaction distribution (uniform random pair ≙
+// instantiation-weighted transition sampling on pairwise conservative
+// nets); their convergence statistics must agree within sampling noise
+// while their throughput characteristics differ by orders of
+// magnitude. Part 1 forces each scheduler through measure_convergence
+// on identical protocols, populations and seeds, beside the default
+// kAuto dispatch (kernel, then census handoff); part 1b runs the census
+// sampler's count role on a protocol without a pair table; part 2
+// reports raw throughput in each scheduler's natural unit; part 3
+// demonstrates the parallel sweep runner's determinism.
 
 #include <chrono>
 #include <cstdio>
@@ -30,8 +31,8 @@ using Clock = std::chrono::steady_clock;
 // Agent-array kernel: raw draws/second at `shards` shards (0 = the
 // default), accumulated epoch by epoch until the draw budget is met. A
 // run that falls silent restarts on the next seed, construction
-// included like the census and count rows, so no draw is spent on a
-// silent population.
+// included like the census row, so no draw is spent on a silent
+// population.
 double draws_per_second(const ppsc::core::ConstructedProtocol& c,
                         ppsc::core::Count population, std::uint64_t draws,
                         std::size_t shards) {
@@ -53,37 +54,17 @@ double draws_per_second(const ppsc::core::ConstructedProtocol& c,
 }
 
 // Census path: *productive* steps/second. The protocols converge, so
-// accumulate across repeated fresh runs until the budget is met, like
-// the count-based row (construction is O(rule cells), negligible).
+// accumulate across repeated fresh runs until the budget is met
+// (construction is O(transitions), negligible).
 double steps_per_second_census(const ppsc::core::ConstructedProtocol& c,
                                ppsc::core::Count population,
                                std::uint64_t steps) {
-  auto table = ppsc::sim::PairRuleTable::build(c.protocol);
   std::uint64_t executed = 0;
   std::uint64_t seed = 17;
   auto start = Clock::now();
   while (executed < steps) {
     ppsc::sim::CensusSimulator simulator(
-        *table, c.protocol.initial_config({population}), seed++);
-    while (executed < steps && simulator.step()) ++executed;
-  }
-  std::chrono::duration<double> elapsed = Clock::now() - start;
-  return static_cast<double>(executed) / elapsed.count();
-}
-
-double steps_per_second_count(const ppsc::core::ConstructedProtocol& c,
-                              ppsc::core::Count population,
-                              std::uint64_t steps) {
-  // The count scheduler only performs *effective* steps and the protocols
-  // converge quickly, so accumulate effective steps across repeated fresh
-  // runs until the budget is met (construction time included; it is
-  // negligible against the per-step weight computation).
-  std::uint64_t executed = 0;
-  std::uint64_t seed = 17;
-  auto start = Clock::now();
-  while (executed < steps) {
-    ppsc::sim::CountSimulator simulator(
-        c.protocol, c.protocol.initial_config({population}), seed++);
+        c.protocol.net(), c.protocol.initial_config({population}), seed++);
     while (executed < steps && simulator.step()) ++executed;
   }
   std::chrono::duration<double> elapsed = Clock::now() - start;
@@ -119,7 +100,6 @@ int main() {
         {"agent-array", ppsc::sim::SchedulerChoice::kSharded, 1},
         {"sharded", ppsc::sim::SchedulerChoice::kSharded, 4},
         {"census", ppsc::sim::SchedulerChoice::kCensus, 0},
-        {"count-based", ppsc::sim::SchedulerChoice::kCount, 0},
         {"auto (handoff)", ppsc::sim::SchedulerChoice::kAuto, 0},
     };
     auto c = ppsc::core::unary_counting(6);
@@ -145,21 +125,28 @@ int main() {
   }
 
   std::printf(
-      "\nE15 part 1b: count-scheduler fallback on a table-free protocol\n\n");
+      "\nE15 part 1b: census sampler on a table-free protocol\n\n");
   // The destructive variant has identical predicate semantics but does
-  // not compile to a pair table, so every choice degrades to the count
-  // scheduler; its dynamics (and so its means) differ, but every
-  // converged run must still reach the correct consensus.
+  // not compile to a pair table, so every choice runs the census
+  // sampler in its count role (instantiation weights, no null draws to
+  // skip); its dynamics (and so its means) differ, but every converged
+  // run must still reach the correct consensus. ns/step is wall time
+  // per productive step, construction included.
   {
     ppsc::util::TablePrinter fallback(
-        {"protocol", "population", "mean steps", "correct"});
+        {"protocol", "population", "mean steps", "correct", "ns/step"});
     auto destructive = ppsc::core::destructive_unary_counting(6);
-    for (ppsc::core::Count population : {64, 256}) {
+    for (ppsc::core::Count population : {64, 256, 4096}) {
+      const auto start = Clock::now();
       auto stats = ppsc::sim::measure_convergence(destructive, {population}, 8);
+      const std::chrono::duration<double> elapsed = Clock::now() - start;
       report.add_items(8);
       fallback.add_row({"destructive(6)", std::to_string(population),
                         ppsc::util::format_double(stats.mean_steps, 5),
-                        std::to_string(stats.correct) + "/8"});
+                        std::to_string(stats.correct) + "/8",
+                        ppsc::util::format_double(
+                            1e9 * elapsed.count() / (8.0 * stats.mean_steps),
+                            3)});
     }
     fallback.print();
   }
@@ -167,7 +154,7 @@ int main() {
   std::printf("\nE15 part 2: raw scheduler throughput\n\n");
   // Each row reports the scheduler's natural unit: raw draws/s for the
   // agent-array and sharded paths, productive steps/s for the census
-  // and count paths (they never execute null draws).
+  // path (it never executes null draws).
   ppsc::util::TablePrinter throughput(
       {"scheduler", "population", "unit", "rate/s"});
   auto c = ppsc::core::unary_counting(8);
@@ -184,10 +171,6 @@ int main() {
   throughput.add_row(
       {"census", "1000000", "productive",
        ppsc::util::format_double(steps_per_second_census(c, 1000000, 100'000),
-                                 4)});
-  throughput.add_row(
-      {"count-based", "1000", "productive",
-       ppsc::util::format_double(steps_per_second_count(c, 1000, 200'000),
                                  4)});
   throughput.print();
 

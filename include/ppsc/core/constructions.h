@@ -39,8 +39,8 @@ ConstructedProtocol unary_counting(Count n);
 // state that a width-1 decay rule tears down. Same predicate (i >= n)
 // and the same merge dynamics, but the width-1 rule defeats the
 // pairwise rule-table compilation (sim::PairRuleTable::build returns
-// null), forcing the count-based scheduler -- the e15 ablation uses it
-// to exercise exactly that fallback.
+// null), so it runs on the census sampler's count role -- the e15
+// ablation uses it to exercise exactly that role.
 ConstructedProtocol destructive_unary_counting(Count n);
 
 // Leaderless width-2 family with log2(n) + 2 states for n a power of

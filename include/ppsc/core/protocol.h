@@ -9,7 +9,8 @@
 //
 // The net is the petri::PetriNet every engine reads. ProtocolBuilder::
 // build() compiles it once from the sparse rules, rejecting negative,
-// non-conservative, empty and identity rules; rule_name(t) names them.
+// non-conservative, empty and identity rules and keeping only the first
+// of identical ones; rule_name(t) names them.
 //
 // The width of a transition is the number of agents it consumes; the
 // width of a protocol is the maximum over its transitions. The paper's
@@ -133,6 +134,9 @@ class ProtocolBuilder {
   void initial(const std::string& name);
   void rule(const std::string& spec);
 
+  // Compiles the net. A rule whose merged pre and post equal an
+  // earlier rule's is dropped with its name, so every engine fires an
+  // interaction with one weight.
   Protocol build();
 
  private:

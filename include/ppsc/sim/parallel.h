@@ -8,19 +8,20 @@
 // on util::parallel_for's persistent pool, the calling thread
 // included; a sweep starts no thread of its own, so traced sweeps
 // register a bounded number of trace rings. The threads share one
-// immutable PairRuleTable: planned_scheduler picks one of
-// the three scheduler paths (the agent-array kernel at S shards /
-// census / count) per sweep from RunOptions, the population and the
-// state count, degrading to the count scheduler whenever the protocol
-// does not compile to a pair table. A kAuto run on the one-shard
-// kernel over a table of at most 64 states hands off to the census
-// sampler once its productive fraction collapses (SchedulerPlan::
-// handoff_pairs), so a run takes one of four paths: kernel, census,
-// count or handoff, each counted by its sim.dispatch.* counter; a
-// census already under the floor starts on the census sampler, with
-// the chain and counters of a kernel that stops at construction. Every
-// path runs through one driver: run(max_steps), then silent(),
-// steps(), census() and publish_metrics().
+// immutable PairRuleTable: planned_scheduler picks one of the two
+// schedulers (the agent-array kernel at S shards / the census sampler)
+// per sweep from RunOptions, the population and the state count,
+// taking the census sampler whenever the protocol does not compile to
+// a pair table. A kAuto run on the one-shard kernel over a table of at
+// most 64 states hands off to the census sampler once its productive
+// fraction collapses (SchedulerPlan::handoff_pairs), so a run takes
+// one of four paths, each counted by its sim.dispatch.* counter:
+// kernel, census, count (the census sampler on a protocol without a
+// pair table) or handoff; a census already under the floor starts on
+// the census sampler, with the chain and counters of a kernel that
+// stops at construction. Every path runs through one driver:
+// run(max_steps), then silent(), steps(), census() and
+// publish_metrics().
 
 #ifndef PPSC_SIM_PARALLEL_H
 #define PPSC_SIM_PARALLEL_H
@@ -61,11 +62,10 @@ struct SchedulerPlan {
   // from exact integers at a barrier, never from a clock.
   static constexpr long long kHandoffDivisor = 16;
 
-  // kSharded, kCensus or kCount; never kAuto.
-  SchedulerChoice scheduler = SchedulerChoice::kCount;
+  // kSharded or kCensus; never kAuto.
+  SchedulerChoice scheduler = SchedulerChoice::kCensus;
   // Agent slices S of the kSharded kernel (before its max(1, n/2)
-  // clamp); 0 on the census and count paths, which keep no agent
-  // array.
+  // clamp); 0 on the census path, which keeps no agent array.
   std::size_t shards = 0;
   // The kernel stops at the first barrier with fewer enabled ordered
   // pairs than this, ceil(n(n-1) / kHandoffDivisor), and the census
@@ -78,12 +78,11 @@ struct SchedulerPlan {
 // The scheduler, shard count and handoff floor the dispatch heuristic
 // selects for one run: resolves options.scheduler (kAuto picks census
 // for small-state/large-population runs and the agent-array kernel
-// otherwise; every table-based choice degrades to kCount when
-// `has_table` is false), then the kernel's S (options.shards when
-// nonzero, else 1 below 2^22 agents and
-// ShardedOptions::kDefaultShards at or above), then the handoff floor
-// of a kAuto run on the one-shard kernel over a table the census
-// sampler accepts. Exposed so the heuristic's thresholds are
+// otherwise; every choice is kCensus when `has_table` is false), then
+// the kernel's S (options.shards when nonzero, else 1 below 2^22
+// agents and ShardedOptions::kDefaultShards at or above), then the
+// handoff floor of a kAuto run on the one-shard kernel over a table of
+// at most 64 states. Exposed so the heuristic's thresholds are
 // unit-testable; measure_convergence routes every run through exactly
 // this function.
 SchedulerPlan planned_scheduler(const RunOptions& options, bool has_table,

@@ -1,16 +1,15 @@
-// High-level simulation entry points, built on the three schedulers in
-// sim/scheduler.h: run_to_silence drives a CountSimulator (exact
+// High-level simulation entry points, built on the two schedulers in
+// sim/scheduler.h: run_to_silence drives the census sampler (exact
 // silence detection for any conservative net), while
 // measure_convergence routes every run through the agent-array kernel
-// or the census sampler whenever the protocol compiles to a
-// PairRuleTable (small state spaces: the census sampler from 2^16
-// agents, below that the kernel until most draws are null, then the
-// census sampler) and falls back to the count scheduler otherwise.
-// Steps always count
-// *productive* interactions -- for width-2 rules every scheduler
-// reproduces the classical uniform random-pair scheduler restricted to
-// productive interactions -- and a run is silent when no transition is
-// enabled.
+// or the census sampler: on a protocol that compiles to a
+// PairRuleTable with few states, the census sampler from 2^16 agents
+// and below that the kernel until most draws are null, then the census
+// sampler; on any other protocol the census sampler throughout. Steps
+// always count *productive* interactions -- for width-2 rules both
+// schedulers reproduce the classical uniform random-pair scheduler
+// restricted to productive interactions -- and a run is silent when no
+// transition is enabled.
 
 #ifndef PPSC_SIM_SIMULATOR_H
 #define PPSC_SIM_SIMULATOR_H
@@ -29,15 +28,14 @@ namespace sim {
 // census sampler once its productive fraction collapses (see
 // docs/sim-sharding.md for the heuristic); the explicit
 // values force a path. kSharded is the agent-array kernel at any shard
-// count S, one included. Paths that require a PairRuleTable (sharded,
-// census) fall back to the count scheduler when the protocol does not
-// compile to one -- every scheduler shares the productive step law, so
-// forcing is an ablation knob, never a semantic change.
+// count S, one included; it requires a PairRuleTable, and a protocol
+// that does not compile to one runs on the census sampler whatever the
+// choice -- both schedulers share the productive step law, so forcing
+// is an ablation knob, never a semantic change.
 enum class SchedulerChoice {
   kAuto,
   kSharded,
   kCensus,
-  kCount,
 };
 
 struct RunOptions {
@@ -46,7 +44,7 @@ struct RunOptions {
   // Base seed; run r of a measurement uses seed + r.
   std::uint64_t seed = 0x5eed;
   // Scheduler selection for measure_convergence runs; run_to_silence
-  // always uses the count scheduler.
+  // always uses the census sampler.
   SchedulerChoice scheduler = SchedulerChoice::kAuto;
   // Agent-array kernel only: forces the shard count S. 0 picks it by
   // population: 1 below 2^22 agents, ShardedOptions::kDefaultShards

@@ -37,7 +37,7 @@ struct CensusTrace {
 };
 
 // Runs the protocol on `input` (the one-shard agent-array kernel when
-// the protocol compiles to a PairRuleTable, the count scheduler
+// the protocol compiles to a PairRuleTable, the census sampler
 // otherwise) for at most `max_steps` productive interactions,
 // recording censuses on the geometric schedule: each run(next_sample)
 // stops exactly at the next sample point.

@@ -1,6 +1,7 @@
 #include "core/protocol.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <stdexcept>
 
 namespace ppsc {
@@ -151,6 +152,26 @@ Count merge_arcs(std::vector<petri::Arc>& arcs) {
   return total;
 }
 
+// A hash of a transition's merged pre and post arc lists: one
+// multiply per arc, high bits folded down for the table index.
+std::uint64_t arc_hash(const std::vector<petri::Arc>& pre,
+                       const std::vector<petri::Arc>& post) {
+  constexpr std::uint64_t kOdd = 0x9e3779b97f4a7c15ull;
+  std::uint64_t h = 0;
+  for (const std::vector<petri::Arc>* arcs : {&pre, &post}) {
+    for (const petri::Arc& arc : *arcs) {
+      h = (h ^ (arc.place << 24) ^ static_cast<std::uint64_t>(arc.count)) *
+          kOdd;
+    }
+    h = (h ^ 1) * kOdd;  // ends the list
+  }
+  return h ^ (h >> 32);
+}
+
+bool same_arcs(util::Span<petri::Arc> x, const std::vector<petri::Arc>& y) {
+  return std::equal(x.begin(), x.end(), y.begin(), y.end());
+}
+
 }  // namespace
 
 std::size_t ProtocolBuilder::state(const std::string& name, Output output) {
@@ -209,6 +230,14 @@ Protocol ProtocolBuilder::build() {
   protocol_.net_.reserve(pending_.size(), arcs_.size());
   std::vector<petri::Arc> pre;
   std::vector<petri::Arc> post;
+  // A transition listed twice keeps only its first copy and name, so
+  // every engine fires it with one weight: kept transitions sit in an
+  // open-addressed table by arc hash, at most half full.
+  constexpr std::uint32_t kEmpty = ~std::uint32_t{0};
+  std::size_t capacity = 1;
+  while (capacity < 2 * pending_.size()) capacity <<= 1;
+  std::vector<std::uint32_t> slots(capacity, kEmpty);
+  std::size_t kept = 0;
   for (std::size_t r = 0; r < pending_.size(); ++r) {
     const std::string& name = protocol_.rule_names_[r];
     const std::size_t end =
@@ -236,8 +265,21 @@ Protocol ProtocolBuilder::build() {
     if (pre == post) {
       throw std::invalid_argument("transition '" + name + "': identity");
     }
+    const petri::PetriNet& net = protocol_.net_;
+    std::size_t slot = arc_hash(pre, post) & (capacity - 1);
+    for (; slots[slot] != kEmpty; slot = (slot + 1) & (capacity - 1)) {
+      const std::uint32_t t = slots[slot];
+      if (same_arcs(net.pre(t), pre) && same_arcs(net.post(t), post)) break;
+    }
+    if (slots[slot] != kEmpty) continue;  // repeats a kept transition
+    slots[slot] = static_cast<std::uint32_t>(kept);
     protocol_.net_.add(pre, post);
+    if (kept != r) {
+      protocol_.rule_names_[kept] = std::move(protocol_.rule_names_[r]);
+    }
+    ++kept;
   }
+  protocol_.rule_names_.resize(kept);
   arcs_.clear();
   pending_.clear();
   return std::move(protocol_);

@@ -22,22 +22,6 @@ namespace {
 // reported uncomputed rather than silently slow.
 constexpr std::size_t kMaxDenseComponent = 2048;
 
-// Instantiation count of transition `t` in `config`: the product of
-// binomials C(config[p], pre[p]) over t's sparse pre list, the same
-// weight law both schedulers sample with (sim/weights.h holds the
-// shared per-place factor).
-long double instance_weight(const petri::PetriNet& net, std::size_t t,
-                            petri::ConfigView config) {
-  long double weight = 1.0L;
-  for (const petri::Arc& arc : net.pre(t)) {
-    const long double factor =
-        binomial_instances<long double>(config[arc.place], arc.count);
-    if (factor == 0.0L) return 0.0L;
-    weight *= factor;
-  }
-  return weight;
-}
-
 // Solves A x = b in place by Gaussian elimination with partial
 // pivoting; returns false when a pivot falls below the singularity
 // threshold relative to the matrix scale.
@@ -131,8 +115,8 @@ ExpectedTimeResult expected_interactions_to_silence(
       const std::size_t last = graph.edge_begin[i + 1];
       long double total = 0.0L;
       for (std::size_t e = first; e < last; ++e) {
-        const long double w =
-            instance_weight(net, graph.edges[e].transition, graph.node(i));
+        const long double w = instance_weight<long double>(
+            net.pre(graph.edges[e].transition), graph.node(i));
         edge_probability[e] = w;
         total += w;
       }

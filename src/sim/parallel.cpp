@@ -23,6 +23,7 @@ struct RunOutcome {
 };
 
 // The path a run took; each run adds 1 to one sim.dispatch.* counter.
+// kCount: the census sampler on a protocol without a pair table.
 enum class Path { kKernel, kCensus, kCount, kHandoff };
 
 void publish_dispatch(Path path) {
@@ -73,9 +74,10 @@ RunOutcome finish(const Simulator& simulator, const core::Protocol& protocol,
 SchedulerPlan planned_scheduler(const RunOptions& options, bool has_table,
                                 std::size_t num_states,
                                 core::Count population) {
-  // Thresholds (rationale in docs/sim-sharding.md): the census path
-  // needs a small rule-cell table; from 2^16 agents on it runs the
-  // whole of a kAuto run. Below that, kAuto starts on the one-shard
+  // Thresholds (rationale in docs/sim-sharding.md): a protocol without
+  // a pair table runs on the census sampler alone. On a table of at
+  // most 64 states the census sampler runs the whole of a kAuto run
+  // from 2^16 agents on. Below that, kAuto starts on the one-shard
   // kernel, which beats the census sampler while most draws are
   // productive, and hands off to the sampler once the productive
   // fraction falls below 1 / SchedulerPlan::kHandoffDivisor. Sharding
@@ -83,7 +85,7 @@ SchedulerPlan planned_scheduler(const RunOptions& options, bool has_table,
   constexpr std::size_t kCensusMaxStates = 64;
   constexpr core::Count kCensusMinPopulation = 1 << 16;
   constexpr core::Count kShardMinPopulation = core::Count{1} << 22;
-  if (!has_table) return {SchedulerChoice::kCount, 0};
+  if (!has_table) return {SchedulerChoice::kCensus, 0};
   SchedulerChoice scheduler = options.scheduler;
   const bool census_table = num_states <= kCensusMaxStates;
   if (scheduler == SchedulerChoice::kAuto) {
@@ -149,8 +151,8 @@ ConvergenceStats measure_convergence_parallel(
     span.arg("seed", seed);
     RunOutcome& outcome = outcomes[r];
     const std::uint64_t max_steps = options.max_steps;
-    std::size_t shards = 0;  // 0: the census and count paths
-    Path path = Path::kCount;
+    std::size_t shards = 0;  // 0: the census path
+    Path path = Path::kCensus;
     switch (plan.scheduler) {
       case SchedulerChoice::kSharded: {
         if (census_from_start) {
@@ -159,7 +161,7 @@ ConvergenceStats measure_convergence_parallel(
           path = Path::kHandoff;
           shards = 1;
           publish_undrawn_kernel_run();
-          CensusSimulator census(*table, initial,
+          CensusSimulator census(cp.protocol.net(), initial,
                                  util::Xoshiro256::stream(seed, shards));
           census.run(max_steps);
           outcome = finish(census, cp.protocol, census.steps());
@@ -190,21 +192,15 @@ ConvergenceStats measure_convergence_parallel(
         // rest of the budget.
         path = Path::kHandoff;
         kernel.publish_metrics();
-        CensusSimulator census(*table, kernel.census(),
+        CensusSimulator census(cp.protocol.net(), kernel.census(),
                                util::Xoshiro256::stream(seed, shards));
         census.run(max_steps - kernel.steps());
         outcome = finish(census, cp.protocol, kernel.steps() + census.steps());
         break;
       }
-      case SchedulerChoice::kCensus: {
-        path = Path::kCensus;
-        CensusSimulator simulator(*table, initial, seed);
-        simulator.run(max_steps);
-        outcome = finish(simulator, cp.protocol, simulator.steps());
-        break;
-      }
-      default: {
-        CountSimulator simulator(cp.protocol, initial, seed);
+      default: {  // kCensus
+        if (!table) path = Path::kCount;
+        CensusSimulator simulator(cp.protocol.net(), initial, seed);
         simulator.run(max_steps);
         outcome = finish(simulator, cp.protocol, simulator.steps());
         break;

@@ -1,6 +1,6 @@
 #include "sim/simulator.h"
 
-#include "sim/scheduler.h"
+#include "sim/census.h"
 
 namespace ppsc {
 namespace sim {
@@ -22,8 +22,8 @@ OutputSummary summarize_output(const core::Protocol& protocol,
 SilenceRun run_to_silence(const core::Protocol& protocol,
                           const std::vector<core::Count>& input,
                           const RunOptions& options) {
-  CountSimulator simulator(protocol, protocol.initial_config(input),
-                           options.seed);
+  CensusSimulator simulator(protocol.net(), protocol.initial_config(input),
+                            options.seed);
   SilenceRun run;
   run.steps = simulator.run(options.max_steps);
   run.silent = simulator.silent();

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "obs/trace.h"
+#include "sim/census.h"
 #include "sim/scheduler.h"
 #include "sim/sharded.h"
 
@@ -34,8 +35,8 @@ CensusTrace record_census_trace(const core::Protocol& protocol,
   const std::optional<PairRuleTable> table = PairRuleTable::build(protocol);
 
   // Both schedulers expose the same run()/silent()/steps()/census()
-  // surface, so one driver serves the agent-array kernel and the
-  // fallback. Each run() stops exactly at the next power of two, where
+  // surface, so one driver serves the agent-array kernel and the census
+  // sampler. Each run() stops exactly at the next power of two, where
   // the census is recorded, plus the initial and final configurations.
   const auto drive = [&](auto& simulator) {
     trace.points.push_back(make_point(protocol, 0, simulator.census()));
@@ -54,7 +55,7 @@ CensusTrace record_census_trace(const core::Protocol& protocol,
           make_point(protocol, trace.total_steps, simulator.census()));
     }
     // Both schedulers publish their run totals (sim.agent.* /
-    // sim.count.*), so census traces contribute to bench reports the
+    // sim.census.*), so census traces contribute to bench reports the
     // same way sweep runs do.
     simulator.publish_metrics();
   };
@@ -65,7 +66,7 @@ CensusTrace record_census_trace(const core::Protocol& protocol,
     ShardedSimulator simulator(*table, initial, seed, one_shard);
     drive(simulator);
   } else {
-    CountSimulator simulator(protocol, initial, seed);
+    CensusSimulator simulator(protocol.net(), initial, seed);
     drive(simulator);
   }
   span.arg("steps", trace.total_steps);

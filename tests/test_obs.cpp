@@ -401,7 +401,7 @@ TEST(ObsEngines, CensusUnderTheFloorFromTheStartSkipsTheAgentArray) {
     ASSERT_EQ(kernel.interactions(), 0u);
     kernel.publish_metrics();
     ppsc::sim::CensusSimulator census(
-        *table, kernel.census(),
+        cp.protocol.net(), kernel.census(),
         ppsc::util::Xoshiro256::stream(options.seed + r, 1));
     census.run(options.max_steps);
     census.publish_metrics();
@@ -460,9 +460,8 @@ TEST(ObsEngines, DispatchCountersNameThePathOfEveryRun) {
             (Counts{{"sim.dispatch.kernel", 3}}));
   EXPECT_EQ(paths(unary, SchedulerChoice::kCensus),
             (Counts{{"sim.dispatch.census", 3}}));
-  EXPECT_EQ(paths(unary, SchedulerChoice::kCount),
-            (Counts{{"sim.dispatch.count", 3}}));
-  // kAuto on a table-free protocol degrades to the count sampler.
+  // kAuto on a table-free protocol runs the census sampler, counted as
+  // the count path.
   EXPECT_EQ(paths(ppsc::core::destructive_unary_counting(3),
                   SchedulerChoice::kAuto),
             (Counts{{"sim.dispatch.count", 3}}));

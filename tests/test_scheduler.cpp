@@ -1,16 +1,17 @@
 // Scheduler architecture: pair-table compilation, scheduler
-// equivalence across the three schedulers (the agent-array kernel at
-// one and several shards, census, count) and a per-draw reference
+// equivalence across the two schedulers (the agent-array kernel at one
+// and several shards, and the census sampler) and a per-draw reference
 // loop, the kernel matched draw for draw to per-draw references at one
 // and several shards, its exact budget stop and determinism contract,
-// the census sampler's exact law (chi-square and the exact
-// expected-time oracle) and its draw-for-draw match with a Fenwick-tree
-// sampler, the dispatch heuristic, and the deterministic parallel
-// sweep runner.
+// the census sampler's exact law in both roles (chi-square and the
+// exact expected-time oracle), its overflow bound and its draw-for-draw
+// match with a Fenwick-tree sampler on pair nets, the dispatch
+// heuristic, and the deterministic parallel sweep runner.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
 #include <cstdint>
 #include <map>
@@ -20,6 +21,7 @@
 #include <vector>
 
 #include "core/constructions.h"
+#include "petri/petri_net.h"
 #include "sim/census.h"
 #include "sim/expected_time.h"
 #include "sim/parallel.h"
@@ -337,16 +339,16 @@ DirectStats run_reference_direct(const core::ConstructedProtocol& cp,
   return stats;
 }
 
-// Same measurement through the count scheduler.
-DirectStats run_count_direct(const core::ConstructedProtocol& cp,
-                             const std::vector<core::Count>& input,
-                             std::size_t runs) {
+// Same measurement through the census sampler.
+DirectStats run_census_direct(const core::ConstructedProtocol& cp,
+                              const std::vector<core::Count>& input,
+                              std::size_t runs) {
   const bool expected = cp.predicate(input);
   const core::Config initial = cp.protocol.initial_config(input);
   DirectStats stats;
   double total = 0.0;
   for (std::size_t r = 0; r < runs; ++r) {
-    sim::CountSimulator simulator(cp.protocol, initial, 1000 + r);
+    sim::CensusSimulator simulator(cp.protocol.net(), initial, 1000 + r);
     while (simulator.steps() < 2000000 && simulator.step()) {
     }
     if (simulator.silent()) {
@@ -359,6 +361,102 @@ DirectStats run_count_direct(const core::ConstructedProtocol& cp,
   }
   stats.mean_steps = total / static_cast<double>(runs);
   return stats;
+}
+
+// A width-3 net off the pair role: widths 1, 2 and 3, and two
+// transitions (burn, nudge) on one pre multiset {A, A, B}.
+core::Protocol width_three_net() {
+  core::ProtocolBuilder b;
+  const std::size_t A = b.add_state("A", false);
+  const std::size_t B = b.add_state("B", true);
+  const std::size_t C = b.add_state("C", false);
+  b.add_input(A);
+  b.add_rule("burn", {{A, 2}, {B, 1}}, {{C, 3}});
+  b.add_rule("nudge", {{A, 2}, {B, 1}}, {{A, 1}, {B, 1}, {C, 1}});
+  b.add_rule("convert", {{A, 1}, {B, 1}}, {{B, 2}});
+  b.add_rule("decay", {{C, 1}}, {{A, 1}});
+  b.add_rule("merge", {{A, 1}, {C, 2}}, {{B, 3}});
+  return b.build();
+}
+
+// C(n, k) in 128 bits, for the exact weights the tests recompute.
+unsigned __int128 exact_binomial(core::Count n, core::Count k) {
+  if (k > n) return 0;
+  unsigned __int128 c = 1;
+  for (core::Count i = 0; i < k; ++i) c = c * (n - i) / (i + 1);
+  return c;
+}
+
+// The count law's weight of every transition of `net` in `census`:
+// the product of C(c_q, k_q) over its pre arcs.
+std::vector<unsigned __int128> exact_weights(const ppsc::petri::PetriNet& net,
+                                             const core::Config& census) {
+  std::vector<unsigned __int128> weights;
+  for (std::size_t t = 0; t < net.num_transitions(); ++t) {
+    unsigned __int128 w = 1;
+    for (const ppsc::petri::Arc& arc : net.pre(t)) {
+      w *= exact_binomial(census[arc.place], arc.count);
+    }
+    weights.push_back(w);
+  }
+  return weights;
+}
+
+// One census-sampler step from `census` on `runs` seeded samplers,
+// against the count law: the histogram of successor censuses (each
+// expecting the summed weight of the transitions producing it) must
+// hold no successor of a zero-weight transition, and its chi-square
+// statistic is returned, with the number of successors in
+// `categories`.
+double one_step_chi_square(const ppsc::petri::PetriNet& net,
+                           const core::Config& census, std::size_t runs,
+                           std::size_t& categories) {
+  const std::vector<unsigned __int128> weights = exact_weights(net, census);
+  std::map<core::Config, double> weight_of;
+  double total = 0.0;
+  for (std::size_t t = 0; t < weights.size(); ++t) {
+    if (weights[t] == 0) continue;
+    weight_of[net.fire(t, census).raw()] += static_cast<double>(weights[t]);
+    total += static_cast<double>(weights[t]);
+  }
+  std::map<core::Config, std::size_t> observed;
+  for (std::size_t r = 0; r < runs; ++r) {
+    sim::CensusSimulator simulator(net, census, 5000 + r);
+    EXPECT_FALSE(simulator.pairwise());
+    EXPECT_TRUE(simulator.step());
+    ++observed[simulator.census()];
+  }
+  for (const auto& [next, count] : observed) {
+    EXPECT_EQ(weight_of.count(next), 1u) << "fired a zero-weight transition";
+  }
+  categories = weight_of.size();
+  double chi_square = 0.0;
+  for (const auto& [next, w] : weight_of) {
+    const double expected = static_cast<double>(runs) * w / total;
+    const double diff = static_cast<double>(observed[next]) - expected;
+    chi_square += diff * diff / expected;
+  }
+  return chi_square;
+}
+
+// Mean productive steps to silence over `runs` census-sampler runs
+// from `initial` on `net`, with its sample standard deviation.
+std::pair<double, double> sampled_mean_and_sd(
+    const ppsc::petri::PetriNet& net, const core::Config& initial,
+    std::size_t runs) {
+  double sum = 0.0;
+  double sum_sq = 0.0;
+  for (std::size_t r = 0; r < runs; ++r) {
+    sim::CensusSimulator simulator(net, initial, 9000 + r);
+    while (simulator.step()) {
+    }
+    const double steps = static_cast<double>(simulator.steps());
+    sum += steps;
+    sum_sq += steps * steps;
+  }
+  const double n = static_cast<double>(runs);
+  const double mean = sum / n;
+  return {mean, std::sqrt((sum_sq - sum * mean) / (n - 1.0))};
 }
 
 }  // namespace
@@ -382,17 +480,28 @@ TEST(PairRuleTable, RejectsNonPairwiseNets) {
 }
 
 TEST(PairRuleTable, AcceptsDuplicateIdenticalRules) {
-  // Registering the same transition twice is deterministic: the cell
-  // already holds exactly this outcome. Regression for the bug where
-  // any occupied cell was treated as a conflict, kicking protocols off
-  // the agent fast path.
+  // Registering the same transition twice (in any spelling) is
+  // deterministic: build() keeps the first copy and its name, so the
+  // table, the census sampler and the exact solver all fire it with
+  // one weight. Regression for the bug where any occupied cell was
+  // treated as a conflict, kicking protocols off the agent fast path.
+  // convert competes with retire, so a doubled convert would change
+  // the law.
   core::ProtocolBuilder b;
   const auto A = b.add_state("A", false);
   const auto B = b.add_state("B", true);
+  const auto C = b.add_state("C", false);
   b.add_input(A);
+  b.add_leaders(B, 1);
   b.add_pair_rule("convert", A, B, B, B);
   b.add_pair_rule("convert_again", A, B, B, B);
-  const auto table = sim::PairRuleTable::build(b.build());
+  b.add_rule("convert_spelled_out", {{B, 1}, {A, 1}}, {{B, 2}});
+  b.add_pair_rule("retire", B, B, C, C);
+  const core::Protocol protocol = b.build();
+  ASSERT_EQ(protocol.net().num_transitions(), 2u);
+  EXPECT_EQ(protocol.rule_name(0), "convert");
+  EXPECT_EQ(protocol.rule_name(1), "retire");
+  const auto table = sim::PairRuleTable::build(protocol);
   ASSERT_TRUE(table.has_value());
   const sim::PairRuleTable::Outcome* cell =
       table->rule(static_cast<std::uint32_t>(A),
@@ -400,6 +509,28 @@ TEST(PairRuleTable, AcceptsDuplicateIdenticalRules) {
   ASSERT_NE(cell, nullptr);
   EXPECT_EQ(cell->first, static_cast<std::uint32_t>(B));
   EXPECT_EQ(cell->second, static_cast<std::uint32_t>(B));
+
+  // The sampler's mean against exact E at x = 8, within 4 standard
+  // errors over 4000 runs (about 1.6% of E ~ 10.79). The same net with
+  // convert listed twice, built as a bare net, has E ~ 11.49, more than
+  // twice that tolerance away, so the check tells the two laws apart.
+  const core::Config initial = protocol.initial_config({8});
+  const sim::ExpectedTimeResult exact =
+      sim::expected_interactions_to_silence(protocol, {8});
+  ASSERT_TRUE(exact.computed);
+  constexpr std::size_t kRuns = 4000;
+  const auto [mean, sd] = sampled_mean_and_sd(protocol.net(), initial, kRuns);
+  const double tolerance = 4.0 * sd / std::sqrt(static_cast<double>(kRuns));
+  EXPECT_NEAR(mean, exact.expected_steps, tolerance);
+  ppsc::petri::PetriNet doubled(protocol.num_states());
+  for (const std::size_t t : {0, 0, 1}) {
+    doubled.add(protocol.net().pre(t), protocol.net().post(t));
+  }
+  const sim::ExpectedTimeResult doubled_exact =
+      sim::expected_interactions_to_silence(doubled, initial);
+  ASSERT_TRUE(doubled_exact.computed);
+  EXPECT_GT(std::abs(doubled_exact.expected_steps - exact.expected_steps),
+            2.0 * tolerance);
 }
 
 TEST(PairRuleTable, RejectsConflictingRulesOnSamePrePair) {
@@ -414,8 +545,8 @@ TEST(PairRuleTable, RejectsConflictingRulesOnSamePrePair) {
 
 TEST(PairRuleTable, RejectsStateSpacesAboveTheSizeCap) {
   // A dense table over kMaxStates + 1 states would hold ~16.8M cells;
-  // build() refuses it up front, and dispatch falls back to the count
-  // path exactly as for a non-pairwise net.
+  // build() refuses it up front, and dispatch takes the census sampler
+  // exactly as for a non-pairwise net.
   core::ProtocolBuilder b;
   for (std::size_t q = 0; q <= sim::PairRuleTable::kMaxStates; ++q) {
     b.add_state("q" + std::to_string(q), false);
@@ -428,7 +559,7 @@ TEST(PairRuleTable, RejectsStateSpacesAboveTheSizeCap) {
   EXPECT_EQ(sim::planned_scheduler(sim::RunOptions{}, table.has_value(),
                                    protocol.num_states(), 1 << 16)
                 .scheduler,
-            sim::SchedulerChoice::kCount);
+            sim::SchedulerChoice::kCensus);
 }
 
 TEST(PairRuleTable, CellsMatchTheRules) {
@@ -462,30 +593,30 @@ TEST(PairRuleTable, CellsMatchTheRules) {
 }
 
 TEST(SchedulerEquivalence, UnaryCountingStatsAgree) {
-  // The productive-step chains of the two schedulers are identical in
-  // distribution, so their means over matched run counts must agree
-  // within sampling noise (generous 20% margin; the seeds are fixed,
-  // so this is deterministic).
+  // The productive-step chains of the per-draw reference and the
+  // census sampler are identical in distribution, so their means over
+  // matched run counts must agree within sampling noise (generous 20%
+  // margin; the seeds are fixed, so this is deterministic).
   const auto cp = core::unary_counting(3);
   const DirectStats agent = run_reference_direct(cp, {24}, 48);
-  const DirectStats count = run_count_direct(cp, {24}, 48);
+  const DirectStats census = run_census_direct(cp, {24}, 48);
   EXPECT_EQ(agent.converged, 48u);
-  EXPECT_EQ(count.converged, 48u);
+  EXPECT_EQ(census.converged, 48u);
   EXPECT_EQ(agent.correct, 48u);
-  EXPECT_EQ(count.correct, 48u);
+  EXPECT_EQ(census.correct, 48u);
   EXPECT_GT(agent.mean_steps, 0.0);
-  EXPECT_NEAR(agent.mean_steps, count.mean_steps, 0.2 * count.mean_steps);
+  EXPECT_NEAR(agent.mean_steps, census.mean_steps, 0.2 * census.mean_steps);
 }
 
 TEST(SchedulerEquivalence, Example42StatsAgree) {
   const auto cp = core::example_4_2(3);
   const DirectStats agent = run_reference_direct(cp, {5}, 48);
-  const DirectStats count = run_count_direct(cp, {5}, 48);
+  const DirectStats census = run_census_direct(cp, {5}, 48);
   EXPECT_EQ(agent.converged, 48u);
-  EXPECT_EQ(count.converged, 48u);
+  EXPECT_EQ(census.converged, 48u);
   EXPECT_EQ(agent.correct, 48u);
-  EXPECT_EQ(count.correct, 48u);
-  EXPECT_NEAR(agent.mean_steps, count.mean_steps, 0.2 * count.mean_steps);
+  EXPECT_EQ(census.correct, 48u);
+  EXPECT_NEAR(agent.mean_steps, census.mean_steps, 0.2 * census.mean_steps);
 }
 
 TEST(ParallelSweep, BitIdenticalAcrossThreadCounts) {
@@ -509,8 +640,8 @@ TEST(ParallelSweep, BitIdenticalAcrossThreadCounts) {
 
 TEST(ParallelSweep, CountFallbackMatchesRunToSilence) {
   // The destructive variant cannot compile to a pair table, so the
-  // sweep must take the count path -- whose runs are exactly
-  // run_to_silence with seeds options.seed + r.
+  // sweep must take the count path (the census sampler) -- whose runs
+  // are exactly run_to_silence with seeds options.seed + r.
   const auto cp = core::destructive_unary_counting(3);
   ASSERT_FALSE(sim::PairRuleTable::build(cp.protocol).has_value());
   sim::RunOptions options;
@@ -552,35 +683,6 @@ DirectStats run_sharded_direct(const core::ConstructedProtocol& cp,
   for (std::size_t r = 0; r < runs; ++r) {
     sim::ShardedSimulator simulator(*table, initial, 1000 + r, options);
     simulator.run(2000000);
-    if (simulator.silent()) {
-      ++stats.converged;
-      const sim::OutputSummary out =
-          sim::summarize_output(cp.protocol, simulator.census());
-      if (out.unanimous(expected)) ++stats.correct;
-    }
-    total += static_cast<double>(simulator.steps());
-  }
-  stats.mean_steps = total / static_cast<double>(runs);
-  return stats;
-}
-
-// Same measurement through the census scheduler.
-DirectStats run_census_direct(const core::ConstructedProtocol& cp,
-                              const std::vector<core::Count>& input,
-                              std::size_t runs) {
-  const auto table = sim::PairRuleTable::build(cp.protocol);
-  DirectStats stats;
-  if (!table) {
-    ADD_FAILURE() << "protocol did not compile to a pair table";
-    return stats;
-  }
-  const bool expected = cp.predicate(input);
-  const core::Config initial = cp.protocol.initial_config(input);
-  double total = 0.0;
-  for (std::size_t r = 0; r < runs; ++r) {
-    sim::CensusSimulator simulator(*table, initial, 1000 + r);
-    while (simulator.steps() < 2000000 && simulator.step()) {
-    }
     if (simulator.silent()) {
       ++stats.converged;
       const sim::OutputSummary out =
@@ -942,7 +1044,8 @@ TEST(CensusSimulator, TracksSilenceExactly) {
   const auto cp = core::unary_counting(3);
   const auto table = sim::PairRuleTable::build(cp.protocol);
   ASSERT_TRUE(table.has_value());
-  sim::CensusSimulator simulator(*table, cp.protocol.initial_config({12}), 7);
+  sim::CensusSimulator simulator(cp.protocol.net(),
+                                 cp.protocol.initial_config({12}), 7);
   const core::Count population = simulator.population();
   ASSERT_EQ(population, 12);
   ASSERT_FALSE(simulator.silent());
@@ -1002,7 +1105,7 @@ TEST(CensusSimulator, SamplesCellsWithExactWeights) {
   constexpr std::size_t kRuns = 20000;
   std::map<core::Config, std::size_t> observed;
   for (std::size_t r = 0; r < kRuns; ++r) {
-    sim::CensusSimulator simulator(*table, census, 5000 + r);
+    sim::CensusSimulator simulator(cp.protocol.net(), census, 5000 + r);
     ASSERT_TRUE(simulator.step());
     ++observed[simulator.census()];
   }
@@ -1045,7 +1148,7 @@ TEST(CensusSimulator, MatchesAFenwickTreeSamplerDrawForDraw) {
     ASSERT_TRUE(table.has_value());
     const core::Config initial = c.cp.protocol.initial_config(c.input);
     for (const std::uint64_t seed : {1u, 2u, 3u}) {
-      sim::CensusSimulator census(*table, initial, seed);
+      sim::CensusSimulator census(c.cp.protocol.net(), initial, seed);
       FenwickCensusReference reference(*table, initial, seed);
       for (int k = 0; k < 20000; ++k) {
         const bool fired = census.step();
@@ -1080,7 +1183,7 @@ TEST(CensusSimulator, SoleEnabledCellAlwaysFires) {
   merged[id.at("0")] = 1001;
   merged[id.at("2")] = 1;
   for (std::uint64_t seed = 0; seed < 2000; ++seed) {
-    sim::CensusSimulator simulator(*table, census, seed);
+    sim::CensusSimulator simulator(cp.protocol.net(), census, seed);
     ASSERT_EQ(simulator.enabled_pairs(), 2);
     ASSERT_TRUE(simulator.step());
     ASSERT_EQ(simulator.census(), merged) << "seed " << seed;
@@ -1102,23 +1205,10 @@ TEST(CensusSimulator, MeanStepsMatchTheExactOracle) {
     const sim::ExpectedTimeResult exact =
         sim::expected_interactions_to_silence(cp.protocol, input);
     ASSERT_TRUE(exact.computed);
-    const auto table = sim::PairRuleTable::build(cp.protocol);
-    ASSERT_TRUE(table.has_value());
-    const core::Config initial = cp.protocol.initial_config(input);
-    double sum = 0.0;
-    double sum_sq = 0.0;
-    for (std::size_t r = 0; r < kRuns; ++r) {
-      sim::CensusSimulator simulator(*table, initial, 9000 + r);
-      while (simulator.step()) {
-      }
-      const double steps = static_cast<double>(simulator.steps());
-      sum += steps;
-      sum_sq += steps * steps;
-    }
-    const double n = static_cast<double>(kRuns);
-    const double mean = sum / n;
-    const double sd = std::sqrt((sum_sq - sum * mean) / (n - 1.0));
-    EXPECT_NEAR(mean, exact.expected_steps, 4.0 * sd / std::sqrt(n));
+    const auto [mean, sd] = sampled_mean_and_sd(
+        cp.protocol.net(), cp.protocol.initial_config(input), kRuns);
+    EXPECT_NEAR(mean, exact.expected_steps,
+                4.0 * sd / std::sqrt(static_cast<double>(kRuns)));
   };
   check(core::unary_counting(3), {12});
   check(core::example_4_2(3), {4});
@@ -1126,30 +1216,126 @@ TEST(CensusSimulator, MeanStepsMatchTheExactOracle) {
 
 TEST(CensusSimulator, TinyPopulationsAreSilent) {
   const auto cp = core::unary_counting(2);
-  const auto table = sim::PairRuleTable::build(cp.protocol);
-  ASSERT_TRUE(table.has_value());
-  sim::CensusSimulator empty(*table, cp.protocol.initial_config({0}), 1);
+  sim::CensusSimulator empty(cp.protocol.net(), cp.protocol.initial_config({0}),
+                             1);
   EXPECT_TRUE(empty.silent());
   EXPECT_FALSE(empty.step());
-  sim::CensusSimulator loner(*table, cp.protocol.initial_config({1}), 1);
+  sim::CensusSimulator loner(cp.protocol.net(), cp.protocol.initial_config({1}),
+                             1);
   EXPECT_TRUE(loner.silent());
   EXPECT_FALSE(loner.step());
   EXPECT_EQ(loner.steps(), 0u);
 }
 
 TEST(CensusSimulator, RejectsPopulationsWhosePairCountOverflows) {
-  // n(n-1) must fit in a long long: kMaxPopulation is the last n that
-  // does. The accepted case is only constructed, never stepped.
+  // On a pair net the weight bound is n(n-1), which must fit in a long
+  // long: kMaxPopulation is the last n that does. The accepted case is
+  // only constructed, never stepped.
   const auto cp = core::unary_counting(2);
-  const auto table = sim::PairRuleTable::build(cp.protocol);
-  ASSERT_TRUE(table.has_value());
   const core::Count limit = sim::CensusSimulator::kMaxPopulation;
-  const sim::CensusSimulator at_limit(
-      *table, cp.protocol.initial_config({limit}), 1);
+  const sim::CensusSimulator at_limit(cp.protocol.net(),
+                                      cp.protocol.initial_config({limit}), 1);
+  EXPECT_TRUE(at_limit.pairwise());
   EXPECT_EQ(at_limit.population(), limit);
   const core::Config over_limit = cp.protocol.initial_config({limit + 1});
-  EXPECT_THROW(sim::CensusSimulator rejected(*table, over_limit, 1),
+  EXPECT_THROW(sim::CensusSimulator rejected(cp.protocol.net(), over_limit, 1),
                std::invalid_argument);
+}
+
+TEST(CensusSimulator, RejectsWeightBoundsPastLongLong) {
+  // Off pair nets the bound is the sum over widths w of m_w C(n, w).
+  // Example 4.1 with n = 5 has one pre multiset of each width 2..4 and
+  // two of width 5: C(N,2) + C(N,3) + C(N,4) + C(N,5) is 9.2209e18 at
+  // N = 16,174, 2.5e15 under 2^63, and passes 2^63 at N = 16,175. With
+  // n = 64 every width up to the population counts, 2^N - N - 1, which
+  // fits at N = 63 and not at N = 64.
+  const auto check = [](const core::ConstructedProtocol& cp,
+                        core::Count last) {
+    SCOPED_TRACE(cp.family + " n=" + std::to_string(last));
+    const sim::CensusSimulator under(
+        cp.protocol.net(), cp.protocol.initial_config({last}), 1);
+    EXPECT_FALSE(under.pairwise());
+    const core::Config over = cp.protocol.initial_config({last + 1});
+    EXPECT_THROW(sim::CensusSimulator rejected(cp.protocol.net(), over, 1),
+                 std::invalid_argument);
+  };
+  check(core::example_4_1(5), 16174);
+  check(core::example_4_1(64), 63);
+}
+
+TEST(CensusSimulator, WeightsStayExactAtTheBound) {
+  // Example 4.1 with n = 5 at the largest accepted population: W starts
+  // at C(16174, 5) ~ 9.2e18, within 0.03% of 2^63. W must equal a
+  // 128-bit recomputation of the count law at every step to silence.
+  const auto cp = core::example_4_1(5);
+  const ppsc::petri::PetriNet& net = cp.protocol.net();
+  sim::CensusSimulator simulator(net, cp.protocol.initial_config({16174}), 3);
+  for (;;) {
+    unsigned __int128 total = 0;
+    for (const unsigned __int128 w : exact_weights(net, simulator.census())) {
+      total += w;
+    }
+    ASSERT_LE(total, static_cast<unsigned __int128>(LLONG_MAX));
+    ASSERT_EQ(simulator.enabled_pairs(), static_cast<long long>(total))
+        << "step " << simulator.steps();
+    if (!simulator.step()) break;
+  }
+  EXPECT_EQ(simulator.census(), (core::Config{0, 16174}));
+  EXPECT_EQ(simulator.interactions(), simulator.steps());
+}
+
+TEST(CensusSimulator, CountLawSamplesExactInstantiationWeights) {
+  // One step from a fixed census on each of kRuns seeded samplers, off
+  // the pair role: the fired transition must follow prod C(c_q, k_q) / W
+  // exactly. Each test compares 20,000 draws with chi-square at the
+  // 0.001 upper quantile; simulating the alternative in which one weight
+  // is 15% off (convert here, t1 on Example 4.1) rejects it with
+  // probability above 0.99.
+  constexpr std::size_t kRuns = 20000;
+  std::size_t categories = 0;
+
+  // Width-3 net at A = 5, B = 3, C = 4: burn and nudge share the pre
+  // {A, A, B} (30 each), convert 15, decay 4, merge 30; W = 109, five
+  // successors, 4 degrees of freedom, quantile 18.47, smallest expected
+  // count 20000 * 4 / 109 ~ 734.
+  const core::Protocol wide = width_three_net();
+  EXPECT_LT(one_step_chi_square(wide.net(), {5, 3, 4}, kRuns, categories),
+            18.47);
+  EXPECT_EQ(categories, 5u);
+
+  // Example 4.1 with n = 4 at A = 6, B = 2: t4 C(6,4) = 15, t1 12, t2 30,
+  // t3 40; W = 97, four successors, 3 degrees of freedom, quantile 16.27.
+  const auto e41 = core::example_4_1(4);
+  EXPECT_LT(one_step_chi_square(e41.protocol.net(), {6, 2}, kRuns, categories),
+            16.27);
+  EXPECT_EQ(categories, 4u);
+}
+
+TEST(CensusSimulator, CountLawMeanStepsMatchTheExactOracle) {
+  // Off the pair role the sampler is still the exact productive-step
+  // chain, so its mean time to silence must match
+  // expected_interactions_to_silence within 4 standard errors over 4000
+  // runs, as on pair nets: about 1.0% of E ~ 3.80 for Example 4.1 with
+  // n = 3 at x = 7, and 0.32% of E ~ 13.66 for
+  // destructive_unary_counting(3) at x = 6. A true bias of 6 standard
+  // errors fails the check with probability 0.977.
+  constexpr std::size_t kRuns = 4000;
+  const auto check = [&](const core::ConstructedProtocol& cp,
+                         core::Count input) {
+    SCOPED_TRACE(cp.family);
+    const sim::ExpectedTimeResult exact =
+        sim::expected_interactions_to_silence(cp.protocol, {input});
+    ASSERT_TRUE(exact.computed);
+    const core::Config initial = cp.protocol.initial_config({input});
+    const sim::CensusSimulator probe(cp.protocol.net(), initial, 1);
+    EXPECT_FALSE(probe.pairwise());
+    const auto [mean, sd] =
+        sampled_mean_and_sd(cp.protocol.net(), initial, kRuns);
+    EXPECT_NEAR(mean, exact.expected_steps,
+                4.0 * sd / std::sqrt(static_cast<double>(kRuns)));
+  };
+  check(core::example_4_1(3), 7);
+  check(core::destructive_unary_counting(3), 6);
 }
 
 TEST(DispatchHeuristic, PicksByPopulationAndStateCount) {
@@ -1161,9 +1347,9 @@ TEST(DispatchHeuristic, PicksByPopulationAndStateCount) {
     return std::make_pair(p.scheduler, p.shards);
   };
   const sim::RunOptions automatic;
-  // No pair table: everything degrades to the count scheduler.
+  // No pair table: every run takes the census sampler.
   EXPECT_EQ(plan(automatic, false, 5, 100),
-            std::make_pair(SchedulerChoice::kCount, std::size_t{0}));
+            std::make_pair(SchedulerChoice::kCensus, std::size_t{0}));
   // Small populations run the one-shard agent-array kernel.
   EXPECT_EQ(plan(automatic, true, 5, 100),
             std::make_pair(SchedulerChoice::kSharded, std::size_t{1}));
@@ -1189,10 +1375,7 @@ TEST(DispatchHeuristic, PicksByPopulationAndStateCount) {
   EXPECT_EQ(plan(forced, true, 5, 100),
             std::make_pair(SchedulerChoice::kSharded, std::size_t{4}));
   EXPECT_EQ(plan(forced, false, 5, 100),
-            std::make_pair(SchedulerChoice::kCount, std::size_t{0}));
-  forced.scheduler = SchedulerChoice::kCount;
-  EXPECT_EQ(plan(forced, true, 5, core::Count{1} << 30),
-            std::make_pair(SchedulerChoice::kCount, std::size_t{0}));
+            std::make_pair(SchedulerChoice::kCensus, std::size_t{0}));
 
   // The census handoff: only a kAuto run on the one-shard kernel over
   // a table of at most 64 states gets a floor, ceil(n(n-1) / 16).
@@ -1368,7 +1551,6 @@ TEST(DispatchHeuristic, ForcedSchedulersAgreeOnOutcomes) {
       {sim::SchedulerChoice::kSharded, 1},
       {sim::SchedulerChoice::kSharded, 2},
       {sim::SchedulerChoice::kCensus, 0},
-      {sim::SchedulerChoice::kCount, 0},
   };
   for (const auto& [choice, shards] : arms) {
     sim::RunOptions options;
@@ -1391,15 +1573,13 @@ TEST(DestructiveUnary, ComputesTheSamePredicate) {
   EXPECT_EQ(below.correct, 3u);
 }
 
-// The count sampler's exact trajectory, pinned draw for draw: the
-// census after a fixed budget, the steps to silence, the weight-cache
-// recomputations and the silent census, for three seeds each on a
-// wide net (Example 4.1, width 3) and a non-pairwise width-1/2 net.
-// The expected values were recorded from the sampler as it stood
-// before it read the protocol's compiled net directly; any change to
-// transition order, the weight formula or the cache invalidation
-// moves them.
-TEST(CountSimulator, PinnedTrajectoriesForFixedSeeds) {
+// The census sampler's count-role trajectory, pinned draw for draw:
+// the census after a fixed budget, the steps to silence, the changed
+// weights and the silent census, for three seeds each on a wide net
+// (Example 4.1, width 3) and a non-pairwise width-1/2 net. Any change
+// to the entry order, the weight formula or the dependents index moves
+// them.
+TEST(CensusSimulator, PinnedCountLawTrajectoriesForFixedSeeds) {
   struct Pin {
     std::uint64_t seed;
     core::Config mid;
@@ -1415,20 +1595,21 @@ TEST(CountSimulator, PinnedTrajectoriesForFixedSeeds) {
   };
   const std::vector<Case> cases = {
       {core::example_4_1(3), 40, 8, {0, 40},
-       {{1, {18, 22}, 18, 54},
-        {7, {20, 20}, 19, 57},
-        {2024, {20, 20}, 19, 57}}},
+       {{1, {18, 22}, 19, 56},
+        {7, {22, 18}, 20, 58},
+        {2024, {19, 21}, 19, 53}}},
       {core::destructive_unary_counting(4), 30, 25,
        {0, 22, 0, 0, 0, 1, 0, 0, 0, 7, 0},
-       {{1, {0, 5, 1, 4, 0, 0, 0, 1, 0, 1, 18}, 79, 1228},
-        {7, {2, 5, 3, 0, 0, 2, 1, 0, 0, 1, 16}, 77, 1223},
-        {2024, {3, 4, 2, 1, 2, 0, 1, 0, 0, 1, 16}, 80, 1246}}},
+       {{1, {5, 3, 1, 0, 1, 1, 0, 0, 0, 2, 17}, 78, 387},
+        {7, {1, 5, 3, 2, 0, 0, 0, 0, 0, 2, 17}, 74, 408},
+        {2024, {1, 6, 1, 1, 0, 0, 0, 2, 0, 1, 18}, 80, 444}}},
   };
   for (const Case& c : cases) {
     for (const Pin& pin : c.pins) {
       SCOPED_TRACE(c.cp.family + " seed " + std::to_string(pin.seed));
-      sim::CountSimulator simulator(
-          c.cp.protocol, c.cp.protocol.initial_config({c.input}), pin.seed);
+      sim::CensusSimulator simulator(
+          c.cp.protocol.net(), c.cp.protocol.initial_config({c.input}),
+          pin.seed);
       EXPECT_EQ(simulator.run(c.mid_steps), c.mid_steps);
       EXPECT_EQ(simulator.census(), pin.mid);
       simulator.run(1000000);

@@ -75,10 +75,9 @@ TEST(MeasureConvergence, CountingFamiliesAtThreshold) {
 }
 
 TEST(MeasureConvergence, PinnedStatsForFixedSeedOnExample41) {
-  // Regression pin for the scheduler-architecture refactor: the
-  // count-scheduler path must keep producing these exact statistics
-  // for this seed. Example 4.1 is width n, so every run takes the
-  // count path regardless of the fast-path dispatch.
+  // Regression pin: Example 4.1 is width n, so every run takes the
+  // census sampler's count role regardless of the fast-path dispatch,
+  // and must keep producing these exact statistics for this seed.
   const auto cp = core::example_4_1(3);
   sim::RunOptions options;
   options.seed = 2024;
@@ -192,8 +191,8 @@ TEST(CensusTrace, GeometricScheduleAndConservation) {
 }
 
 TEST(CensusTrace, CountSchedulerFallback) {
-  // Width-n nets cannot compile to a pair table; the trace must fall
-  // back to the count scheduler and still converge.
+  // Width-n nets cannot compile to a pair table; the trace must run the
+  // census sampler's count role and still converge.
   const auto cp = core::example_4_1(3);
   const auto trace =
       sim::record_census_trace(cp.protocol, {5}, 1000000, /*seed=*/3);
