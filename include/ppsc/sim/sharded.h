@@ -6,8 +6,8 @@
 // is the classical scheduler itself -- one slice, no exchange, one
 // uniform ordered pair of distinct agents per draw -- and it serves
 // every agent-array run, from a few agents to 10^9; at S > 1 the
-// shards additionally run on N worker threads when cores are
-// available.
+// shards additionally run on the process's thread pool
+// (util/parallel.h) when cores are available.
 //
 // ---------------------------------------------------------------------
 // Why sharded draws preserve the uniform-pair law (mixing argument)
@@ -82,25 +82,22 @@
 // clamped to max(1, n/2), so every slice holds at least two agents and
 // can draw.
 //
-// Epoch barrier. At S > 1 the calling thread is worker 0 and the
-// spawned workers wait between epochs. run_epoch() releases them by
-// bumping an atomic epoch generation and collects them through an
-// atomic count of running workers. Both sides spin on those atomics
-// (a pause per probe, a yield every few hundred) for kSpinWindow
-// before parking on a condition variable, so a busy run crosses every
-// barrier without a futex wake-up and an idle simulator parks its
-// workers within milliseconds. Shutdown wakes spinners and parked
-// workers alike.
+// Epoch barrier. An epoch is one util::parallel_for call over S + 1
+// indices on at most num_workers() threads: indices 0..S-1 run the
+// shards' batches and index S draws the exchange plan. The call's
+// return is the barrier. The pool's workers spin for util::kSpinWindow
+// between calls before they park, so a busy run crosses every barrier
+// without a futex wake-up. The kernel starts no thread of its own, and
+// a run inside a pool task (a sweep's run) runs its shards inline.
 //
 // Exchange plan. An epoch's transpositions depend only on the exchange
 // stream and the fixed slice bases and sizes, never on agent states,
-// so the calling thread draws them into a flat plan right after it
-// releases the workers, before it claims shards of its own; work
-// stealing spreads that cost over the workers. The barrier then only
-// applies the plan, in order, so the chain is the one of drawing and
-// applying each swap in turn. Nobody else reads the plan, and the
-// slice placement it is drawn from is read-only, off the cache lines
-// the workers write.
+// so they are drawn into a flat plan while the shards draw: the caller
+// claims index S first, since the pool hands it the top index. The
+// barrier then only applies the plan, in order, so the chain is the
+// one of drawing and applying each swap in turn. Nobody else reads the
+// plan, and the slice placement it is drawn from is read-only, off the
+// cache lines the batches write.
 //
 // Agent slots are 16 bits wide: PairRuleTable caps tables at
 // kMaxStates = 4096 states, so a slot fits any state, and the agent
@@ -120,12 +117,7 @@
 #ifndef PPSC_SIM_SHARDED_H
 #define PPSC_SIM_SHARDED_H
 
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "core/protocol.h"
@@ -144,9 +136,10 @@ struct ShardedOptions {
   // max(1, population / 2). 1 disables exchange and is the classical
   // uniform random-pair scheduler.
   std::size_t shards = 0;
-  // Worker threads driving the shards; 0 = min(shards, hardware
-  // threads). 1 runs everything inline on the calling thread. The
-  // result never depends on this value.
+  // Threads an epoch may run on (its util::parallel_for max_threads),
+  // capped at the shard count and the pool's width; 0 = the pool's
+  // width. 1 runs everything inline on the calling thread. The result
+  // never depends on this value.
   unsigned workers = 0;
   // Cross-shard transpositions per epoch = (shards * K) >> shift; the
   // default refreshes one slot per eight draw-touched slots --
@@ -159,19 +152,10 @@ struct ShardedOptions {
 
 class ShardedSimulator {
  public:
-  // How long a waiting thread spins at the epoch barrier before it
-  // parks: well over the serial phase between epochs (the exchange
-  // apply plus census refresh, about 0.15-0.20 ms at 2^24 agents and
-  // S = 8), so workers stay spinning through it, and short enough that
-  // an idle simulator parks its workers within milliseconds. Shorter
-  // windows measured slower (docs/sim-sharding.md).
-  static constexpr std::chrono::microseconds kSpinWindow{4000};
-
   // The table must outlive the simulator. `initial` is a configuration
   // over the protocol's states.
   ShardedSimulator(const PairRuleTable& table, const core::Config& initial,
                    std::uint64_t seed, ShardedOptions options = {});
-  ~ShardedSimulator();
 
   ShardedSimulator(const ShardedSimulator&) = delete;
   ShardedSimulator& operator=(const ShardedSimulator&) = delete;
@@ -203,9 +187,6 @@ class ShardedSimulator {
   std::uint64_t epoch_length() const { return epoch_length_; }
   std::uint64_t cross_swaps() const { return cross_swaps_; }
   std::uint64_t prefetch_batches() const { return prefetch_batches_; }
-  std::uint64_t steals() const {
-    return steals_.load(std::memory_order_relaxed);
-  }
 
   const core::Config& census() const { return counts_; }
   core::Count population() const {
@@ -216,9 +197,11 @@ class ShardedSimulator {
   long long enabled_pairs() const { return enabled_pairs_; }
 
   std::size_t num_shards() const { return shards_.size(); }
-  unsigned num_workers() const {
-    return static_cast<unsigned>(threads_.size()) + 1;
-  }
+  // The options' workers resolved and capped at the shard count and
+  // the pool's width: the most threads an epoch runs on. A busy pool
+  // or a call from inside a pool task runs it on fewer
+  // (util/parallel.h).
+  unsigned num_workers() const { return workers_; }
 
   // Adds this run's totals to the global registry -- sim.agent.* for
   // one shard, sim.shard.* for more; call once, after the run. No-op
@@ -231,7 +214,7 @@ class ShardedSimulator {
   static_assert(PairRuleTable::kMaxStates - 1 <= 0xffff,
                 "every table state must fit an agent slot");
 
-  // A shard's mutable state, written by whichever worker runs its
+  // A shard's mutable state, written by whichever thread runs its
   // batch; each on its own cache lines.
   struct alignas(64) Shard {
     util::Xoshiro256 rng{0};
@@ -243,7 +226,7 @@ class ShardedSimulator {
 
   // Shard s's slice of the agent array, fixed at construction and
   // read-only afterwards, kept apart from the Shard records so the plan
-  // draws never read a line a worker writes.
+  // draws never read a line a batch writes.
   struct Slice {
     Slot* base;
     std::uint64_t size;
@@ -263,9 +246,6 @@ class ShardedSimulator {
   // steps; returns true iff not silent afterwards.
   bool run_epoch(std::uint64_t budget);
   void run_shard_batch(std::size_t s);
-  // Claims shards off next_shard_ until the epoch's work is drained.
-  void drain_shards(unsigned worker);
-  void worker_loop(unsigned worker);
   // Draws the epoch's X uniform cross-shard transpositions into plan_
   // from exchange_rng_; reads no agent slot, so it runs while the
   // shards draw.
@@ -285,9 +265,10 @@ class ShardedSimulator {
   util::Xoshiro256 exchange_rng_;
   std::uint64_t epoch_length_ = 0;
   // Productive steps each shard may still fire in the current epoch;
-  // written before the epoch's workers are released.
+  // written before the epoch's parallel_for.
   std::uint64_t epoch_budget_ = kUnbounded;
   unsigned exchange_shift_;
+  unsigned workers_ = 1;
 
   core::Config counts_;
   long long enabled_pairs_ = 0;
@@ -296,20 +277,6 @@ class ShardedSimulator {
   std::uint64_t epochs_ = 0;
   std::uint64_t cross_swaps_ = 0;
   std::uint64_t prefetch_batches_ = 0;
-  std::atomic<std::uint64_t> steals_{0};
-
-  // Epoch barrier (see the header comment): the main thread bumps
-  // epoch_gen_ and participates as worker 0; spawned workers spin, then
-  // park on cv_work_, between epochs. mu_ orders the parking paths
-  // against the stores that end a wait.
-  std::vector<std::thread> threads_;
-  std::mutex mu_;
-  std::condition_variable cv_work_;
-  std::condition_variable cv_done_;
-  std::atomic<std::uint64_t> epoch_gen_{0};
-  std::atomic<unsigned> running_{0};
-  std::atomic<bool> shutdown_{false};
-  std::atomic<std::size_t> next_shard_{0};
 };
 
 }  // namespace sim

@@ -9,9 +9,16 @@
 //    exit. The calling thread takes part, so a call runs on at most
 //    hardware_concurrency() threads, and the number of threads (and of
 //    obs trace rings) a process ever creates stays bounded.
-//  * Idle workers park on a condition variable and never spin: a
-//    parked pool takes no core from the sharded kernel's own spinning
-//    workers (sim/sharded.h).
+//  * After a call, a worker spins on the pool's call generation for
+//    kSpinWindow, then parks on a condition variable; one the call
+//    turned away, all its seats taken, parks at once. A caller whose
+//    share is done spins the same window on the workers still inside
+//    before it parks.
+//    Back-to-back calls -- the sharded kernel's epochs
+//    (sim/sharded.h), one call per epoch -- so start and end without
+//    a futex wake-up, and an idle pool takes no core after one window.
+//    A pool that parked after every call made perfbench deep-large
+//    about 10% slower (docs/sim-sharding.md).
 //  * Workers claim the lowest unclaimed index and the caller the
 //    highest, so a caller whose indices grow in cost (the odometers'
 //    populations) keeps the largest items on its own thread. Callers
@@ -29,11 +36,20 @@
 #ifndef PPSC_UTIL_PARALLEL_H
 #define PPSC_UTIL_PARALLEL_H
 
+#include <chrono>
 #include <cstddef>
 #include <functional>
 
 namespace ppsc {
 namespace util {
+
+// How long a waiting thread spins before it parks: well over the serial
+// phase between two sharded epochs (the exchange apply plus census
+// refresh, about 0.15-0.20 ms at 2^24 agents and S = 8), so workers
+// stay spinning through it, and short enough that an idle pool parks
+// within milliseconds. Shorter windows measured slower
+// (docs/sim-sharding.md).
+inline constexpr std::chrono::microseconds kSpinWindow{4000};
 
 // Threads a call may run on: the pool's workers plus the caller.
 unsigned parallel_width();

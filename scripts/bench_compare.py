@@ -8,8 +8,7 @@ two bench families:
 
   * report kind (bench/report.h): compares wall_ms and items_per_sec
     against relative thresholds, and requires *exact* equality for
-    every registry counter except the thread-timing-dependent
-    `sim.shard.steals`, and for every span count in the `profile`
+    every registry counter and for every span count in the `profile`
     (`profile.<span>.count`; skipped with a warn row when either side's
     trace ring wrapped) -- the engines are deterministic under fixed
     seeds, so configs/edges/iterations drifting is a correctness
@@ -59,14 +58,6 @@ GBENCH_STANDARD_KEYS = {
     "error_occurred", "error_message",
 }
 
-# The one registry counter that is not a deterministic work count:
-# sim.shard.steals, the shard batches a non-owning worker happened to
-# pick up, which depends on thread timing whenever more than one core
-# runs the pool.
-def is_timing_counter(key):
-    return key == "sim.shard.steals"
-
-
 class Row:
     def __init__(self, bench, metric, base, fresh, status, note=""):
         self.bench = bench
@@ -106,8 +97,6 @@ def compare_timing(rows, bench, metric, base, fresh, slower_is, tol):
 
 def compare_exact(rows, bench, prefix, base_map, fresh_map):
     for key in sorted(set(base_map) | set(fresh_map)):
-        if is_timing_counter(key):
-            continue
         base, fresh = base_map.get(key), fresh_map.get(key)
         if base == fresh:
             continue

@@ -142,7 +142,7 @@ ConvergenceStats measure_convergence_parallel(
   }();
 
   std::vector<RunOutcome> outcomes(runs);
-  const auto run_one = [&, plan, workers](std::size_t r) {
+  const auto run_one = [&, plan](std::size_t r) {
     const std::uint64_t seed = options.seed + r;
     // One span per run, recorded on whichever worker thread executed
     // it -- the per-thread tracks in a Perfetto view of a parallel
@@ -169,11 +169,6 @@ ConvergenceStats measure_convergence_parallel(
         }
         ShardedOptions sharded;
         sharded.shards = plan.shards;
-        // A sweep that already parallelizes across runs keeps each
-        // sharded run single-threaded; sharding still pays via
-        // locality + prefetch batching, and the result is
-        // worker-count-independent either way.
-        if (workers > 1) sharded.workers = 1;
         ShardedSimulator kernel(*table, initial, seed, sharded);
         shards = kernel.num_shards();
         kernel.run(max_steps, plan.handoff_pairs);

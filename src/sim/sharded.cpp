@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "obs/metrics.h"
+#include "util/parallel.h"
 
 namespace ppsc {
 namespace sim {
@@ -26,36 +27,6 @@ constexpr std::size_t kSwapLookahead = 16;
 // Bounds of the derived epoch length K (see sim/sharded.h).
 constexpr std::uint64_t kMinEpoch = 64;
 constexpr std::uint64_t kMaxEpoch = 8192;
-
-// One spin-wait probe: tells the core this is a busy-wait loop, which
-// frees pipeline resources for a sibling hyperthread.
-inline void cpu_relax() {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
-#elif defined(__aarch64__)
-  asm volatile("yield");
-#endif
-}
-
-// Spins until done() holds or ShardedSimulator::kSpinWindow has
-// passed, and returns done(). The clock is read, and the thread
-// yields, only every kProbesPerYield probes, so a short wait costs a
-// few loads and pauses.
-template <typename Done>
-bool spin_until(const Done& done) {
-  constexpr unsigned kProbesPerYield = 256;
-  if (done()) return true;
-  const auto deadline =
-      std::chrono::steady_clock::now() + ShardedSimulator::kSpinWindow;
-  for (unsigned probe = 1;; ++probe) {
-    cpu_relax();
-    if (done()) return true;
-    if (probe % kProbesPerYield == 0) {
-      if (std::chrono::steady_clock::now() >= deadline) return false;
-      std::this_thread::yield();
-    }
-  }
-}
 
 }  // namespace
 
@@ -137,26 +108,9 @@ ShardedSimulator::ShardedSimulator(const PairRuleTable& table,
   }
   refresh_global();
 
-  unsigned workers = options.workers;
-  if (workers == 0) {
-    workers = std::thread::hardware_concurrency();
-    if (workers == 0) workers = 1;
-  }
-  workers = static_cast<unsigned>(
-      std::min<std::size_t>(workers, num_shards));
-  threads_.reserve(workers - 1);
-  for (unsigned w = 1; w < workers; ++w) {
-    threads_.emplace_back([this, w] { worker_loop(w); });
-  }
-}
-
-ShardedSimulator::~ShardedSimulator() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    shutdown_.store(true, std::memory_order_release);
-  }
-  cv_work_.notify_all();
-  for (std::thread& t : threads_) t.join();
+  const unsigned width = util::parallel_width();
+  workers_ = static_cast<unsigned>(std::min<std::size_t>(
+      {options.workers == 0 ? width : options.workers, width, num_shards}));
 }
 
 void ShardedSimulator::run_shard_batch(std::size_t s) {
@@ -202,41 +156,6 @@ void ShardedSimulator::run_shard_batch(std::size_t s) {
     ++shard.batches;
     room -= fired;
     remaining -= group;
-  }
-}
-
-void ShardedSimulator::drain_shards(unsigned worker) {
-  const unsigned workers = num_workers();
-  while (true) {
-    const std::size_t s = next_shard_.fetch_add(1, std::memory_order_relaxed);
-    if (s >= shards_.size()) break;
-    // Home assignment is round-robin; claiming someone else's shard is
-    // the steal the sim.shard.steals counter reports.
-    if (s % workers != worker) steals_.fetch_add(1, std::memory_order_relaxed);
-    run_shard_batch(s);
-  }
-}
-
-void ShardedSimulator::worker_loop(unsigned worker) {
-  std::uint64_t seen = 0;
-  const auto released = [&] {
-    return shutdown_.load(std::memory_order_acquire) ||
-           epoch_gen_.load(std::memory_order_acquire) != seen;
-  };
-  while (true) {
-    if (!spin_until(released)) {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_work_.wait(lock, released);
-    }
-    if (shutdown_.load(std::memory_order_acquire)) return;
-    seen = epoch_gen_.load(std::memory_order_acquire);
-    drain_shards(worker);
-    if (running_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      // The main thread may have parked; taking mu_ orders this
-      // notify after its predicate check.
-      std::lock_guard<std::mutex> lock(mu_);
-      cv_done_.notify_one();
-    }
   }
 }
 
@@ -298,31 +217,17 @@ bool ShardedSimulator::run_epoch(std::uint64_t budget) {
   if (enabled_pairs_ == 0) return false;
   ++epochs_;
   epoch_budget_ = budget;
-  next_shard_.store(0, std::memory_order_relaxed);
-  if (threads_.empty()) {
-    draw_plan();
-    for (std::size_t s = 0; s < shards_.size(); ++s) run_shard_batch(s);
-  } else {
-    running_.store(static_cast<unsigned>(threads_.size()),
-                   std::memory_order_relaxed);
-    {
-      // Under mu_ so a worker between its predicate check and its park
-      // cannot miss the release; notify_all is a no-op while every
-      // worker is still spinning.
-      std::lock_guard<std::mutex> lock(mu_);
-      epoch_gen_.fetch_add(1, std::memory_order_release);
-    }
-    cv_work_.notify_all();
-    draw_plan();
-    drain_shards(0);
-    const auto drained = [&] {
-      return running_.load(std::memory_order_acquire) == 0;
-    };
-    if (!spin_until(drained)) {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_done_.wait(lock, drained);
-    }
-  }
+  const std::size_t num_shards = shards_.size();
+  util::parallel_for(
+      num_shards + 1,
+      [this, num_shards](std::size_t i) {
+        if (i == num_shards) {
+          draw_plan();
+        } else {
+          run_shard_batch(i);
+        }
+      },
+      workers_);
   apply_plan();
   refresh_global();
   return enabled_pairs_ != 0;
@@ -352,7 +257,6 @@ void ShardedSimulator::publish_metrics() const {
   registry.add("sim.shard.productive", steps_);
   registry.add("sim.shard.batches", prefetch_batches_);
   registry.add("sim.shard.cross_swaps", cross_swaps_);
-  registry.add("sim.shard.steals", steals());
 }
 
 }  // namespace sim

@@ -1,6 +1,7 @@
 #include "util/parallel.h"
 
 #include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
@@ -16,6 +17,34 @@ namespace {
 // True on pool workers always, and on a caller while it runs its share
 // of a call: a parallel_for made there runs inline.
 thread_local bool in_pool_task = false;
+
+// One spin-wait probe: tells the core this is a busy-wait loop, which
+// frees pipeline resources for a sibling hyperthread.
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+// Spins until done() holds or kSpinWindow has passed, and returns
+// done(). The clock is read, and the thread yields, only every
+// kProbesPerYield probes, so a short wait costs a few loads and pauses.
+template <typename Done>
+bool spin_until(const Done& done) {
+  constexpr unsigned kProbesPerYield = 256;
+  if (done()) return true;
+  const auto deadline = std::chrono::steady_clock::now() + kSpinWindow;
+  for (unsigned probe = 1;; ++probe) {
+    cpu_relax();
+    if (done()) return true;
+    if (probe % kProbesPerYield == 0) {
+      if (std::chrono::steady_clock::now() >= deadline) return false;
+      std::this_thread::yield();
+    }
+  }
+}
 
 // One parallel_for call, on the caller's stack.
 struct Job {
@@ -56,9 +85,10 @@ struct Job {
   std::size_t hi;
   std::size_t failed;
   std::exception_ptr error;
-  // Guarded by Pool::mu_: workers that may still join, workers inside.
+  // Guarded by Pool::mu_: workers that may still join.
   unsigned seats = 0;
-  unsigned active = 0;
+  // Workers inside; changed under Pool::mu_, read by a spinning caller.
+  std::atomic<unsigned> active{0};
 };
 
 class Pool {
@@ -75,7 +105,7 @@ class Pool {
   ~Pool() {
     {
       std::lock_guard<std::mutex> lock(mu_);
-      stop_ = true;
+      stop_.store(true);
     }
     wake_.notify_all();
     for (std::thread& worker : workers_) worker.join();
@@ -90,7 +120,7 @@ class Pool {
       std::lock_guard<std::mutex> lock(mu_);
       job.seats = helpers;
       job_ = &job;
-      ++generation_;
+      generation_.fetch_add(1);
     }
     wake_.notify_all();
     in_pool_task = true;
@@ -98,9 +128,15 @@ class Pool {
     in_pool_task = false;
     // Close the job to late wakers, then wait out the workers inside
     // it: the job lives on this stack.
-    std::unique_lock<std::mutex> lock(mu_);
-    job_ = nullptr;
-    done_.wait(lock, [&job] { return job.active == 0; });
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      job_ = nullptr;
+    }
+    const auto drained = [&job] { return job.active.load() == 0; };
+    if (!spin_until(drained)) {
+      std::unique_lock<std::mutex> lock(mu_);
+      done_.wait(lock, drained);
+    }
     return true;
   }
 
@@ -114,30 +150,42 @@ class Pool {
   void loop() {
     in_pool_task = true;
     std::uint64_t seen = 0;
-    std::unique_lock<std::mutex> lock(mu_);
+    bool spin = false;
+    const auto woken = [&] {
+      return stop_.load() || generation_.load() != seen;
+    };
     for (;;) {
-      wake_.wait(lock, [&] { return stop_ || generation_ != seen; });
-      if (stop_) return;
-      seen = generation_;
+      if (spin) spin_until(woken);
+      std::unique_lock<std::mutex> lock(mu_);
+      wake_.wait(lock, woken);  // returns at once after a spin that saw it
+      if (stop_.load()) return;
+      seen = generation_.load();
       Job* job = job_;
-      if (job == nullptr || job->seats == 0) continue;
+      // A worker turned away by a call with no seat left parks at once,
+      // so a run of narrow calls keeps no core it does not use; one that
+      // came after the call closed spins, as the next call may want it.
+      spin = job == nullptr || job->seats > 0;
+      if (!spin || job == nullptr) continue;
       --job->seats;
-      ++job->active;
+      job->active.fetch_add(1);
       lock.unlock();
       job->work(false);
       lock.lock();
-      if (--job->active == 0) done_.notify_all();
+      // Under mu_, so a caller that parked cannot miss the notify.
+      if (job->active.fetch_sub(1) == 1) done_.notify_all();
     }
   }
 
   std::mutex submit_;  // one call holds the pool at a time
-  // Guards job_, generation_, stop_ and the job's seats and active.
+  // Guards job_ and the job's seats and active, and orders parking
+  // against the stores that end a wait.
   std::mutex mu_;
   std::condition_variable wake_;
   std::condition_variable done_;
   Job* job_ = nullptr;
-  std::uint64_t generation_ = 0;
-  bool stop_ = false;
+  // Atomic for the spinning waits; stored under mu_.
+  std::atomic<std::uint64_t> generation_{0};
+  std::atomic<bool> stop_{false};
   // Last: the workers use every member above.
   std::vector<std::thread> workers_;
 };

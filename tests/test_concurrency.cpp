@@ -19,6 +19,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -253,6 +254,9 @@ TEST(ConcurrencyParallel, SweepRacesRegistryReaders) {
 // and collection, spinning then parking) orders every slot write;
 // under a plain build it is a determinism and conservation test.
 TEST(ConcurrencySharded, ExchangeRacesIntraShardBatches) {
+  if (ppsc::util::parallel_width() < 4) {
+    GTEST_SKIP() << "needs a pool of four threads";
+  }
   const ppsc::core::ConstructedProtocol cp = ppsc::core::unary_counting(4);
   const auto table = ppsc::sim::PairRuleTable::build(cp.protocol);
   ASSERT_TRUE(table.has_value());
@@ -348,10 +352,11 @@ TEST(ConcurrencyObsOff, RegistriesAreInert) {
 
 #endif  // PPSC_OBS_ENABLED
 
-// The sharded epoch barrier's wait paths. Workers spin for
-// ShardedSimulator::kSpinWindow after each epoch and park after it;
-// these tests drive both paths and shutdown from each, and hold every
-// observable to the one-worker chain.
+// The sharded epoch barrier's wait paths. An epoch is one call of the
+// pool's parallel-for (util/parallel.h), whose workers spin for
+// util::kSpinWindow after each call and park after it; these tests
+// drive epochs down both paths, and hold every observable to the
+// one-worker chain.
 
 // A 4000-agent population in 8 slices: K = 77 draws per epoch, so
 // barriers come every few microseconds and the workers stay spinning.
@@ -382,6 +387,9 @@ void expect_same_chain(const ppsc::sim::ShardedSimulator& threaded,
 // draw), so the run crosses 761 barriers, and must continue the
 // one-worker chain through all of them.
 TEST(ConcurrencySharded, SpinningRunMatchesOneWorker) {
+  if (ppsc::util::parallel_width() < 4) {
+    GTEST_SKIP() << "needs a pool of four threads";
+  }
   const ShardedFixture f;
   ASSERT_TRUE(f.table.has_value());
   ppsc::sim::ShardedSimulator threaded(*f.table, f.initial, 5, f.options(4));
@@ -397,39 +405,115 @@ TEST(ConcurrencySharded, SpinningRunMatchesOneWorker) {
   EXPECT_EQ(threaded.epochs(), 761u);
 }
 
-// Destruction must wake workers wherever they wait: right after
-// start-up, mid-spin after a run, and parked after an idle pause.
-TEST(ConcurrencySharded, ShutdownWhileWorkersSpinOrPark) {
-  const ShardedFixture f;
-  ASSERT_TRUE(f.table.has_value());
-  ppsc::sim::ShardedSimulator serial(*f.table, f.initial, 9, f.options(1));
-  serial.run(3000);
-  for (int round = 0; round < 30; ++round) {
-    ppsc::sim::ShardedSimulator threaded(*f.table, f.initial, 9,
-                                         f.options(4));
-    if (round % 3 == 0) continue;  // shut down before the first epoch
-    threaded.run(3000);
-    expect_same_chain(threaded, serial);
-    if (round % 3 == 2) {
-      std::this_thread::sleep_for(2 * ppsc::sim::ShardedSimulator::kSpinWindow);
-    }
-  }
-}
-
-// A pause longer than the spin window between epochs sends every
-// worker, and the main thread's collection, through the park path.
+// A pause longer than the pool's spin window between epochs sends
+// every worker, and the caller's wait for them, through the park path.
 TEST(ConcurrencySharded, ParkedWorkersWakeForEveryEpoch) {
   const ShardedFixture f;
   ASSERT_TRUE(f.table.has_value());
   ppsc::sim::ShardedSimulator threaded(*f.table, f.initial, 13, f.options(4));
   ppsc::sim::ShardedSimulator serial(*f.table, f.initial, 13, f.options(1));
   for (int e = 0; e < 12; ++e) {
-    std::this_thread::sleep_for(2 * ppsc::sim::ShardedSimulator::kSpinWindow);
+    std::this_thread::sleep_for(2 * ppsc::util::kSpinWindow);
     threaded.epoch();
     serial.epoch();
   }
   expect_same_chain(threaded, serial);
   EXPECT_EQ(threaded.epochs(), 12u);
+}
+
+// A simulator destroyed while the pool's workers still spin on its last
+// epoch, or after they parked, leaves the pool serving the next
+// simulator and the next plain call.
+TEST(ConcurrencySharded, DestroyedMidWindowLeavesThePoolUsable) {
+  const ShardedFixture f;
+  ASSERT_TRUE(f.table.has_value());
+  ppsc::sim::ShardedSimulator serial(*f.table, f.initial, 9, f.options(1));
+  serial.run(3000);
+  for (int round = 0; round < 30; ++round) {
+    {
+      ppsc::sim::ShardedSimulator threaded(*f.table, f.initial, 9,
+                                           f.options(4));
+      if (round % 3 != 0) {  // round 0 mod 3: destroyed before any epoch
+        threaded.run(3000);
+        expect_same_chain(threaded, serial);
+      }
+    }
+    if (round % 3 == 2) {
+      std::this_thread::sleep_for(2 * ppsc::util::kSpinWindow);
+    }
+    std::vector<std::atomic<int>> calls(64);
+    ppsc::util::parallel_for(calls.size(),
+                             [&](std::size_t i) { calls[i].fetch_add(1); });
+    for (const std::atomic<int>& c : calls) ASSERT_EQ(c.load(), 1);
+  }
+}
+
+#if defined(__linux__)
+// Threads of this process, the caller included.
+std::size_t live_threads() {
+  std::size_t count = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++count;
+  }
+  return count;
+}
+#endif
+
+// Neither a forced multi-shard sweep on every core nor a lone
+// four-worker simulator starts a thread beyond the warmed pool: a
+// sampler polls the thread count while the sweep runs (the sampler
+// itself is the one extra thread), and the lone simulator is counted
+// while it is alive. Both results are the one-thread results, bit for
+// bit.
+TEST(ConcurrencySharded, NoThreadsOutsideThePool) {
+#if !defined(__linux__)
+  GTEST_SKIP() << "counts threads through /proc/self/task";
+#else
+  const unsigned width = ppsc::util::parallel_width();
+  ppsc::util::parallel_for(width, [](std::size_t) {});  // start the pool
+  const std::size_t pool = live_threads();
+
+  std::atomic<bool> stop{false};
+  std::atomic<std::size_t> peak{0};
+  std::thread sampler([&] {
+    while (!stop.load(std::memory_order_acquire)) {
+      const std::size_t now = live_threads();
+      if (now > peak.load(std::memory_order_relaxed)) {
+        peak.store(now, std::memory_order_relaxed);
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+  });
+
+  const ppsc::core::ConstructedProtocol cp = ppsc::core::unary_counting(4);
+  ppsc::sim::RunOptions run;
+  run.scheduler = ppsc::sim::SchedulerChoice::kSharded;
+  run.shards = 8;
+  run.seed = 41;
+  const ppsc::sim::ConvergenceStats wide =
+      ppsc::sim::measure_convergence_parallel(cp, {1000}, 8, run, width);
+  stop.store(true, std::memory_order_release);
+  sampler.join();
+  EXPECT_LE(peak.load(), pool + 1);
+
+  const ShardedFixture f;
+  ASSERT_TRUE(f.table.has_value());
+  ppsc::sim::ShardedSimulator threaded(*f.table, f.initial, 17, f.options(4));
+  threaded.run(5000);
+  EXPECT_EQ(live_threads(), pool);
+
+  const ppsc::sim::ConvergenceStats one =
+      ppsc::sim::measure_convergence_parallel(cp, {1000}, 8, run, 1);
+  EXPECT_EQ(wide.converged, one.converged);
+  EXPECT_EQ(wide.correct, one.correct);
+  EXPECT_EQ(wide.mean_steps, one.mean_steps);
+  EXPECT_EQ(wide.max_steps_observed, one.max_steps_observed);
+  ppsc::sim::ShardedSimulator serial(*f.table, f.initial, 17, f.options(1));
+  serial.run(5000);
+  expect_same_chain(threaded, serial);
+#endif
 }
 
 // The ordered parallel-for (util/parallel.h) and the input odometers
@@ -648,6 +732,23 @@ TEST(ConcurrencyParallelFor, RethrowsTheLowestIndexException) {
     // Every index below the failure ran, exactly once.
     for (std::size_t i = 0; i <= 5; ++i) EXPECT_EQ(calls[i].load(), 1);
     for (std::atomic<int>& c : calls) EXPECT_LE(c.load(), 1);
+  }
+}
+
+// Back-to-back calls meet the workers still spinning on the last one;
+// a call after a pause past the spin window has to wake them from the
+// park, and a full-width call after a two-thread one has to wake the
+// workers that call turned away. Every index runs exactly once.
+TEST(ConcurrencyParallelFor, CallsWhileWorkersSpinOrParkSeeEveryIndexOnce) {
+  for (int round = 0; round < 40; ++round) {
+    if (round % 4 == 3) {
+      std::this_thread::sleep_for(2 * ppsc::util::kSpinWindow);
+    }
+    std::vector<std::atomic<int>> calls(64);
+    ppsc::util::parallel_for(
+        calls.size(), [&](std::size_t i) { calls[i].fetch_add(1); },
+        round % 3 == 1 ? 2 : 0);
+    for (const std::atomic<int>& c : calls) ASSERT_EQ(c.load(), 1);
   }
 }
 

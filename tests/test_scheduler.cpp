@@ -28,6 +28,7 @@
 #include "sim/scheduler.h"
 #include "sim/sharded.h"
 #include "sim/simulator.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace core = ppsc::core;
@@ -953,6 +954,9 @@ TEST(ShardedSimulator, ShardCountIsClampedSoEverySliceCanDraw) {
 TEST(ShardedSimulator, SeedDeterministicAndWorkerCountInvariant) {
   // Same (seed, shards) => bit-identical chain; worker threads only
   // decide where a shard's batch executes, never what it computes.
+  if (ppsc::util::parallel_width() < 4) {
+    GTEST_SKIP() << "needs a pool of four threads";
+  }
   const auto cp = core::unary_counting(4);
   const auto table = sim::PairRuleTable::build(cp.protocol);
   ASSERT_TRUE(table.has_value());
