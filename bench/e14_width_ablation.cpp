@@ -23,20 +23,20 @@ using ppsc::petri::PetriNet;
 
 bool equivalent(const PetriNet& net, const ppsc::petri::WidthReduction& red,
                 const Config& root) {
-  std::set<std::vector<Count>> original;
+  std::set<Config> original;
   {
     auto graph = ppsc::petri::explore(net, {root});
     if (graph.truncated) return false;
     for (std::size_t i = 0; i < graph.size(); ++i) {
-      original.insert(graph.config(i).raw());
+      original.insert(graph.config(i));
     }
   }
-  std::set<std::vector<Count>> compiled;
+  std::set<Config> compiled;
   {
     auto graph = ppsc::petri::explore(red.compiled, {red.embed(root)});
     if (graph.truncated) return false;
     for (std::size_t i = 0; i < graph.size(); ++i) {
-      compiled.insert(red.project(red.cleanup(graph.config(i))).raw());
+      compiled.insert(red.project(red.cleanup(graph.config(i))));
     }
   }
   return original == compiled;

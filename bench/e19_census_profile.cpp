@@ -70,9 +70,7 @@ void print_state_space_census() {
     limits.max_nodes = 200000;
     const auto graph = ppsc::petri::explore(
         family.constructed.protocol.net(),
-        {ppsc::petri::Config(
-            family.constructed.protocol.initial_config({population}))},
-        limits);
+        {family.constructed.protocol.initial_config({population})}, limits);
     table.add_row({family.name, std::to_string(graph.stats.configs),
                    std::to_string(graph.stats.edges),
                    std::to_string(graph.stats.frontier_peak),

@@ -61,7 +61,7 @@ int main() {
     mask[c.protocol.states().at("X")] = false;
     cases.push_back({"example42 T|P' (n=3)",
                      c.protocol.net().restrict(mask),
-                     Config(c.protocol.leaders()).restrict(mask)});
+                     c.protocol.leaders().restrict(mask)});
   }
 
   for (auto& test_case : cases) {

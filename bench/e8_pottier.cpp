@@ -89,14 +89,12 @@ int main() {
 
   ppsc::util::TablePrinter part2({"|Theta|", "Delta(c)", "|Theta'|",
                                   "Delta'(c)", "log2 bound", "holds"});
-  std::vector<bool> q_mask{true, true, false};
   double log2_bound = ppsc::solver::log2_lemma73_length_bound(cnet);
   for (std::uint64_t scale : {10, 100, 1000, 10000}) {
     report.add_items(1);
     // scale pump cycles + scale/2 drain cycles.
     std::vector<std::uint64_t> theta{scale + scale / 2, scale, scale / 2};
-    auto replacement =
-        ppsc::solver::small_multicycle(cnet, theta, q_mask, /*k=*/3);
+    auto replacement = ppsc::solver::small_multicycle(cnet, theta, /*k=*/3);
     if (!replacement.has_value()) {
       part2.add_row({std::to_string(theta[0] + theta[1] + theta[2]), "-", "-",
                      "-", "-", "NO"});

@@ -18,7 +18,6 @@
 #include "core/constructions.h"
 #include "petri/bottom.h"
 #include "petri/control_net.h"
-#include "petri/euler.h"
 #include "report.h"
 #include "solver/multicycle.h"
 #include "util/table.h"
@@ -84,16 +83,12 @@ PipelineRow run_pipeline(const std::string& name, const PetriNet& net,
                     std::to_string(cnet.num_edges() * cnet.num_controls());
 
   // Stage 4: a large multicycle (ℓ copies of the total cycle) and its
-  // Lemma 7.3 replacement with Q = the witness's Q.
+  // Lemma 7.3 replacement, sign-compatible on the places outside the
+  // witness's Q.
   const std::uint64_t ell = 64;
   auto parikh = cnet.parikh(*total);
   for (auto& count : parikh) count *= ell;
-  std::vector<bool> q_on_places(net.num_states(), false);
-  for (std::size_t p = 0; p < net.num_states(); ++p) {
-    q_on_places[p] = witness->q_mask[p];
-  }
-  auto replacement =
-      ppsc::solver::small_multicycle(cnet, parikh, q_on_places, /*k=*/ell);
+  auto replacement = ppsc::solver::small_multicycle(cnet, parikh, /*k=*/ell);
   if (!replacement.has_value()) {
     row.replacement = "n/a (k hypothesis)";
     row.verdict = "pipeline ok (no replacement needed)";
@@ -122,7 +117,7 @@ int main() {
     mask[c.protocol.states().at("X")] = false;
     auto row = run_pipeline("example42 n=" + std::to_string(n),
                             c.protocol.net().restrict(mask),
-                            Config(c.protocol.leaders()).restrict(mask));
+                            c.protocol.leaders().restrict(mask));
     report.add_items(1);
     table.add_row({row.name, row.component, row.edges, row.total_cycle,
                    row.replacement, row.verdict});

@@ -37,7 +37,7 @@ namespace core {
 using Count = petri::Count;
 
 // A configuration is a multiset of agent states, indexed by state id.
-using Config = std::vector<Count>;
+using Config = petri::Config;
 
 class ProtocolBuilder;
 
@@ -86,7 +86,7 @@ class Protocol {
   std::map<std::string, std::size_t> state_index_;
   std::vector<int> outputs_;
   std::vector<std::size_t> input_states_;
-  std::vector<Count> leaders_;
+  Config leaders_;
   petri::PetriNet net_;
   std::vector<std::string> rule_names_;
 };
@@ -152,6 +152,7 @@ class ProtocolBuilder {
   };
 
   Protocol protocol_;
+  std::vector<Count> leaders_;  // Protocol::leaders_ once built
   std::vector<petri::Arc> arcs_;
   std::vector<PendingRule> pending_;
   bool built_ = false;

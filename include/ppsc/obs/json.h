@@ -51,19 +51,17 @@ class JsonWriter {
 
   // The document so far. Complete (all containers closed) iff done().
   const std::string& str() const { return out_; }
-  bool done() const { return stack_.empty() && wrote_top_level_; }
+  bool done() const { return has_element_.empty() && wrote_top_level_; }
 
  private:
-  enum class Scope : std::uint8_t { kObject, kArray };
-
   void separator();
 
   std::string out_;
-  std::vector<Scope> stack_;
   // True right after key(): the next token is this member's value and
   // must not be preceded by a comma.
   bool after_key_ = false;
-  // True once the current container already holds an element.
+  // One entry per open container, innermost last: true once it holds
+  // an element.
   std::vector<bool> has_element_;
   bool wrote_top_level_ = false;
 };

@@ -22,7 +22,8 @@
 //                    is the dynamics visible on Q once the places
 //                    outside Q hold omega many tokens -- this second
 //                    closure is what makes the Section 7 control-state
-//                    net of the component well-defined).
+//                    net of the component well-defined, and it is
+//                    ControlStateNet::from_component(...).closed()).
 //
 // check_bottom_witness re-validates all of the above by replay, so a
 // witness is a machine-checked certificate, and the paper's length

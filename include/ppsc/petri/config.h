@@ -1,10 +1,11 @@
-// Dense Petri-net configurations (markings) for the petri/ engines.
+// Dense Petri-net configurations (markings), the one configuration
+// type of the repo.
 //
-// Unlike core::Config (a bare std::vector tied to a conservative
-// protocol), petri::Config is a small value class usable with arbitrary
-// -- in particular non-conservative -- nets: the coverability,
-// Karp-Miller and bottom-witness engines all create and compare
-// markings structurally, independent of any protocol.
+// petri::Config is a small value class usable with arbitrary -- in
+// particular non-conservative -- nets: the coverability, Karp-Miller
+// and bottom-witness engines all create and compare markings
+// structurally, independent of any protocol. core::Config names the
+// same type for protocol-level markings (agent counts per state).
 //
 // Conventions shared across include/ppsc/petri/ (see also
 // coverability.h, karp_miller.h and bottom.h):
@@ -36,9 +37,7 @@ class Config {
   Config() = default;
   explicit Config(std::size_t dimension) : counts_(dimension, 0) {}
   Config(std::initializer_list<Count> counts) : counts_(counts) {}
-  // Implicit adapter from core::Config (= std::vector<Count>) so
-  // protocol-level markings flow into the petri engines unchanged.
-  Config(std::vector<Count> counts) : counts_(std::move(counts)) {}
+  explicit Config(std::vector<Count> counts) : counts_(std::move(counts)) {}
 
   // The configuration with `count` tokens on `place` and 0 elsewhere.
   static Config unit(std::size_t dimension, std::size_t place,
@@ -47,7 +46,8 @@ class Config {
   std::size_t size() const { return counts_.size(); }
   Count operator[](std::size_t place) const { return counts_[place]; }
   Count& operator[](std::size_t place) { return counts_[place]; }
-  const std::vector<Count>& raw() const { return counts_; }
+  const Count* begin() const { return counts_.data(); }
+  const Count* end() const { return counts_.data() + counts_.size(); }
 
   // Largest single-place count (the norm written ||.||_inf in Section 5).
   Count norm_inf() const;
@@ -83,7 +83,7 @@ class ConfigView {
       : counts_(counts), size_(size) {}
   // Implicit, so every view-taking API accepts a Config unchanged.
   ConfigView(const Config& config)
-      : counts_(config.raw().data()), size_(config.size()) {}
+      : counts_(config.begin()), size_(config.size()) {}
 
   std::size_t size() const { return size_; }
   Count operator[](std::size_t place) const { return counts_[place]; }

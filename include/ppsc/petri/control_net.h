@@ -14,7 +14,11 @@
 // graph, one simple cycle per edge (the edge followed by a shortest
 // path back) merged by the Euler lemma yields a single closed walk
 // through the anchor using every edge at least once, of length at most
-// |E| * |S|.
+// |E| * |S|. The merge is euler_circuit: a multiset of edges whose
+// every control state is balanced (in-degree == out-degree, with
+// multiplicities) and whose edges are connected has an Euler circuit,
+// a closed walk traversing every edge instance exactly once. Lemma
+// 7.3's replacements (solver/multicycle.h) are realized the same way.
 
 #ifndef PPSC_PETRI_CONTROL_NET_H
 #define PPSC_PETRI_CONTROL_NET_H
@@ -39,16 +43,18 @@ class ControlStateNet {
   };
 
   ControlStateNet(PetriNet net, std::size_t num_controls)
-      : net_(std::move(net)), num_controls_(num_controls) {}
+      : net_(std::move(net)),
+        num_controls_(num_controls),
+        out_(num_controls) {}
 
   // The control-state net of a bottom component: `members` are the
   // component's markings over the places with q_mask[p] == true (as
   // produced by bottom.h's component_of), and every transition of `net`
   // whose Q-projected pre is covered by a member contributes an edge to
   // the member it maps that marking to (edges leaving the member set
-  // are dropped; a closed component has none). The underlying Petri net
-  // is `net` projected onto the complement of q_mask, transition
-  // indices preserved.
+  // are dropped, and closed() reports whether there were any). The
+  // underlying Petri net is `net` projected onto the complement of
+  // q_mask, transition indices preserved.
   static ControlStateNet from_component(const PetriNet& net,
                                         const std::vector<Config>& members,
                                         const std::vector<bool>& q_mask);
@@ -57,6 +63,9 @@ class ControlStateNet {
   std::size_t num_edges() const { return edges_.size(); }
   const Edge& edge(std::size_t e) const { return edges_[e]; }
   const PetriNet& net() const { return net_; }
+  // False iff from_component dropped an edge: some Q-projected step of
+  // a member leaves the member set (bottom.h's second closure).
+  bool closed() const { return closed_; }
 
   void add_edge(std::size_t from, std::size_t transition, std::size_t to);
 
@@ -69,6 +78,14 @@ class ControlStateNet {
   // the control graph is not strongly connected or has no edges.
   std::optional<std::vector<std::size_t>> total_cycle(
       std::size_t anchor) const;
+
+  // Euler circuit of the multigraph taking edge e `multiplicity[e]`
+  // times, starting and ending at `start`: the walk as edge ids (an id
+  // repeats once per multiplicity), empty when every multiplicity is 0.
+  // std::nullopt when some control state is unbalanced or some used
+  // edge is not reachable from `start`.
+  std::optional<std::vector<std::size_t>> euler_circuit(
+      const std::vector<std::uint64_t>& multiplicity, std::size_t start) const;
 
   // Occurrences of each edge in a walk.
   std::vector<std::uint64_t> parikh(const std::vector<std::size_t>& walk) const;
@@ -87,6 +104,8 @@ class ControlStateNet {
   PetriNet net_;
   std::size_t num_controls_;
   std::vector<Edge> edges_;
+  std::vector<std::vector<std::size_t>> out_;  // edge ids leaving s, ascending
+  bool closed_ = true;
 };
 
 }  // namespace petri

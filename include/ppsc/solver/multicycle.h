@@ -37,20 +37,20 @@ struct Multicycle {
   // Net token effect on the underlying places (the quantity whose signs
   // Lemma 7.3 preserves); equals cnet.displacement(parikh).
   std::vector<petri::Count> displacement;
-  // Realization as one closed walk (Euler circuit of the support
-  // multigraph) when the support is connected; nullopt otherwise.
+  // Realization as one closed walk (cnet.euler_circuit of parikh) when
+  // the support is connected; nullopt otherwise.
   std::optional<std::vector<std::size_t>> walk;
 };
 
 // Replacement for the multicycle with Parikh image `phi` on `cnet`.
-// `q_mask` flags, over the places of the net the control states encode,
-// the bounded places Q -- the underlying places of `cnet` are exactly
-// the places outside Q, and sign-compatibility is enforced on all of
-// them. Returns std::nullopt when phi is empty, not a circulation, or
-// some used edge occurs fewer than `k` times (the lemma's hypothesis).
+// The displacement is sign-compatible on every underlying place of
+// `cnet` -- for a net built by from_component, exactly the places
+// outside Q. Returns std::nullopt when phi is empty, not a circulation,
+// or some used edge occurs fewer than `k` times (the lemma's
+// hypothesis).
 std::optional<Multicycle> small_multicycle(
     const petri::ControlStateNet& cnet, const std::vector<std::uint64_t>& phi,
-    const std::vector<bool>& q_mask, std::uint64_t k);
+    std::uint64_t k);
 
 // log2 of Lemma 7.3's cap on the replacement length |Theta'|, in the
 // reproduction's convention:

@@ -7,11 +7,7 @@
 namespace ppsc {
 namespace core {
 
-Count Protocol::num_leaders() const {
-  Count total = 0;
-  for (Count k : leaders_) total += k;
-  return total;
-}
+Count Protocol::num_leaders() const { return population(leaders_); }
 
 Protocol Protocol::with_flipped_outputs() const {
   Protocol flipped = *this;
@@ -68,7 +64,7 @@ std::size_t ProtocolBuilder::add_state(const std::string& name, bool output) {
   }
   protocol_.state_names_.push_back(name);
   protocol_.outputs_.push_back(output ? 1 : 0);
-  protocol_.leaders_.push_back(0);
+  leaders_.push_back(0);
   const std::size_t id = protocol_.state_names_.size() - 1;
   protocol_.state_index_.emplace(name, id);  // duplicates keep the first id
   return id;
@@ -90,7 +86,7 @@ void ProtocolBuilder::add_leaders(std::size_t state, Count count) {
   if (count < 0) {
     throw std::invalid_argument("ProtocolBuilder: negative leader count");
   }
-  protocol_.leaders_[state] += count;
+  leaders_[state] += count;
 }
 
 void ProtocolBuilder::add_rule(
@@ -280,6 +276,7 @@ Protocol ProtocolBuilder::build() {
     ++kept;
   }
   protocol_.rule_names_.resize(kept);
+  protocol_.leaders_ = Config(std::move(leaders_));
   arcs_.clear();
   pending_.clear();
   return std::move(protocol_);

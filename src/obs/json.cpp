@@ -114,7 +114,7 @@ void JsonWriter::separator() {
     after_key_ = false;
     return;
   }
-  if (!stack_.empty()) {
+  if (!has_element_.empty()) {
     if (has_element_.back()) out_ += ',';
     has_element_.back() = true;
   }
@@ -123,32 +123,28 @@ void JsonWriter::separator() {
 JsonWriter& JsonWriter::begin_object() {
   separator();
   out_ += '{';
-  stack_.push_back(Scope::kObject);
   has_element_.push_back(false);
   return *this;
 }
 
 JsonWriter& JsonWriter::end_object() {
   out_ += '}';
-  stack_.pop_back();
   has_element_.pop_back();
-  if (stack_.empty()) wrote_top_level_ = true;
+  if (has_element_.empty()) wrote_top_level_ = true;
   return *this;
 }
 
 JsonWriter& JsonWriter::begin_array() {
   separator();
   out_ += '[';
-  stack_.push_back(Scope::kArray);
   has_element_.push_back(false);
   return *this;
 }
 
 JsonWriter& JsonWriter::end_array() {
   out_ += ']';
-  stack_.pop_back();
   has_element_.pop_back();
-  if (stack_.empty()) wrote_top_level_ = true;
+  if (has_element_.empty()) wrote_top_level_ = true;
   return *this;
 }
 
@@ -166,7 +162,7 @@ JsonWriter& JsonWriter::value(const std::string& text) {
   out_ += '"';
   out_ += json_escape(text);
   out_ += '"';
-  if (stack_.empty()) wrote_top_level_ = true;
+  if (has_element_.empty()) wrote_top_level_ = true;
   return *this;
 }
 
@@ -177,14 +173,14 @@ JsonWriter& JsonWriter::value(const char* text) {
 JsonWriter& JsonWriter::value(std::uint64_t number) {
   separator();
   out_ += std::to_string(number);
-  if (stack_.empty()) wrote_top_level_ = true;
+  if (has_element_.empty()) wrote_top_level_ = true;
   return *this;
 }
 
 JsonWriter& JsonWriter::value(std::int64_t number) {
   separator();
   out_ += std::to_string(number);
-  if (stack_.empty()) wrote_top_level_ = true;
+  if (has_element_.empty()) wrote_top_level_ = true;
   return *this;
 }
 
@@ -201,14 +197,14 @@ JsonWriter& JsonWriter::value(double number) {
     std::snprintf(buffer, sizeof(buffer), "%.17g", number);
     out_ += buffer;
   }
-  if (stack_.empty()) wrote_top_level_ = true;
+  if (has_element_.empty()) wrote_top_level_ = true;
   return *this;
 }
 
 JsonWriter& JsonWriter::value(bool flag) {
   separator();
   out_ += flag ? "true" : "false";
-  if (stack_.empty()) wrote_top_level_ = true;
+  if (has_element_.empty()) wrote_top_level_ = true;
   return *this;
 }
 

@@ -1,10 +1,10 @@
 #include "petri/bottom.h"
 
 #include <algorithm>
-#include <set>
 #include <stdexcept>
 #include <utility>
 
+#include "petri/control_net.h"
 #include "petri/karp_miller.h"
 
 namespace ppsc {
@@ -17,26 +17,18 @@ namespace {
 // search); the witnesses of interest sit close to rho.
 constexpr std::size_t kMaxAlphaCandidates = 64;
 
-// The component of alpha|Q must also be closed under the Q-projection
-// of every transition (the dynamics with omega tokens outside Q).
-bool closed_under_projection(const PetriNet& net,
-                             const std::vector<bool>& q_mask,
-                             const std::vector<Config>& members) {
-  std::set<std::vector<Count>> member_set;
-  for (const Config& m : members) member_set.insert(m.raw());
-  const PetriNet on_q = net.project(q_mask);
-  for (const Config& m : members) {
-    for (std::size_t t = 0; t < on_q.num_transitions(); ++t) {
-      if (on_q.enabled(t, m) && !member_set.count(on_q.fire(t, m).raw())) {
-        return false;
-      }
-    }
-  }
-  return true;
+// The component of alpha|Q must be closed both ways: no T|Q step and no
+// Q-projected step of any transition (the dynamics with omega tokens
+// outside Q) leaves it.
+bool closed_both_ways(const PetriNet& net, const std::vector<bool>& q_mask,
+                      const Component& component) {
+  return component.closed &&
+         ControlStateNet::from_component(net, component.members, q_mask)
+             .closed();
 }
 
-// Bounded BFS from alpha for beta with beta >= alpha, equal exactly on
-// Q; returns the word alpha --w--> beta.
+// beta >= alpha, equal exactly on Q: firing alpha --w--> beta again and
+// again pumps every place outside Q.
 bool is_pump_of(ConfigView beta, const Config& alpha,
                 const std::vector<bool>& q_mask) {
   if (!beta.covers(alpha)) return false;
@@ -47,6 +39,8 @@ bool is_pump_of(ConfigView beta, const Config& alpha,
   return true;
 }
 
+// Bounded BFS from alpha for a pump beta; returns the word
+// alpha --w--> beta.
 std::optional<std::pair<std::vector<std::size_t>, Config>> find_pump(
     const PetriNet& net, const Config& alpha, const std::vector<bool>& q_mask,
     const ExploreLimits& limits) {
@@ -78,8 +72,7 @@ bool complete_witness(const PetriNet& net, const Config& alpha,
   }
   const Component component =
       component_of(net.restrict(q_mask), alpha.restrict(q_mask), limits);
-  if (!component.closed) return false;
-  if (!closed_under_projection(net, q_mask, component.members)) return false;
+  if (!closed_both_ways(net, q_mask, component)) return false;
   witness->q_mask = q_mask;
   witness->alpha = alpha;
   witness->component_size = component.members.size();
@@ -169,16 +162,11 @@ bool check_bottom_witness(const PetriNet& net, const Config& rho,
   if (!alpha.has_value() || *alpha != witness.alpha) return false;
   const std::optional<Config> beta = fire_word(net, *alpha, witness.w);
   if (!beta.has_value() || *beta != witness.beta) return false;
-  if (!beta->covers(*alpha)) return false;
-  for (std::size_t p = 0; p < beta->size(); ++p) {
-    const bool grew = (*beta)[p] > (*alpha)[p];
-    if (grew == witness.q_mask[p]) return false;
-  }
+  if (!is_pump_of(*beta, *alpha, witness.q_mask)) return false;
   const Component component = component_of(
       net.restrict(witness.q_mask), alpha->restrict(witness.q_mask), limits);
-  if (!component.closed) return false;
-  if (component.members.size() != witness.component_size) return false;
-  return closed_under_projection(net, witness.q_mask, component.members);
+  return component.members.size() == witness.component_size &&
+         closed_both_ways(net, witness.q_mask, component);
 }
 
 }  // namespace petri

@@ -4,9 +4,6 @@
 #include <deque>
 #include <map>
 #include <stdexcept>
-#include <utility>
-
-#include "petri/euler.h"
 
 namespace ppsc {
 namespace petri {
@@ -22,16 +19,17 @@ ControlStateNet ControlStateNet::from_component(
   for (std::size_t p = 0; p < q_mask.size(); ++p) complement[p] = !q_mask[p];
   ControlStateNet cnet(net.project(complement), members.size());
 
-  std::map<std::vector<Count>, std::size_t> index;
-  for (std::size_t m = 0; m < members.size(); ++m) {
-    index.emplace(members[m].raw(), m);
-  }
+  std::map<Config, std::size_t> index;
+  for (std::size_t m = 0; m < members.size(); ++m) index.emplace(members[m], m);
   const PetriNet on_q = net.project(q_mask);
   for (std::size_t m = 0; m < members.size(); ++m) {
     for (std::size_t t = 0; t < on_q.num_transitions(); ++t) {
       if (!on_q.enabled(t, members[m])) continue;
-      auto it = index.find(on_q.fire(t, members[m]).raw());
-      if (it == index.end()) continue;
+      auto it = index.find(on_q.fire(t, members[m]));
+      if (it == index.end()) {
+        cnet.closed_ = false;
+        continue;
+      }
       cnet.add_edge(m, t, it->second);
     }
   }
@@ -46,26 +44,29 @@ void ControlStateNet::add_edge(std::size_t from, std::size_t transition,
   if (transition >= net_.num_transitions()) {
     throw std::invalid_argument("ControlStateNet::add_edge: transition range");
   }
+  out_[from].push_back(edges_.size());
   edges_.push_back({from, transition, to});
 }
 
 namespace {
 
+// The control states reachable from `start` when edge ids
+// `adjacency[u]` lead from u to `head(e)`.
+template <typename Head>
 std::vector<bool> reachable_from(
-    std::size_t start, std::size_t n,
-    const std::vector<ControlStateNet::Edge>& edges, bool reversed) {
-  std::vector<bool> seen(n, false);
+    std::size_t start, const std::vector<std::vector<std::size_t>>& adjacency,
+    Head head) {
+  std::vector<bool> seen(adjacency.size(), false);
   seen[start] = true;
   std::vector<std::size_t> stack{start};
   while (!stack.empty()) {
     const std::size_t u = stack.back();
     stack.pop_back();
-    for (const auto& e : edges) {
-      const std::size_t from = reversed ? e.to : e.from;
-      const std::size_t to = reversed ? e.from : e.to;
-      if (from == u && !seen[to]) {
-        seen[to] = true;
-        stack.push_back(to);
+    for (std::size_t e : adjacency[u]) {
+      const std::size_t v = head(e);
+      if (!seen[v]) {
+        seen[v] = true;
+        stack.push_back(v);
       }
     }
   }
@@ -76,8 +77,12 @@ std::vector<bool> reachable_from(
 
 bool ControlStateNet::strongly_connected() const {
   if (num_controls_ <= 1) return true;
-  const std::vector<bool> fwd = reachable_from(0, num_controls_, edges_, false);
-  const std::vector<bool> bwd = reachable_from(0, num_controls_, edges_, true);
+  std::vector<std::vector<std::size_t>> in(num_controls_);
+  for (std::size_t e = 0; e < edges_.size(); ++e) in[edges_[e].to].push_back(e);
+  const std::vector<bool> fwd =
+      reachable_from(0, out_, [&](std::size_t e) { return edges_[e].to; });
+  const std::vector<bool> bwd =
+      reachable_from(0, in, [&](std::size_t e) { return edges_[e].from; });
   for (std::size_t s = 0; s < num_controls_; ++s) {
     if (!fwd[s] || !bwd[s]) return false;
   }
@@ -91,10 +96,6 @@ std::optional<std::vector<std::size_t>> ControlStateNet::total_cycle(
   }
   // BFS shortest edge-paths between all control pairs (graphs here are
   // tiny; |S| rounds of BFS are plenty).
-  std::vector<std::vector<std::size_t>> out(num_controls_);
-  for (std::size_t e = 0; e < edges_.size(); ++e) {
-    out[edges_[e].from].push_back(e);
-  }
   const std::size_t kNone = static_cast<std::size_t>(-1);
   auto shortest_path = [&](std::size_t from,
                            std::size_t to) -> std::vector<std::size_t> {
@@ -106,7 +107,7 @@ std::optional<std::vector<std::size_t>> ControlStateNet::total_cycle(
     while (!queue.empty() && !seen[to]) {
       const std::size_t u = queue.front();
       queue.pop_front();
-      for (std::size_t e : out[u]) {
+      for (std::size_t e : out_[u]) {
         const std::size_t v = edges_[e].to;
         if (seen[v]) continue;
         seen[v] = true;
@@ -133,10 +134,58 @@ std::optional<std::vector<std::size_t>> ControlStateNet::total_cycle(
       ++multiplicity[back];
     }
   }
-  std::vector<std::pair<std::size_t, std::size_t>> endpoint_list;
-  endpoint_list.reserve(edges_.size());
-  for (const Edge& e : edges_) endpoint_list.emplace_back(e.from, e.to);
-  return euler_circuit(num_controls_, endpoint_list, multiplicity, anchor);
+  return euler_circuit(multiplicity, anchor);
+}
+
+std::optional<std::vector<std::size_t>> ControlStateNet::euler_circuit(
+    const std::vector<std::uint64_t>& multiplicity, std::size_t start) const {
+  if (multiplicity.size() != edges_.size()) {
+    throw std::invalid_argument(
+        "ControlStateNet::euler_circuit: multiplicity size mismatch");
+  }
+  if (start >= num_controls_) {
+    throw std::invalid_argument("ControlStateNet::euler_circuit: start range");
+  }
+  std::uint64_t total = 0;
+  std::vector<std::int64_t> balance(num_controls_, 0);
+  for (std::size_t e = 0; e < edges_.size(); ++e) {
+    total += multiplicity[e];
+    balance[edges_[e].from] += static_cast<std::int64_t>(multiplicity[e]);
+    balance[edges_[e].to] -= static_cast<std::int64_t>(multiplicity[e]);
+  }
+  for (std::int64_t b : balance) {
+    if (b != 0) return std::nullopt;
+  }
+
+  // Hierholzer with per-edge remaining counts. With every state
+  // balanced it uses up exactly the used edges reachable from start, so
+  // a short walk means some used edge is not connected to start.
+  std::vector<std::uint64_t> remaining = multiplicity;
+  std::vector<std::size_t> cursor(num_controls_, 0);
+  std::vector<std::size_t> vertex_stack{start};
+  std::vector<std::size_t> edge_stack;
+  std::vector<std::size_t> walk;
+  while (!vertex_stack.empty()) {
+    const std::size_t u = vertex_stack.back();
+    while (cursor[u] < out_[u].size() && remaining[out_[u][cursor[u]]] == 0) {
+      ++cursor[u];
+    }
+    if (cursor[u] < out_[u].size()) {
+      const std::size_t e = out_[u][cursor[u]];
+      --remaining[e];
+      vertex_stack.push_back(edges_[e].to);
+      edge_stack.push_back(e);
+      continue;
+    }
+    vertex_stack.pop_back();
+    if (!edge_stack.empty()) {
+      walk.push_back(edge_stack.back());
+      edge_stack.pop_back();
+    }
+  }
+  std::reverse(walk.begin(), walk.end());
+  if (walk.size() != total) return std::nullopt;
+  return walk;
 }
 
 std::vector<std::uint64_t> ControlStateNet::parikh(

@@ -73,7 +73,7 @@ std::vector<Config> backward_basis(const PetriNet& net, const Config& target,
   if (target.size() != net.num_states()) {
     throw std::invalid_argument("backward_basis: target dimension mismatch");
   }
-  if (std::any_of(target.raw().begin(), target.raw().end(),
+  if (std::any_of(target.begin(), target.end(),
                   [](Count k) { return k < 0; })) {
     throw std::invalid_argument("backward_basis: negative target count");
   }

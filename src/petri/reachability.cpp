@@ -141,7 +141,7 @@ ReachabilityGraph explore(const PetriNet& net, const std::vector<Config>& roots,
       if (root.size() != d) {
         throw std::invalid_argument("explore: root dimension mismatch");
       }
-      intern(root.raw().data(), ConfigHash::of(root), true,
+      intern(root.begin(), ConfigHash::of(root), true,
              ReachabilityGraph::kNoParent, 0);
     }
   }

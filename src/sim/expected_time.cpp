@@ -68,8 +68,7 @@ ExpectedTimeResult expected_interactions_to_silence(
     const core::Protocol& protocol, const std::vector<core::Count>& input,
     std::size_t max_configs) {
   return expected_interactions_to_silence(
-      protocol.net(), petri::Config(protocol.initial_config(input)),
-      max_configs);
+      protocol.net(), protocol.initial_config(input), max_configs);
 }
 
 ExpectedTimeResult expected_interactions_to_silence(

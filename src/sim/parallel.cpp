@@ -121,8 +121,7 @@ ConvergenceStats measure_convergence_parallel(
   const std::optional<PairRuleTable> table =
       PairRuleTable::build(cp.protocol);
 
-  core::Count population = 0;
-  for (const core::Count c : initial) population += c;
+  const core::Count population = core::Protocol::population(initial);
   const SchedulerPlan plan = planned_scheduler(
       options, table.has_value(), cp.protocol.num_states(), population);
 

@@ -37,7 +37,7 @@ ShardedSimulator::ShardedSimulator(const PairRuleTable& table,
     : table_(&table),
       exchange_rng_(seed),
       exchange_shift_(std::min(options.exchange_shift, 63u)),
-      counts_(initial.size(), 0) {
+      counts_(initial.size()) {
   if (initial.size() != table.num_states()) {
     throw std::invalid_argument(
         "ShardedSimulator: configuration dimension does not match table");
@@ -81,7 +81,7 @@ ShardedSimulator::ShardedSimulator(const PairRuleTable& table,
       const std::size_t size = n / num_shards + (s < n % num_shards ? 1 : 0);
       slices_[s] = {agents_.data() + offset, size};
       cursor[s] = slices_[s].base;
-      shards_[s].counts.assign(initial.size(), 0);
+      shards_[s].counts = core::Config(initial.size());
       shards_[s].rng = util::Xoshiro256::stream(seed, s);
       offset += size;
     }
@@ -197,7 +197,7 @@ void ShardedSimulator::apply_plan() {
 }
 
 void ShardedSimulator::refresh_global() {
-  std::fill(counts_.begin(), counts_.end(), 0);
+  for (std::size_t q = 0; q < counts_.size(); ++q) counts_[q] = 0;
   steps_ = 0;
   interactions_ = 0;
   prefetch_batches_ = 0;

@@ -4,22 +4,18 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "petri/euler.h"
-
 namespace ppsc {
 namespace solver {
 
 std::optional<Multicycle> small_multicycle(
     const petri::ControlStateNet& cnet, const std::vector<std::uint64_t>& phi,
-    const std::vector<bool>& q_mask, std::uint64_t k) {
+    std::uint64_t k) {
   if (phi.size() != cnet.num_edges()) {
     throw std::invalid_argument("small_multicycle: phi size mismatch");
   }
   if (k == 0) {
     throw std::invalid_argument("small_multicycle: k must be >= 1");
   }
-  (void)q_mask;  // informational: the underlying places are P \ Q
-
   // Circulation check: balanced flow at every control state.
   std::vector<std::int64_t> balance(cnet.num_controls(), 0);
   std::uint64_t gcd = 0;
@@ -50,13 +46,7 @@ std::optional<Multicycle> small_multicycle(
   // Realize the replacement as one closed walk when the support is
   // connected (phi / gcd is still a circulation, so only connectivity
   // can fail).
-  std::vector<std::pair<std::size_t, std::size_t>> endpoints;
-  endpoints.reserve(cnet.num_edges());
-  for (std::size_t e = 0; e < cnet.num_edges(); ++e) {
-    endpoints.emplace_back(cnet.edge(e).from, cnet.edge(e).to);
-  }
-  small.walk = petri::euler_circuit(cnet.num_controls(), endpoints,
-                                    small.parikh, anchor);
+  small.walk = cnet.euler_circuit(small.parikh, anchor);
   return small;
 }
 

@@ -40,8 +40,7 @@ BottomSccs bottom_sccs(const core::Protocol& protocol,
   BottomSccs out;
   {
     obs::ScopedSpan span("verify.explore", "verify");
-    out.graph = petri::explore(protocol.net(), {petri::Config(initial)},
-                               limits);
+    out.graph = petri::explore(protocol.net(), {initial}, limits);
   }
   if (out.graph.truncated) {
     throw std::runtime_error(

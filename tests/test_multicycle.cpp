@@ -32,9 +32,8 @@ petri::ControlStateNet sample_cnet() {
 
 TEST(SmallMulticycle, GcdReductionPreservesSupportAndSigns) {
   const auto cnet = sample_cnet();
-  const std::vector<bool> q_mask{true, true, false};
   const std::vector<std::uint64_t> phi{128, 128, 64};
-  const auto small = solver::small_multicycle(cnet, phi, q_mask, 64);
+  const auto small = solver::small_multicycle(cnet, phi, 64);
   ASSERT_TRUE(small.has_value());
   EXPECT_EQ(small->parikh, (std::vector<std::uint64_t>{2, 2, 1}));
   EXPECT_EQ(small->length, 5u);
@@ -52,14 +51,10 @@ TEST(SmallMulticycle, GcdReductionPreservesSupportAndSigns) {
 
 TEST(SmallMulticycle, HypothesisAndCirculationNegatives) {
   const auto cnet = sample_cnet();
-  const std::vector<bool> q_mask{true, true, false};
   // Some used edge occurs fewer than k times.
-  EXPECT_FALSE(
-      solver::small_multicycle(cnet, {128, 128, 32}, q_mask, 64).has_value());
+  EXPECT_FALSE(solver::small_multicycle(cnet, {128, 128, 32}, 64).has_value());
   // Not a circulation: flow unbalanced at both controls.
-  EXPECT_FALSE(
-      solver::small_multicycle(cnet, {64, 0, 0}, q_mask, 64).has_value());
+  EXPECT_FALSE(solver::small_multicycle(cnet, {64, 0, 0}, 64).has_value());
   // Empty multicycle.
-  EXPECT_FALSE(
-      solver::small_multicycle(cnet, {0, 0, 0}, q_mask, 1).has_value());
+  EXPECT_FALSE(solver::small_multicycle(cnet, {0, 0, 0}, 1).has_value());
 }

@@ -22,7 +22,6 @@
 #include "petri/bottom.h"
 #include "petri/control_net.h"
 #include "petri/coverability.h"
-#include "petri/euler.h"
 #include "petri/karp_miller.h"
 #include "petri/reachability.h"
 #include "petri/width_reduction.h"
@@ -69,6 +68,19 @@ PetriNet toggle_pump() {
   net.add(Config{1, 0, 0}, Config{0, 1, 0});
   net.add(Config{0, 1, 0}, Config{1, 0, 0});
   net.add(Config{1, 0, 0}, Config{1, 0, 1});
+  return net;
+}
+
+// Toggle on {a, b}, a pump c -> 2c and, unless `leak` is false,
+// c -> b + c: with omega tokens on c the leak adds a b to any marking
+// of the toggle, so the toggle is a closed T|Q component for
+// Q = {a, b} that a Q-projected step leaves.
+PetriNet toggle_leak(bool leak = true) {
+  PetriNet net(3);
+  net.add(Config{1, 0, 0}, Config{0, 1, 0});
+  net.add(Config{0, 1, 0}, Config{1, 0, 0});
+  if (leak) net.add(Config{0, 0, 1}, Config{0, 1, 1});
+  net.add(Config{0, 0, 1}, Config{0, 0, 2});
   return net;
 }
 
@@ -158,8 +170,7 @@ TEST(Explore, EnabledChecksStayFarBelowADenseScan) {
   // against every config; the index must test under a tenth of that.
   const auto cp = ppsc::core::interval_counting(2, 4);
   const PetriNet& net = cp.protocol.net();
-  const auto graph =
-      petri::explore(net, {Config(cp.protocol.initial_config({5}))});
+  const auto graph = petri::explore(net, {cp.protocol.initial_config({5})});
   ASSERT_FALSE(graph.truncated);
   EXPECT_LT(graph.stats.enabled_checks,
             graph.stats.configs * net.num_transitions() / 10);
@@ -482,8 +493,7 @@ TEST(Explore, LargeGraphsMatchDenseReferenceAcrossTableGrowths) {
   // A wide product (72 places, 4167 transitions).
   const auto cp = ppsc::core::interval_counting(2, 4);
   const PetriNet& wide = cp.protocol.net();
-  const std::vector<Config> wide_roots = {
-      Config(cp.protocol.initial_config({5}))};
+  const std::vector<Config> wide_roots = {cp.protocol.initial_config({5})};
   ASSERT_NO_FATAL_FAILURE(expect_matches_dense(dense_of(wide),
                                                petri::explore(wide, wide_roots),
                                                wide_roots, budget, {}));
@@ -900,6 +910,23 @@ TEST(Bottom, ComponentOfToggleRestriction) {
   EXPECT_FALSE(open.closed);
 }
 
+TEST(Bottom, WitnessOfAComponentAProjectedStepLeavesIsRejected) {
+  const std::vector<bool> q_mask{true, true, false};
+  const Config rho{1, 0, 1};
+  for (const bool leak : {false, true}) {
+    const PetriNet net = toggle_leak(leak);
+    petri::BottomWitness witness;  // sigma empty, w = [c -> 2c]
+    witness.w = {net.num_transitions() - 1};
+    witness.q_mask = q_mask;
+    witness.alpha = rho;
+    witness.beta = Config{1, 0, 2};
+    witness.component_size = 2;
+    // Replay, pump and the T|Q component are valid either way; only
+    // the leak's Q-projected step (1,0) -> (1,1) breaks the witness.
+    EXPECT_EQ(petri::check_bottom_witness(net, rho, witness), !leak);
+  }
+}
+
 TEST(ControlNet, TotalCycleCoversEveryEdge) {
   // Triangle with an extra chord 0 -> 1.
   PetriNet base(1);
@@ -949,18 +976,52 @@ TEST(ControlNet, FromComponentOfTogglePump) {
   EXPECT_GT(displacement[0], 0);  // the walk pumps c
 }
 
+TEST(ControlNet, FromComponentReportsAProjectedStepLeavingIt) {
+  const PetriNet net = toggle_leak();
+  const std::vector<bool> q_mask{true, true, false};
+  const auto component =
+      petri::component_of(net.restrict(q_mask), Config{1, 0});
+  ASSERT_EQ(component.members.size(), 2u);
+  EXPECT_TRUE(component.closed);
+  const auto cnet =
+      petri::ControlStateNet::from_component(net, component.members, q_mask);
+  EXPECT_FALSE(cnet.closed());
+  // The leak's steps are dropped; the toggle and the pump's self-loops
+  // stay.
+  EXPECT_EQ(cnet.num_edges(), 4u);
+  const auto pumped = petri::ControlStateNet::from_component(
+      toggle_pump(), component.members, q_mask);
+  EXPECT_TRUE(pumped.closed());
+}
+
 TEST(Euler, CircuitAndNegatives) {
-  const std::vector<std::pair<std::size_t, std::size_t>> edges = {
-      {0, 1}, {1, 0}, {0, 0}};
-  const auto circuit = petri::euler_circuit(2, edges, {2, 2, 1}, 0);
+  PetriNet base(1);
+  base.add(Config{0}, Config{0});
+  petri::ControlStateNet cnet(base, 2);
+  cnet.add_edge(0, 0, 1);
+  cnet.add_edge(1, 0, 0);
+  cnet.add_edge(0, 0, 0);
+  const auto circuit = cnet.euler_circuit({2, 2, 1}, 0);
   ASSERT_TRUE(circuit.has_value());
   EXPECT_EQ(circuit->size(), 5u);
+  EXPECT_TRUE(cnet.is_cycle(*circuit, 0));
+  EXPECT_EQ(cnet.parikh(*circuit), (std::vector<std::uint64_t>{2, 2, 1}));
+  EXPECT_EQ(cnet.euler_circuit({0, 0, 0}, 1), std::vector<std::size_t>{});
   // Unbalanced multiset: no circuit.
-  EXPECT_FALSE(petri::euler_circuit(2, edges, {2, 1, 0}, 0).has_value());
+  EXPECT_FALSE(cnet.euler_circuit({2, 1, 0}, 0).has_value());
+  EXPECT_THROW(cnet.euler_circuit({1, 1}, 0), std::invalid_argument);
+  EXPECT_THROW(cnet.euler_circuit({1, 1, 1}, 2), std::invalid_argument);
+
   // Disconnected used edges: no circuit.
-  const std::vector<std::pair<std::size_t, std::size_t>> split = {
-      {0, 0}, {1, 1}};
-  EXPECT_FALSE(petri::euler_circuit(2, split, {1, 1}, 0).has_value());
+  petri::ControlStateNet split(base, 3);
+  split.add_edge(0, 0, 0);
+  split.add_edge(1, 0, 1);
+  EXPECT_FALSE(split.euler_circuit({1, 1}, 0).has_value());
+  // A used edge that `start` does not touch: no circuit, while the same
+  // loop is a circuit from its own state.
+  EXPECT_FALSE(split.euler_circuit({0, 1}, 2).has_value());
+  EXPECT_FALSE(split.euler_circuit({0, 1}, 0).has_value());
+  EXPECT_EQ(split.euler_circuit({0, 1}, 1), std::vector<std::size_t>{1});
 }
 
 TEST(WidthReduction, HandNetCompilesToWidth2) {
@@ -988,16 +1049,16 @@ TEST(WidthReduction, Example41IsProjectionEquivalent) {
   EXPECT_EQ(reduction.compiled.max_width(), 2);
 
   const Config root{4, 0};  // above threshold
-  std::set<std::vector<petri::Count>> original;
+  std::set<Config> original;
   const auto graph = petri::explore(net, {root});
   for (std::size_t i = 0; i < graph.size(); ++i) {
-    original.insert(graph.config(i).raw());
+    original.insert(graph.config(i));
   }
-  std::set<std::vector<petri::Count>> compiled;
+  std::set<Config> compiled;
   const auto wide =
       petri::explore(reduction.compiled, {reduction.embed(root)});
   for (std::size_t i = 0; i < wide.size(); ++i) {
-    compiled.insert(reduction.project(reduction.cleanup(wide.config(i))).raw());
+    compiled.insert(reduction.project(reduction.cleanup(wide.config(i))));
   }
   EXPECT_EQ(original, compiled);
 }

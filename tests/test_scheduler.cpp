@@ -113,7 +113,7 @@ struct ShardedReference {
         exchange_rng(seed),
         census(initial),
         slices(shards),
-        counts(shards, core::Config(initial.size(), 0)),
+        counts(shards, core::Config(initial.size())),
         epoch_length(length),
         swaps_per_epoch((shards * length) >> exchange_shift) {
     exchange_rng.long_jump();
@@ -157,7 +157,7 @@ struct ShardedReference {
       steps += fired;
     }
     exchange();
-    std::fill(census.begin(), census.end(), 0);
+    census = core::Config(census.size());
     for (const core::Config& shard_counts : counts) {
       for (std::size_t q = 0; q < census.size(); ++q) {
         census[q] += shard_counts[q];
@@ -417,7 +417,7 @@ double one_step_chi_square(const ppsc::petri::PetriNet& net,
   double total = 0.0;
   for (std::size_t t = 0; t < weights.size(); ++t) {
     if (weights[t] == 0) continue;
-    weight_of[net.fire(t, census).raw()] += static_cast<double>(weights[t]);
+    weight_of[net.fire(t, census)] += static_cast<double>(weights[t]);
     total += static_cast<double>(weights[t]);
   }
   std::map<core::Config, std::size_t> observed;
@@ -1078,7 +1078,7 @@ TEST(CensusSimulator, SamplesCellsWithExactWeights) {
   const auto table = sim::PairRuleTable::build(cp.protocol);
   ASSERT_TRUE(table.has_value());
   const auto& id = cp.protocol.states();
-  core::Config census(cp.protocol.num_states(), 0);
+  core::Config census(cp.protocol.num_states());
   census[id.at("1")] = 6;
   census[id.at("2")] = 3;
   census[id.at("3")] = 1;
@@ -1179,7 +1179,7 @@ TEST(CensusSimulator, SoleEnabledCellAlwaysFires) {
   const auto table = sim::PairRuleTable::build(cp.protocol);
   ASSERT_TRUE(table.has_value());
   const auto& id = cp.protocol.states();
-  core::Config census(cp.protocol.num_states(), 0);
+  core::Config census(cp.protocol.num_states());
   census[id.at("0")] = 1000;
   census[id.at("1")] = 2;
   core::Config merged = census;

@@ -123,8 +123,7 @@ TEST(WellSpec, ConfigCapErrorExplainsTheExploration) {
   ppsc::petri::ExploreLimits limits;
   limits.max_nodes = options.max_configs;
   const auto graph = ppsc::petri::explore(
-      cp.protocol.net(),
-      {ppsc::petri::Config(cp.protocol.initial_config({4}))}, limits);
+      cp.protocol.net(), {cp.protocol.initial_config({4})}, limits);
   ASSERT_TRUE(graph.truncated);
   try {
     verify::classify_input(cp.protocol, {4}, options);
