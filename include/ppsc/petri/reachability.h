@@ -27,6 +27,28 @@
 //    out-edges contiguously, so node u's edges are
 //    edges[edge_begin[u], edge_begin[u+1]) (out_edges(u)); nodes that
 //    were never expanded (after a stop) have empty ranges.
+//
+// Frontier batches. A frontier of 512 heads or more is expanded 512
+// heads at a time in two phases:
+//
+//  * Resolve, on util::parallel_for, 16 heads per index: each head's
+//    enabled transitions, and each successor looked up read-only in
+//    the intern table as it stood at the batch start. Every buffer is
+//    the caller's and reused from batch to batch, so the pool's
+//    threads allocate nothing that grows with the graph.
+//  * Commit, on the calling thread, head by head and edge by edge in
+//    BFS order: a successor the resolve found is that node; any other
+//    is probed and interned exactly as a head-by-head BFS would (an
+//    earlier head of the batch may have interned it since). `stop` is
+//    called here only, so a stop or a max_nodes cut mid-batch drops
+//    the resolved heads after it.
+//
+// Where a parallel_for would run inline (inside a pool task, in a
+// one-thread pool: util::runs_inline()) or the frontier is smaller,
+// a batch is one head and the resolve does no lookup. Node ids, edges,
+// parents, `stopped`, `truncated`, every ExploreStats field, the
+// explore.* counters and the explore.chunk spans are therefore the
+// same for any thread count.
 
 #ifndef PPSC_PETRI_REACHABILITY_H
 #define PPSC_PETRI_REACHABILITY_H
@@ -61,7 +83,9 @@ struct ReachEdge {
 // Per-call exploration statistics, filled by every explore() run and
 // carried on the result so consumers (e13/e19, the obs registry, the
 // verifier) stop re-deriving them ad hoc. `probes` counts intern-table
-// lookups (one per enabled transition firing plus one per root);
+// lookups (one per enabled transition firing plus one per root; a
+// batch's resolve-time lookup stands in for its edge's probe, never
+// adds one);
 // `collisions` counts the occupied slots probed past by insertions
 // (a lookup that finds its config does not count), so it measures the
 // table's clustering and moves with the hash and the table size.
@@ -122,9 +146,9 @@ struct ReachabilityGraph {
 
 // Breadth-first exploration from `roots`. When `stop` is provided it is
 // evaluated on (a view of) every discovered configuration, roots
-// included; exploration halts at the first match, recorded in
-// `stopped`. The coverability and bottom-witness engines use this early
-// exit for their shortest-word searches.
+// included, on the calling thread; exploration halts at the first
+// match, recorded in `stopped`. The coverability and bottom-witness
+// engines use this early exit for their shortest-word searches.
 //
 // Successors are emitted in ascending transition index: each node's
 // enabled transitions come from the enabledness index compiled into

@@ -1,6 +1,8 @@
 // One process-wide ordered parallel-for: the thread layer under the
-// input odometers (verify::check_up_to, check_well_specification_up_to)
-// and the convergence sweeps (sim::measure_convergence_parallel).
+// input odometers (verify::check_up_to, check_well_specification_up_to),
+// the convergence sweeps (sim::measure_convergence_parallel), the
+// sharded kernel's epochs (sim/sharded.h) and the resolve phase of a
+// frontier batch inside one petri::explore (petri/reachability.h).
 //
 // Thread model:
 //
@@ -53,6 +55,14 @@ inline constexpr std::chrono::microseconds kSpinWindow{4000};
 
 // Threads a call may run on: the pool's workers plus the caller.
 unsigned parallel_width();
+
+// True when a parallel_for called from this thread runs inline
+// whatever its count and max_threads: inside a pool task (a worker, or
+// a caller running its share) and in a one-thread pool. False on an
+// idle pool's caller, although such a call still runs inline if
+// another thread's call takes the pool first. petri::explore asks it
+// to choose one-head batches.
+bool runs_inline();
 
 // Calls body(i) once for every i in [0, count), on the calling thread
 // and up to max_threads - 1 pool workers (0 = parallel_width()).

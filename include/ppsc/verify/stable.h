@@ -81,8 +81,8 @@ struct BottomSccs {
 // decomposes the graph into SCCs and reads each bottom SCC's consensus,
 // under the spans verify.explore / verify.scc / verify.consensus. A
 // graph past `max_configs` configurations throws std::runtime_error
-// "<caller>: reachability graph exceeds ..." explaining how far the
-// exploration got.
+// "<caller>: reachability graph from <initial> exceeds ...", naming the
+// input that outgrew the budget and how far the exploration got.
 BottomSccs bottom_sccs(const core::Protocol& protocol,
                        const core::Config& initial, std::size_t max_configs,
                        const char* caller);

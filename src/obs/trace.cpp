@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <new>
 #include <type_traits>
 
 #include "obs/json.h"
@@ -50,13 +51,37 @@ struct TraceRegistry::Ring {
       (sizeof(TraceEvent) + sizeof(std::uint64_t) - 1) /
       sizeof(std::uint64_t);
 
+  // No member initialisers, so that starting a slot's lifetime writes
+  // nothing (see zeroed_slots).
   struct Slot {
-    std::atomic<std::uint64_t> seq{0};
-    std::atomic<std::uint64_t> words[kSlotWords] = {};
+    std::atomic<std::uint64_t> seq;
+    std::atomic<std::uint64_t> words[kSlotWords];
+  };
+  static_assert(std::is_trivially_default_constructible<Slot>::value &&
+                    std::is_trivially_destructible<Slot>::value,
+                "a ring's slots live in a calloc block, untouched until "
+                "written");
+
+  struct FreeSlots {
+    void operator()(Slot* slots) const { std::free(slots); }
   };
 
-  explicit Ring(std::uint32_t ring_id)
-      : id(ring_id), slots(new Slot[kRingCapacity]) {}
+  // The slots are one calloc block, and a default-initialising
+  // placement new begins each slot's lifetime without a store, so a
+  // thread's first span faults in no page, and the pages of slots it
+  // never writes stay out of the resident set. No slot is read before
+  // its first write (collect() reads indices below head only); were
+  // one read, its zero bytes would be an empty slot (seq 0 is no
+  // event's 2i + 2).
+  static Slot* zeroed_slots() {
+    void* block = std::calloc(kRingCapacity, sizeof(Slot));
+    if (block == nullptr) throw std::bad_alloc();
+    Slot* slots = static_cast<Slot*>(block);
+    for (std::size_t i = 0; i < kRingCapacity; ++i) new (slots + i) Slot;
+    return slots;
+  }
+
+  explicit Ring(std::uint32_t ring_id) : id(ring_id), slots(zeroed_slots()) {}
 
   // Publishes `event` as global index `index` (the pre-increment head
   // value). Single producer: only the owning thread calls this.
@@ -88,7 +113,7 @@ struct TraceRegistry::Ring {
 
   std::uint32_t id;
   std::atomic<std::uint64_t> head{0};
-  std::unique_ptr<Slot[]> slots;
+  std::unique_ptr<Slot[], FreeSlots> slots;
 };
 
 #if PPSC_OBS_ENABLED
@@ -267,9 +292,10 @@ thread_local std::uint32_t span_depth = 0;
 ScopedSpan::ScopedSpan(const char* name, const char* category) {
   TraceRegistry& registry = TraceRegistry::global();
   if (!registry.enabled()) return;
-  // A thread's first span allocates its ring (kRingCapacity zeroed
-  // slots, several ms). Doing it here, before the clock is read and at
-  // depth 0, keeps that cost out of every span's duration.
+  // A thread's first span allocates its ring (one calloc of
+  // kRingCapacity slots, well under a millisecond). Doing it here,
+  // before the clock is read and at depth 0, keeps that cost out of
+  // every span's duration.
   registry.local_ring();
   armed_ = true;
   event_.name = name;

@@ -7,6 +7,7 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/parallel.h"
 
 namespace ppsc {
 namespace petri {
@@ -95,6 +96,23 @@ class InternTable {
   std::size_t size_ = 0;
 };
 
+// Adds `delta` to `config` in place and returns the new hash, given
+// `hash`, the old one: only the terms of the delta's places change.
+std::uint64_t apply(util::Span<Arc> delta, Count* config, std::uint64_t hash) {
+  for (const Arc& arc : delta) {
+    const Count before = config[arc.place];
+    config[arc.place] = before + arc.count;
+    hash += ConfigHash::term(arc.place,
+                             static_cast<std::uint64_t>(config[arc.place])) -
+            ConfigHash::term(arc.place, static_cast<std::uint64_t>(before));
+  }
+  return hash;
+}
+
+void revert(util::Span<Arc> delta, Count* config) {
+  for (const Arc& arc : delta) config[arc.place] -= arc.count;
+}
+
 }  // namespace
 
 ReachabilityGraph explore(const PetriNet& net, const std::vector<Config>& roots,
@@ -152,43 +170,146 @@ ReachabilityGraph explore(const PetriNet& net, const std::vector<Config>& roots,
     // widening frontier) without per-node events.
     constexpr std::size_t kChunkNodes = 8192;
     std::optional<obs::ScopedSpan> chunk_span;
-    std::vector<std::size_t> enabled;
-    // The head's counts, copied out because the arena may reallocate
-    // while successors are appended; each successor is built in place
-    // by applying a transition's delta and reverting it afterwards.
-    std::vector<Count> scratch(d);
-    Count* const next = scratch.data();
-    for (std::size_t head = 0; head < graph.size() && !graph.stopped; ++head) {
-      if (head % kChunkNodes == 0 && graph.size() > kChunkNodes) {
-        chunk_span.emplace("explore.chunk", "petri");
-        chunk_span->arg("head", head);
-        chunk_span->arg("frontier", graph.size() - head);
-      }
-      stats.frontier_peak = std::max(stats.frontier_peak, graph.size() - head);
-      graph.edge_begin.push_back(graph.edges.size());
+    // A frontier of kBatch heads or more is expanded kBatch heads at a
+    // time, resolved kTaskHeads heads per pool index (measured in
+    // docs/verification.md).
+    constexpr std::size_t kBatch = 512;
+    constexpr std::size_t kTaskHeads = 16;
+    constexpr std::size_t kTasks = kBatch / kTaskHeads;
+    static_assert(kBatch % kTaskHeads == 0, "tasks split a batch evenly");
+    constexpr std::uint32_t kUnresolved = InternTable::kEmpty;
+    // One resolving thread's scratch: the enabled list, with room for
+    // every transition so it never reallocates, and the head's counts,
+    // copied out because the arena may reallocate while successors are
+    // appended; each successor is built in place by applying a
+    // transition's delta and reverting it afterwards.
+    struct Scratch {
+      std::vector<std::size_t> enabled;
+      std::vector<Count> next;
+    };
+    const auto make_scratch = [&] {
+      Scratch scratch{{}, std::vector<Count>(d)};
+      scratch.enabled.reserve(net.num_transitions());
+      return scratch;
+    };
+    // Writes node `head`'s out-edges to out[0, n) and returns n, or
+    // kUnresolved when more than `room` transitions are enabled. With
+    // `lookup`, a target is the id its node has in the table as it
+    // stands; otherwise, and for a node not there, it is kEmpty.
+    const auto resolve = [&](std::size_t head, Scratch& scratch,
+                             ReachEdge* out, std::size_t room, bool lookup,
+                             std::uint64_t& checks) -> std::uint32_t {
+      Count* const next = scratch.next.data();
       std::copy_n(graph.counts.data() + head * d, d, next);
-      const std::uint64_t head_hash = graph.hashes[head];
-      stats.enabled_checks +=
-          net.enabled_transitions(ConfigView(next, d), enabled);
-      for (const std::size_t t : enabled) {
-        const util::Span<Arc> delta = net.delta(t);
-        std::uint64_t h = head_hash;
-        for (const Arc& arc : delta) {
-          const Count before = next[arc.place];
-          next[arc.place] = before + arc.count;
-          h += ConfigHash::term(arc.place,
-                                static_cast<std::uint64_t>(next[arc.place])) -
-               ConfigHash::term(arc.place, static_cast<std::uint64_t>(before));
+      checks = net.enabled_transitions(ConfigView(next, d), scratch.enabled);
+      if (scratch.enabled.size() > room) return kUnresolved;
+      for (const std::size_t t : scratch.enabled) {
+        std::uint32_t target = InternTable::kEmpty;
+        if (lookup) {
+          const std::uint64_t h =
+              apply(net.delta(t), next, graph.hashes[head]);
+          std::size_t slot = 0;
+          std::uint64_t probed = 0;
+          target = table.find(next, h, slot, probed);
+          revert(net.delta(t), next);
         }
-        const std::uint32_t target =
-            intern(next, h, graph.size() < limits.max_nodes, head, t);
-        for (const Arc& arc : delta) next[arc.place] -= arc.count;
-        if (target == InternTable::kEmpty) {  // new, but over the budget
-          graph.truncated = true;
-          continue;
+        *out++ = {target, static_cast<std::uint32_t>(t)};
+      }
+      return static_cast<std::uint32_t>(scratch.enabled.size());
+    };
+    // A batch head as the resolve leaves it: its out-edges are
+    // resolved[first, first + count), or count is kUnresolved.
+    struct BatchHead {
+      std::size_t first;
+      std::uint32_t count;
+      std::uint64_t checks;
+    };
+    // Every buffer is the caller's and reused from batch to batch, so
+    // the pool's threads allocate nothing that grows with the graph.
+    Scratch own = make_scratch();
+    std::vector<ReachEdge> own_edges(net.num_transitions());
+    std::vector<BatchHead> heads;
+    std::vector<Scratch> task_scratch;
+    std::vector<ReachEdge> resolved;
+    std::size_t task_room = kTaskHeads * 16;  // edges; doubled on overflow
+    for (std::size_t first_head = 0;
+         first_head < graph.size() && !graph.stopped;) {
+      const std::size_t batch =
+          graph.size() - first_head < kBatch || util::runs_inline() ? 1
+                                                                    : kBatch;
+      heads.assign(batch, {0, kUnresolved, 0});
+      if (batch > 1) {
+        // Resolve: enabled transitions and batch-start lookups, read-only
+        // on the arena and the table. A task whose head overflows its
+        // room leaves the rest of its heads to the commit.
+        while (task_scratch.size() < kTasks) {
+          task_scratch.push_back(make_scratch());
         }
-        graph.edges.push_back({target, static_cast<std::uint32_t>(t)});
-        if (graph.stopped) break;
+        resolved.resize(kTasks * task_room);
+        util::parallel_for(kTasks, [&](std::size_t task) {
+          std::size_t first = task * task_room;
+          const std::size_t end = first + task_room;
+          for (std::size_t i = task * kTaskHeads; i < (task + 1) * kTaskHeads;
+               ++i) {
+            heads[i].first = first;
+            heads[i].count = resolve(first_head + i, task_scratch[task],
+                                     resolved.data() + first, end - first,
+                                     true, heads[i].checks);
+            if (heads[i].count == kUnresolved) return;
+            first += heads[i].count;
+          }
+        });
+      }
+      // Commit, in BFS order on this thread: the head-by-head loop, with
+      // the resolve's lookups standing in for the probes that found a
+      // node. A target still kEmpty is probed here, since an earlier
+      // head of the batch may have interned it since.
+      bool overflowed = false;
+      for (std::size_t i = 0; i < batch && !graph.stopped; ++i) {
+        const std::size_t head = first_head + i;
+        if (head % kChunkNodes == 0 && graph.size() > kChunkNodes) {
+          chunk_span.emplace("explore.chunk", "petri");
+          chunk_span->arg("head", head);
+          chunk_span->arg("frontier", graph.size() - head);
+        }
+        stats.frontier_peak =
+            std::max(stats.frontier_peak, graph.size() - head);
+        graph.edge_begin.push_back(graph.edges.size());
+        BatchHead bh = heads[i];
+        const ReachEdge* out = resolved.data() + bh.first;
+        if (bh.count == kUnresolved) {
+          overflowed = batch > 1;
+          bh.count = resolve(head, own, own_edges.data(), own_edges.size(),
+                             false, bh.checks);
+          out = own_edges.data();
+        }
+        stats.enabled_checks += bh.checks;
+        Count* const next = own.next.data();
+        std::copy_n(graph.counts.data() + head * d, d, next);
+        for (std::uint32_t e = 0; e < bh.count; ++e) {
+          const ReachEdge edge = out[e];
+          std::uint32_t target = edge.target;
+          if (target == InternTable::kEmpty) {
+            const util::Span<Arc> delta = net.delta(edge.transition);
+            const std::uint64_t h = apply(delta, next, graph.hashes[head]);
+            target = intern(next, h, graph.size() < limits.max_nodes, head,
+                            edge.transition);
+            revert(delta, next);
+            if (target == InternTable::kEmpty) {  // new, but over the budget
+              graph.truncated = true;
+              continue;
+            }
+          } else {
+            ++stats.probes;
+          }
+          graph.edges.push_back({target, edge.transition});
+          if (graph.stopped) break;
+        }
+      }
+      first_head += batch;
+      if (overflowed) {
+        task_room =
+            std::min(2 * task_room, kTaskHeads * net.num_transitions());
       }
     }
   }

@@ -198,6 +198,8 @@ unsigned parallel_width() {
   return width;
 }
 
+bool runs_inline() { return in_pool_task || parallel_width() == 1; }
+
 void parallel_for(std::size_t count,
                   const std::function<void(std::size_t)>& body,
                   unsigned max_threads) {

@@ -44,7 +44,8 @@ BottomSccs bottom_sccs(const core::Protocol& protocol,
   }
   if (out.graph.truncated) {
     throw std::runtime_error(
-        std::string(caller) + ": reachability graph exceeds " +
+        std::string(caller) + ": reachability graph from " +
+        render_config(protocol, initial) + " exceeds " +
         std::to_string(max_configs) + " configurations (explored " +
         petri::describe(out.graph.stats) + ")");
   }

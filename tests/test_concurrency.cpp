@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <map>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -30,6 +31,7 @@
 #include "core/constructions.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "petri/reachability.h"
 #include "sim/parallel.h"
 #include "sim/scheduler.h"
 #include "sim/sharded.h"
@@ -242,6 +244,75 @@ TEST(ConcurrencyParallel, SweepRacesRegistryReaders) {
   traces.reset();
   metrics.set_enabled(false);
   traces.set_enabled(false);
+}
+
+// One petri::explore resolving its frontier batches on the pool while
+// a reader thread hammers both registries. The pool's tasks read the
+// arena and the intern table, and the caller's commit writes them
+// between batches; under TSan this proves parallel_for's join orders
+// the two. The graph, every explore.* counter and every span count
+// must equal those of the same explore inside a pool task, which
+// expands one head per batch.
+TEST(ConcurrencyExplore, BatchesRaceRegistryReaders) {
+  MetricRegistry& metrics = MetricRegistry::global();
+  TraceRegistry& traces = TraceRegistry::global();
+  const ppsc::core::ConstructedProtocol cp = ppsc::core::disjunction(
+      ppsc::core::unary_counting(4), ppsc::core::modulo_counting(3, 0));
+  const std::vector<ppsc::petri::Config> roots = {
+      cp.protocol.initial_config({6})};
+  struct Run {
+    ppsc::petri::ReachabilityGraph graph;
+    std::string snapshot;
+    std::map<std::string, std::uint64_t> spans;
+  };
+  const auto traced = [&](const auto& explore) {
+    metrics.reset();
+    traces.reset();
+    metrics.set_enabled(true);
+    traces.set_enabled(true);
+    Run run;
+    run.graph = explore();
+    metrics.set_enabled(false);
+    traces.set_enabled(false);
+    run.snapshot = metrics.snapshot().to_json();
+    for (const auto& [name, totals] : ppsc::obs::profile(traces.collect())) {
+      run.spans[name] = totals.count;
+    }
+    return run;
+  };
+
+  std::atomic<bool> stop{false};
+  std::thread reader([&stop]() {
+    while (!stop.load(std::memory_order_acquire)) {
+      (void)MetricRegistry::global().snapshot();
+      (void)TraceRegistry::global().collect();
+    }
+  });
+  const Run batched =
+      traced([&] { return ppsc::petri::explore(cp.protocol.net(), roots); });
+  stop.store(true, std::memory_order_release);
+  reader.join();
+  const Run inline_run = traced([&] {
+    std::vector<ppsc::petri::ReachabilityGraph> graphs(2);
+    ppsc::util::parallel_for(graphs.size(), [&](std::size_t i) {
+      if (i == 0) graphs[i] = ppsc::petri::explore(cp.protocol.net(), roots);
+    });
+    return std::move(graphs[0]);
+  });
+
+  EXPECT_EQ(batched.graph.size(), 15449u);
+  EXPECT_EQ(batched.graph.counts, inline_run.graph.counts);
+  EXPECT_EQ(batched.graph.parent, inline_run.graph.parent);
+  EXPECT_EQ(batched.graph.edge_begin, inline_run.graph.edge_begin);
+  ASSERT_EQ(batched.graph.edges.size(), inline_run.graph.edges.size());
+  for (std::size_t e = 0; e < batched.graph.edges.size(); ++e) {
+    ASSERT_EQ(batched.graph.edges[e].target, inline_run.graph.edges[e].target);
+  }
+  EXPECT_EQ(batched.snapshot, inline_run.snapshot);
+  EXPECT_EQ(batched.spans, inline_run.spans);
+  EXPECT_EQ(batched.spans.count("explore.chunk"), 1u);
+  metrics.reset();
+  traces.reset();
 }
 
 // The sharded scheduler's hottest race surface: cross-shard exchange
@@ -461,12 +532,12 @@ std::size_t live_threads() {
 }
 #endif
 
-// Neither a forced multi-shard sweep on every core nor a lone
-// four-worker simulator starts a thread beyond the warmed pool: a
-// sampler polls the thread count while the sweep runs (the sampler
-// itself is the one extra thread), and the lone simulator is counted
-// while it is alive. Both results are the one-thread results, bit for
-// bit.
+// Neither a forced multi-shard sweep on every core, a batched explore
+// nor a lone four-worker simulator starts a thread beyond the warmed
+// pool: a sampler polls the thread count while the sweep and the
+// explore run (the sampler itself is the one extra thread), and the
+// lone simulator is counted while it is alive. Both sim results are
+// the one-thread results, bit for bit.
 TEST(ConcurrencySharded, NoThreadsOutsideThePool) {
 #if !defined(__linux__)
   GTEST_SKIP() << "counts threads through /proc/self/task";
@@ -494,9 +565,13 @@ TEST(ConcurrencySharded, NoThreadsOutsideThePool) {
   run.seed = 41;
   const ppsc::sim::ConvergenceStats wide =
       ppsc::sim::measure_convergence_parallel(cp, {1000}, 8, run, width);
+  // An explore whose frontier batches resolve on the pool.
+  const ppsc::petri::ReachabilityGraph graph = ppsc::petri::explore(
+      cp.protocol.net(), {cp.protocol.initial_config({24})});
   stop.store(true, std::memory_order_release);
   sampler.join();
   EXPECT_LE(peak.load(), pool + 1);
+  EXPECT_GE(graph.stats.frontier_peak, 512u);
 
   const ShardedFixture f;
   ASSERT_TRUE(f.table.has_value());
@@ -733,6 +808,29 @@ TEST(ConcurrencyParallelFor, RethrowsTheLowestIndexException) {
     for (std::size_t i = 0; i <= 5; ++i) EXPECT_EQ(calls[i].load(), 1);
     for (std::atomic<int>& c : calls) EXPECT_LE(c.load(), 1);
   }
+}
+
+// runs_inline() answers for the calling thread: true inside every pool
+// task, the caller's share included, and in a one-thread pool; false
+// on an idle pool's caller, before and after a call, and inside a body
+// that a call ran on the caller alone without the pool (max_threads 1,
+// or a single index), where a nested call would still use the pool.
+TEST(ConcurrencyParallelFor, RunsInlineIsTrueInsidePoolTasks) {
+  const bool one_thread = ppsc::util::parallel_width() == 1;
+  EXPECT_EQ(ppsc::util::runs_inline(), one_thread);
+  std::vector<int> inside(16, 0);
+  ppsc::util::parallel_for(inside.size(), [&](std::size_t i) {
+    inside[i] = ppsc::util::runs_inline() ? 1 : 0;
+  });
+  for (const int flag : inside) EXPECT_EQ(flag, 1);
+  EXPECT_EQ(ppsc::util::runs_inline(), one_thread);
+  int alone = -1;
+  ppsc::util::parallel_for(
+      4, [&](std::size_t) { alone = ppsc::util::runs_inline() ? 1 : 0; }, 1);
+  EXPECT_EQ(alone, one_thread ? 1 : 0);
+  ppsc::util::parallel_for(
+      1, [&](std::size_t) { alone = ppsc::util::runs_inline() ? 1 : 0; });
+  EXPECT_EQ(alone, one_thread ? 1 : 0);
 }
 
 // Back-to-back calls meet the workers still spinning on the last one;

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -14,6 +15,7 @@
 #include <optional>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -25,6 +27,7 @@
 #include "petri/karp_miller.h"
 #include "petri/reachability.h"
 #include "petri/width_reduction.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace petri = ppsc::petri;
@@ -548,6 +551,259 @@ TEST(Explore, RejectsNodeBudgetsBeyond32BitIds) {
                std::invalid_argument);
   limits.max_nodes = ids - 1;
   EXPECT_EQ(petri::explore(chain3(), {Config{2, 0, 0}}, limits).size(), 6u);
+}
+
+namespace {
+
+// One-head-at-a-time reference for explore()'s batched frontier: the
+// BFS expands one head after the other, looks every successor up in an
+// intern table of the same shape as explore's (1024 slots to start,
+// linear probing, grown at half load, old slots reinserted in index
+// order) and checks `stop` on each new node. Every field of the graph
+// and of its stats, collisions included, so has an expected value that
+// no batch, resolve or thread count enters into.
+petri::ReachabilityGraph serial_explore(
+    const PetriNet& net, const std::vector<Config>& roots,
+    std::size_t max_nodes,
+    const std::function<bool(petri::ConfigView)>& stop = {}) {
+  constexpr std::uint32_t kEmpty = 0xffffffffu;
+  const std::size_t d = net.num_states();
+  petri::ReachabilityGraph graph;
+  graph.dimension = d;
+  petri::ExploreStats& stats = graph.stats;
+  std::vector<std::uint32_t> slots(1024, kEmpty);
+  std::size_t interned = 0;
+  const auto home = [&](std::uint64_t h) {
+    return static_cast<std::size_t>(h) & (slots.size() - 1);
+  };
+  const auto intern = [&](const Config& config, bool room, std::size_t parent,
+                          std::size_t transition) -> std::uint32_t {
+    ++stats.probes;
+    const std::uint64_t h = petri::ConfigHash{}(config);
+    std::size_t slot = home(h);
+    std::uint64_t probed = 0;
+    for (; slots[slot] != kEmpty; slot = (slot + 1) & (slots.size() - 1)) {
+      if (graph.config(slots[slot]) == config) return slots[slot];
+      ++probed;
+    }
+    if (!room) return kEmpty;
+    stats.collisions += probed;
+    const auto id = static_cast<std::uint32_t>(graph.size());
+    graph.counts.insert(graph.counts.end(), config.begin(), config.end());
+    graph.hashes.push_back(h);
+    graph.parent.push_back(parent);
+    graph.parent_transition.push_back(transition);
+    slots[slot] = id;
+    if (2 * ++interned > slots.size()) {
+      std::vector<std::uint32_t> old(2 * slots.size(), kEmpty);
+      old.swap(slots);
+      for (const std::uint32_t node : old) {
+        if (node == kEmpty) continue;
+        std::size_t to = home(graph.hashes[node]);
+        while (slots[to] != kEmpty) to = (to + 1) & (slots.size() - 1);
+        slots[to] = node;
+      }
+    }
+    if (!graph.stopped && stop && stop(graph.node(id))) graph.stopped = id;
+    return id;
+  };
+  for (const Config& root : roots) {
+    intern(root, true, petri::ReachabilityGraph::kNoParent, 0);
+  }
+  std::vector<std::size_t> enabled;
+  for (std::size_t head = 0; head < graph.size() && !graph.stopped; ++head) {
+    stats.frontier_peak = std::max(stats.frontier_peak, graph.size() - head);
+    graph.edge_begin.push_back(graph.edges.size());
+    const Config current = graph.config(head);
+    stats.enabled_checks += net.enabled_transitions(current, enabled);
+    for (const std::size_t t : enabled) {
+      const std::uint32_t target = intern(
+          net.fire(t, current), graph.size() < max_nodes, head, t);
+      if (target == kEmpty) {
+        graph.truncated = true;
+        continue;
+      }
+      graph.edges.push_back({target, static_cast<std::uint32_t>(t)});
+      if (graph.stopped) break;
+    }
+  }
+  graph.edge_begin.resize(graph.size() + 1, graph.edges.size());
+  stats.configs = graph.size();
+  stats.edges = graph.edges.size();
+  stats.truncated = graph.truncated;
+  return graph;
+}
+
+// Every field of two graphs and of their stats.
+void expect_same_graph(const petri::ReachabilityGraph& got,
+                       const petri::ReachabilityGraph& want) {
+  EXPECT_EQ(got.dimension, want.dimension);
+  EXPECT_EQ(got.counts, want.counts);
+  EXPECT_EQ(got.hashes, want.hashes);
+  EXPECT_EQ(got.edge_begin, want.edge_begin);
+  ASSERT_EQ(got.edges.size(), want.edges.size());
+  for (std::size_t e = 0; e < want.edges.size(); ++e) {
+    ASSERT_EQ(got.edges[e].target, want.edges[e].target) << "edge " << e;
+    ASSERT_EQ(got.edges[e].transition, want.edges[e].transition)
+        << "edge " << e;
+  }
+  EXPECT_EQ(got.parent, want.parent);
+  EXPECT_EQ(got.parent_transition, want.parent_transition);
+  EXPECT_EQ(got.truncated, want.truncated);
+  EXPECT_EQ(got.stopped, want.stopped);
+  EXPECT_EQ(got.stats.configs, want.stats.configs);
+  EXPECT_EQ(got.stats.edges, want.stats.edges);
+  EXPECT_EQ(got.stats.frontier_peak, want.stats.frontier_peak);
+  EXPECT_EQ(got.stats.probes, want.stats.probes);
+  EXPECT_EQ(got.stats.collisions, want.stats.collisions);
+  EXPECT_EQ(got.stats.enabled_checks, want.stats.enabled_checks);
+  EXPECT_EQ(got.stats.truncated, want.stats.truncated);
+}
+
+// Where explore() runs: a top-level call, whose batches resolve on the
+// whole pool; a call while another thread's parallel_for holds the
+// pool, whose batches resolve on the caller alone (a one-worker
+// resolve); and a call inside a pool task, which expands one head per
+// batch with no resolve, as a call in a one-thread pool does.
+enum class Width { kPool, kCallerAlone, kInsidePoolTask };
+constexpr Width kWidths[] = {Width::kPool, Width::kCallerAlone,
+                             Width::kInsidePoolTask};
+
+const char* width_name(Width width) {
+  switch (width) {
+    case Width::kPool:
+      return "pool";
+    case Width::kCallerAlone:
+      return "caller alone";
+    case Width::kInsidePoolTask:
+      return "inside a pool task";
+  }
+  return "?";
+}
+
+petri::ReachabilityGraph explore_at(
+    Width width, const PetriNet& net, const std::vector<Config>& roots,
+    std::size_t max_nodes,
+    const std::function<bool(petri::ConfigView)>& stop = {}) {
+  petri::ExploreLimits limits;
+  limits.max_nodes = max_nodes;
+  const auto call = [&] { return petri::explore(net, roots, limits, stop); };
+  switch (width) {
+    case Width::kPool:
+      EXPECT_EQ(ppsc::util::runs_inline(),
+                ppsc::util::parallel_width() == 1);
+      return call();
+    case Width::kCallerAlone: {
+      std::atomic<bool> held{false};
+      std::atomic<bool> release{false};
+      std::thread holder([&] {
+        ppsc::util::parallel_for(2, [&](std::size_t) {
+          held.store(true);
+          while (!release.load()) std::this_thread::yield();
+        });
+      });
+      while (!held.load()) std::this_thread::yield();
+      petri::ReachabilityGraph graph = call();
+      release.store(true);
+      holder.join();
+      return graph;
+    }
+    case Width::kInsidePoolTask: {
+      std::vector<petri::ReachabilityGraph> graphs(2);
+      ppsc::util::parallel_for(graphs.size(), [&](std::size_t i) {
+        EXPECT_TRUE(ppsc::util::runs_inline());
+        graphs[i] = call();
+      });
+      EXPECT_NO_FATAL_FAILURE(expect_same_graph(graphs[1], graphs[0]));
+      return std::move(graphs[0]);
+    }
+  }
+  return call();
+}
+
+// explore() at every width against the reference; the frontier peak
+// of the reference, so callers can tell whether batches were taken.
+std::size_t expect_matches_serial(
+    const PetriNet& net, const std::vector<Config>& roots,
+    std::size_t max_nodes,
+    const std::function<bool(petri::ConfigView)>& stop = {}) {
+  const petri::ReachabilityGraph want =
+      serial_explore(net, roots, max_nodes, stop);
+  for (const Width width : kWidths) {
+    SCOPED_TRACE(width_name(width));
+    EXPECT_NO_FATAL_FAILURE(
+        expect_same_graph(explore_at(width, net, roots, max_nodes, stop),
+                          want));
+  }
+  return want.stats.frontier_peak;
+}
+
+}  // namespace
+
+TEST(Explore, BatchesMatchTheHeadByHeadReferenceOnRandomNets) {
+  ppsc::util::Xoshiro256 rng(2029);
+  std::array<std::size_t, kNumShapes> seen{};
+  std::size_t batched = 0;
+  for (int trial = 0; trial < 120; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const PetriNet net = random_net(rng, seen).compile();
+    const std::size_t d = net.num_states();
+    std::vector<Config> roots = {random_tokens(rng, d, d, 1 + rng.below(4))};
+    if (trial % 3 != 2) roots.push_back(random_tokens(rng, d, d, 40));
+    std::function<bool(petri::ConfigView)> stop;
+    if (trial % 3 == 0) {
+      const auto threshold = static_cast<petri::Count>(30 + rng.below(20));
+      stop = [threshold](petri::ConfigView c) { return c[0] >= threshold; };
+    }
+    const std::size_t peak =
+        expect_matches_serial(net, roots, 200 + rng.below(8000), stop);
+    batched += peak >= 512 ? 1 : 0;
+  }
+  EXPECT_GE(batched, 12u);
+}
+
+TEST(Explore, BatchesMatchTheHeadByHeadReferenceOnProducts) {
+  // The four e17 products at their largest e17 input, and unary
+  // counting to 4 at 24 agents.
+  using namespace ppsc::core;
+  const std::vector<std::pair<ConstructedProtocol, Count>> cases = {
+      {negate(unary_counting(3)), 6},
+      {interval_counting(2, 4), 7},
+      {conjunction(unary_counting(2), modulo_counting(2, 1)), 6},
+      {disjunction(unary_counting(4), modulo_counting(3, 0)), 6},
+      {unary_counting(4), 24}};
+  const std::size_t budget = petri::ExploreLimits{}.max_nodes;
+  for (const auto& [cp, x] : cases) {
+    SCOPED_TRACE(cp.predicate.name + " at " + std::to_string(x));
+    expect_matches_serial(cp.protocol.net(), {cp.protocol.initial_config({x})},
+                          budget);
+  }
+}
+
+TEST(Explore, BatchesStopAndTruncateMidBatch) {
+  // 20 tokens on a 6-chain: 53130 configs, a frontier peak of 1431.
+  const PetriNet six = chain(6).compile();
+  const std::vector<Config> roots = {Config::unit(6, 0, 20)};
+  const petri::ReachabilityGraph full = serial_explore(six, roots, 1u << 20);
+  ASSERT_EQ(full.size(), 53130u);
+  // The first node with eight tokens at the end of the chain, and
+  // budgets that run out partway through a level: each falls inside a
+  // batch, with heads resolved after it that the commit must drop.
+  const auto stop = [](petri::ConfigView c) { return c[5] >= 8; };
+  const petri::ReachabilityGraph stopped =
+      serial_explore(six, roots, 1u << 20, stop);
+  ASSERT_TRUE(stopped.stopped.has_value());
+  EXPECT_GE(stopped.stats.frontier_peak, 512u);
+  EXPECT_GE(expect_matches_serial(six, roots, 1u << 20, stop), 512u);
+  for (const std::size_t budget : {std::size_t{20000}, std::size_t{40001}}) {
+    SCOPED_TRACE("budget " + std::to_string(budget));
+    EXPECT_GE(expect_matches_serial(six, roots, budget), 512u);
+  }
+  // A wide product cut at 10,000 of its 15,449 configs.
+  const auto cp = ppsc::core::disjunction(ppsc::core::unary_counting(4),
+                                          ppsc::core::modulo_counting(3, 0));
+  expect_matches_serial(cp.protocol.net(), {cp.protocol.initial_config({6})},
+                        10000);
 }
 
 namespace {

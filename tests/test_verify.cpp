@@ -116,8 +116,9 @@ TEST(CheckUpTo, ConfigCapThrows) {
 }
 
 TEST(CheckUpTo, ConfigCapErrorExplainsTheExploration) {
-  // The truncation error carries the capped exploration's stats:
-  // configs, frontier peak and transitions tested per config.
+  // The truncation error names the input and carries the capped
+  // exploration's stats: configs, frontier peak and transitions tested
+  // per config.
   const auto cp = core::example_4_1(3);
   verify::CheckOptions options;
   options.max_configs = 2;
@@ -135,6 +136,10 @@ TEST(CheckUpTo, ConfigCapErrorExplainsTheExploration) {
       return message.find(part) != std::string::npos;
     };
     EXPECT_TRUE(says("exceeds 2 configurations")) << message;
+    // The input that outgrew the budget, as a configuration.
+    EXPECT_TRUE(says("check_input: reachability graph from {A:4} exceeds 2 "
+                     "configurations (explored "))
+        << message;
     EXPECT_TRUE(says("2 configs, frontier peak " +
                      std::to_string(graph.stats.frontier_peak)))
         << message;

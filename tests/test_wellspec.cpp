@@ -136,6 +136,8 @@ TEST(WellSpec, ConfigCapErrorExplainsTheExploration) {
     EXPECT_TRUE(says("exceeds 2 configurations (explored " +
                      ppsc::petri::describe(graph.stats) + ")"))
         << message;
+    EXPECT_TRUE(says("classify_input: reachability graph from {A:4} exceeds"))
+        << message;
     EXPECT_TRUE(says("frontier peak")) << message;
     EXPECT_TRUE(says("transitions tested per config")) << message;
   }
