@@ -73,6 +73,8 @@ class Protocol {
   const std::string& rule_name(std::size_t t) const { return rule_names_[t]; }
 
   // Leaders plus `input[dim]` agents in each input state.
+  // std::invalid_argument on a negative input, or when the population
+  // overflows a Count (so population() of the result is exact).
   Config initial_config(const std::vector<Count>& input) const;
 
   // Total number of agents in `config`.

@@ -3,7 +3,13 @@
 // Omega-marking convention (shared with bottom.h): a marking entry
 // equal to kOmega means "arbitrarily many tokens can be put on this
 // place". kOmega absorbs transition effects (omega +- k = omega) and
-// dominates every finite count in the covering order. Acceleration is
+// dominates every finite count in the covering order. Because kOmega
+// is the largest Count, the finite-marking primitives already read
+// omega right and the construction uses them unchanged: an omega place
+// meets every pre arc and is occupied, so PetriNet::enabled_transitions
+// finds exactly the omega-enabled transitions, and Config::covers, the
+// componentwise >=, is exactly the omega covering order. Only firing
+// needs its own step, so that omega absorbs the delta. Acceleration is
 // the classical rule: when a new marking strictly dominates one of its
 // ancestors, every strictly increased place is promoted to omega --
 // repeating the pumping word between the two nodes grows those places
@@ -26,7 +32,8 @@
 namespace ppsc {
 namespace petri {
 
-// Omega sentinel inside Config entries.
+// Omega sentinel inside Config entries: the largest Count (see the file
+// comment).
 constexpr Count kOmega = std::numeric_limits<Count>::max();
 
 struct KarpMillerNode {

@@ -33,9 +33,12 @@
 //
 //  * Resolve, on util::parallel_for, 16 heads per index: each head's
 //    enabled transitions, and each successor looked up read-only in
-//    the intern table as it stood at the batch start. Every buffer is
-//    the caller's and reused from batch to batch, so the pool's
-//    threads allocate nothing that grows with the graph.
+//    the intern table as it stood at the batch start. A task writes
+//    its heads' edges back to back into its own edge buffer, which
+//    the caller creates (16 edges per head) and keeps from batch to
+//    batch. The task grows it to max(2 x size, needed) when the next
+//    head does not fit and never shrinks it, so it is bounded by the
+//    net's transitions, not the graph, and no head is resolved twice.
 //  * Commit, on the calling thread, head by head and edge by edge in
 //    BFS order: a successor the resolve found is that node; any other
 //    is probed and interned exactly as a head-by-head BFS would (an
@@ -45,10 +48,10 @@
 //
 // Where a parallel_for would run inline (inside a pool task, in a
 // one-thread pool: util::runs_inline()) or the frontier is smaller,
-// a batch is one head and the resolve does no lookup. Node ids, edges,
-// parents, `stopped`, `truncated`, every ExploreStats field, the
-// explore.* counters and the explore.chunk spans are therefore the
-// same for any thread count.
+// a batch is one head, resolved on the caller into the first task's
+// buffer with no lookup. Node ids, edges, parents, `stopped`,
+// `truncated`, every ExploreStats field, the explore.* counters and
+// the explore.chunk spans are therefore the same for any thread count.
 
 #ifndef PPSC_PETRI_REACHABILITY_H
 #define PPSC_PETRI_REACHABILITY_H

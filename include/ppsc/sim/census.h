@@ -45,6 +45,7 @@
 
 #include "core/protocol.h"
 #include "petri/petri_net.h"
+#include "sim/scheduler.h"
 #include "util/rng.h"
 
 namespace ppsc {
@@ -52,9 +53,8 @@ namespace sim {
 
 class CensusSimulator {
  public:
-  // Largest population n whose ordered-pair count n(n-1) fits in a
-  // long long: the pair nets' population limit.
-  static constexpr core::Count kMaxPopulation = 3037000500LL;
+  // The pair nets' population limit (see PairRuleTable).
+  static constexpr core::Count kMaxPopulation = PairRuleTable::kMaxPopulation;
 
   // `net` must outlive the sampler; `initial` is a configuration over
   // its places. std::invalid_argument if a count is negative, if some
@@ -87,8 +87,6 @@ class CensusSimulator {
   // included (the geometric skip totals plus the productive draws);
   // steps() off pair nets.
   std::uint64_t interactions() const { return interactions_; }
-  // Analytically skipped null draws (subset of interactions()).
-  std::uint64_t null_skipped() const { return null_skipped_; }
   // Transition weights changed so far, one row-sum update each.
   std::uint64_t weight_updates() const { return weight_updates_; }
 

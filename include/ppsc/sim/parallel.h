@@ -17,11 +17,10 @@
 // fraction collapses (SchedulerPlan::handoff_pairs), so a run takes
 // one of four paths, each counted by its sim.dispatch.* counter:
 // kernel, census, count (the census sampler on a protocol without a
-// pair table) or handoff; a census already under the floor starts on
-// the census sampler, with the chain and counters of a kernel that
-// stops at construction. Every path runs through one driver:
-// run(max_steps), then silent(), steps(), census() and
-// publish_metrics().
+// pair table) or handoff; a census already under the floor hands off
+// at the kernel's construction barrier, before any draw. Every path
+// runs through one driver: run(max_steps), then silent(), steps(),
+// census() and publish_metrics().
 
 #ifndef PPSC_SIM_PARALLEL_H
 #define PPSC_SIM_PARALLEL_H

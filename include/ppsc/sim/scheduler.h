@@ -52,6 +52,10 @@ class PairRuleTable {
   // Largest state count build() compiles: the dense table holds
   // kMaxStates^2 = 16.7M cells (128 MiB).
   static constexpr std::size_t kMaxStates = 4096;
+  // Largest population n whose ordered-pair count n(n-1) fits in a
+  // long long, so enabled_pairs() is exact: the population limit of
+  // the agent-array kernel and of the census sampler on pair nets.
+  static constexpr core::Count kMaxPopulation = 3037000500LL;
 
   struct Outcome {
     std::uint32_t first = kNoRule;   // successor of the first agent

@@ -153,7 +153,9 @@ struct ShardedOptions {
 class ShardedSimulator {
  public:
   // The table must outlive the simulator. `initial` is a configuration
-  // over the protocol's states.
+  // over the protocol's states. std::invalid_argument if a count is
+  // negative or the population passes PairRuleTable::kMaxPopulation,
+  // past which enabled_pairs() would overflow.
   ShardedSimulator(const PairRuleTable& table, const core::Config& initial,
                    std::uint64_t seed, ShardedOptions options = {});
 
@@ -186,7 +188,6 @@ class ShardedSimulator {
   // argument), derived from the slice size and the table.
   std::uint64_t epoch_length() const { return epoch_length_; }
   std::uint64_t cross_swaps() const { return cross_swaps_; }
-  std::uint64_t prefetch_batches() const { return prefetch_batches_; }
 
   const core::Config& census() const { return counts_; }
   core::Count population() const {

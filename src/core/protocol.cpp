@@ -1,6 +1,7 @@
 #include "core/protocol.h"
 
 #include <algorithm>
+#include <climits>
 #include <cstdint>
 #include <stdexcept>
 
@@ -23,10 +24,15 @@ Config Protocol::initial_config(const std::vector<Count>& input) const {
                                 std::to_string(input.size()));
   }
   Config config = leaders_;
+  Count total = num_leaders();
   for (std::size_t dim = 0; dim < input.size(); ++dim) {
     if (input[dim] < 0) {
       throw std::invalid_argument("initial_config: negative input");
     }
+    if (input[dim] > LLONG_MAX - total) {
+      throw std::invalid_argument("initial_config: population overflows");
+    }
+    total += input[dim];
     config[input_states_[dim]] += input[dim];
   }
   return config;

@@ -14,21 +14,6 @@ namespace petri {
 
 namespace {
 
-bool omega_covers(const Config& a, const Config& b) {
-  for (std::size_t p = 0; p < a.size(); ++p) {
-    if (a[p] == kOmega) continue;
-    if (b[p] == kOmega || a[p] < b[p]) return false;
-  }
-  return true;
-}
-
-bool omega_enabled(const PetriNet& net, std::size_t t, const Config& m) {
-  for (const Arc& arc : net.pre(t)) {
-    if (m[arc.place] != kOmega && m[arc.place] < arc.count) return false;
-  }
-  return true;
-}
-
 Config omega_fire(const PetriNet& net, std::size_t t, const Config& m) {
   Config next = m;
   for (const Arc& arc : net.delta(t)) {
@@ -41,7 +26,7 @@ Config omega_fire(const PetriNet& net, std::size_t t, const Config& m) {
 
 bool KarpMillerResult::covers(const Config& target) const {
   for (const KarpMillerNode& node : nodes) {
-    if (omega_covers(node.marking, target)) return true;
+    if (node.marking.covers(target)) return true;
   }
   return false;
 }
@@ -66,17 +51,18 @@ KarpMillerResult karp_miller(const PetriNet& net, const Config& root,
   seen.emplace(root, 0);
   constexpr std::size_t kChunkNodes = 1024;
   std::optional<obs::ScopedSpan> chunk_span;
+  std::vector<std::size_t> enabled;
   for (std::size_t head = 0; head < result.nodes.size(); ++head) {
     if (head % kChunkNodes == 0 && result.nodes.size() > kChunkNodes) {
       chunk_span.emplace("karp_miller.chunk", "petri");
       chunk_span->arg("head", head);
       chunk_span->arg("nodes", result.nodes.size());
     }
-    for (std::size_t t = 0; t < net.num_transitions(); ++t) {
-      // Copy: nodes may reallocate while we append successors.
-      // NOLINTNEXTLINE(performance-unnecessary-copy-initialization)
-      const Config current = result.nodes[head].marking;
-      if (!omega_enabled(net, t, current)) continue;
+    // Copy: nodes may reallocate while we append successors.
+    // NOLINTNEXTLINE(performance-unnecessary-copy-initialization)
+    const Config current = result.nodes[head].marking;
+    net.enabled_transitions(current, enabled);
+    for (const std::size_t t : enabled) {
       Config next = omega_fire(net, t, current);
       // Accelerate against the ancestor chain until a fixpoint: each
       // strictly dominated ancestor promotes its strictly smaller
@@ -86,9 +72,9 @@ KarpMillerResult karp_miller(const PetriNet& net, const Config& root,
         changed = false;
         for (std::size_t at = head;; at = result.nodes[at].parent) {
           const Config& ancestor = result.nodes[at].marking;
-          if (omega_covers(next, ancestor) && next != ancestor) {
-            // Under omega_covers, every finite place of next is also
-            // finite in the ancestor.
+          if (next.covers(ancestor) && next != ancestor) {
+            // Under covers, every finite place of next is also finite
+            // in the ancestor.
             for (std::size_t p = 0; p < next.size(); ++p) {
               if (next[p] != kOmega && ancestor[p] < next[p]) {
                 next[p] = kOmega;

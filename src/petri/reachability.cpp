@@ -177,33 +177,35 @@ ReachabilityGraph explore(const PetriNet& net, const std::vector<Config>& roots,
     constexpr std::size_t kTaskHeads = 16;
     constexpr std::size_t kTasks = kBatch / kTaskHeads;
     static_assert(kBatch % kTaskHeads == 0, "tasks split a batch evenly");
-    constexpr std::uint32_t kUnresolved = InternTable::kEmpty;
-    // One resolving thread's scratch: the enabled list, with room for
-    // every transition so it never reallocates, and the head's counts,
-    // copied out because the arena may reallocate while successors are
-    // appended; each successor is built in place by applying a
-    // transition's delta and reverting it afterwards.
-    struct Scratch {
+    // One resolve task's buffers: the enabled list, with room for every
+    // transition so it never reallocates; the head's counts, copied out
+    // because the arena may reallocate while successors are appended
+    // (each successor is built in place by applying a transition's delta
+    // and reverting it afterwards); and the out-edges of the task's
+    // heads, back to back. The edge buffer only grows, so after the
+    // first batches no head allocates.
+    struct Task {
       std::vector<std::size_t> enabled;
       std::vector<Count> next;
+      std::vector<ReachEdge> edges;
     };
-    const auto make_scratch = [&] {
-      Scratch scratch{{}, std::vector<Count>(d)};
-      scratch.enabled.reserve(net.num_transitions());
-      return scratch;
-    };
-    // Writes node `head`'s out-edges to out[0, n) and returns n, or
-    // kUnresolved when more than `room` transitions are enabled. With
-    // `lookup`, a target is the id its node has in the table as it
-    // stands; otherwise, and for a node not there, it is kEmpty.
-    const auto resolve = [&](std::size_t head, Scratch& scratch,
-                             ReachEdge* out, std::size_t room, bool lookup,
+    // Writes node `head`'s out-edges to task.edges from `first` on,
+    // growing the buffer to max(2 x size, needed) when they do not fit,
+    // and returns their count. With `lookup`, a target is the id its
+    // node has in the table as it stands; otherwise, and for a node not
+    // there, it is kEmpty.
+    const auto resolve = [&](std::size_t head, Task& task, std::size_t first,
+                             bool lookup,
                              std::uint64_t& checks) -> std::uint32_t {
-      Count* const next = scratch.next.data();
+      Count* const next = task.next.data();
       std::copy_n(graph.counts.data() + head * d, d, next);
-      checks = net.enabled_transitions(ConfigView(next, d), scratch.enabled);
-      if (scratch.enabled.size() > room) return kUnresolved;
-      for (const std::size_t t : scratch.enabled) {
+      checks = net.enabled_transitions(ConfigView(next, d), task.enabled);
+      const std::size_t needed = first + task.enabled.size();
+      if (needed > task.edges.size()) {
+        task.edges.resize(std::max(2 * task.edges.size(), needed));
+      }
+      ReachEdge* out = task.edges.data() + first;
+      for (const std::size_t t : task.enabled) {
         std::uint32_t target = InternTable::kEmpty;
         if (lookup) {
           const std::uint64_t h =
@@ -215,56 +217,57 @@ ReachabilityGraph explore(const PetriNet& net, const std::vector<Config>& roots,
         }
         *out++ = {target, static_cast<std::uint32_t>(t)};
       }
-      return static_cast<std::uint32_t>(scratch.enabled.size());
+      return static_cast<std::uint32_t>(task.enabled.size());
     };
     // A batch head as the resolve leaves it: its out-edges are
-    // resolved[first, first + count), or count is kUnresolved.
+    // tasks[task].edges[first, first + count).
     struct BatchHead {
+      std::size_t task;
       std::size_t first;
       std::uint32_t count;
       std::uint64_t checks;
     };
     // Every buffer is the caller's and reused from batch to batch, so
     // the pool's threads allocate nothing that grows with the graph.
-    Scratch own = make_scratch();
-    std::vector<ReachEdge> own_edges(net.num_transitions());
     std::vector<BatchHead> heads;
-    std::vector<Scratch> task_scratch;
-    std::vector<ReachEdge> resolved;
-    std::size_t task_room = kTaskHeads * 16;  // edges; doubled on overflow
+    std::vector<Task> tasks;
     for (std::size_t first_head = 0;
          first_head < graph.size() && !graph.stopped;) {
       const std::size_t batch =
           graph.size() - first_head < kBatch || util::runs_inline() ? 1
                                                                     : kBatch;
-      heads.assign(batch, {0, kUnresolved, 0});
-      if (batch > 1) {
-        // Resolve: enabled transitions and batch-start lookups, read-only
-        // on the arena and the table. A task whose head overflows its
-        // room leaves the rest of its heads to the commit.
-        while (task_scratch.size() < kTasks) {
-          task_scratch.push_back(make_scratch());
+      const std::size_t num_tasks = batch > 1 ? kTasks : 1;
+      const std::size_t task_heads = batch > 1 ? kTaskHeads : 1;
+      while (tasks.size() < num_tasks) {
+        Task task{{}, std::vector<Count>(d),
+                  std::vector<ReachEdge>(kTaskHeads * 16)};
+        task.enabled.reserve(net.num_transitions());
+        tasks.push_back(std::move(task));
+      }
+      heads.resize(batch);
+      // Resolve: enabled transitions and, on a batch of several heads,
+      // batch-start lookups, read-only on the arena and the table.
+      const auto resolve_task = [&](std::size_t task) {
+        std::size_t first = 0;
+        for (std::size_t i = task * task_heads; i < (task + 1) * task_heads;
+             ++i) {
+          BatchHead& bh = heads[i];
+          bh.task = task;
+          bh.first = first;
+          bh.count = resolve(first_head + i, tasks[task], first, batch > 1,
+                             bh.checks);
+          first += bh.count;
         }
-        resolved.resize(kTasks * task_room);
-        util::parallel_for(kTasks, [&](std::size_t task) {
-          std::size_t first = task * task_room;
-          const std::size_t end = first + task_room;
-          for (std::size_t i = task * kTaskHeads; i < (task + 1) * kTaskHeads;
-               ++i) {
-            heads[i].first = first;
-            heads[i].count = resolve(first_head + i, task_scratch[task],
-                                     resolved.data() + first, end - first,
-                                     true, heads[i].checks);
-            if (heads[i].count == kUnresolved) return;
-            first += heads[i].count;
-          }
-        });
+      };
+      if (batch > 1) {
+        util::parallel_for(kTasks, resolve_task);
+      } else {
+        resolve_task(0);
       }
       // Commit, in BFS order on this thread: the head-by-head loop, with
       // the resolve's lookups standing in for the probes that found a
       // node. A target still kEmpty is probed here, since an earlier
       // head of the batch may have interned it since.
-      bool overflowed = false;
       for (std::size_t i = 0; i < batch && !graph.stopped; ++i) {
         const std::size_t head = first_head + i;
         if (head % kChunkNodes == 0 && graph.size() > kChunkNodes) {
@@ -275,16 +278,10 @@ ReachabilityGraph explore(const PetriNet& net, const std::vector<Config>& roots,
         stats.frontier_peak =
             std::max(stats.frontier_peak, graph.size() - head);
         graph.edge_begin.push_back(graph.edges.size());
-        BatchHead bh = heads[i];
-        const ReachEdge* out = resolved.data() + bh.first;
-        if (bh.count == kUnresolved) {
-          overflowed = batch > 1;
-          bh.count = resolve(head, own, own_edges.data(), own_edges.size(),
-                             false, bh.checks);
-          out = own_edges.data();
-        }
+        const BatchHead& bh = heads[i];
+        const ReachEdge* out = tasks[bh.task].edges.data() + bh.first;
         stats.enabled_checks += bh.checks;
-        Count* const next = own.next.data();
+        Count* const next = tasks[0].next.data();  // the resolve is done
         std::copy_n(graph.counts.data() + head * d, d, next);
         for (std::uint32_t e = 0; e < bh.count; ++e) {
           const ReachEdge edge = out[e];
@@ -307,10 +304,6 @@ ReachabilityGraph explore(const PetriNet& net, const std::vector<Config>& roots,
         }
       }
       first_head += batch;
-      if (overflowed) {
-        task_room =
-            std::min(2 * task_room, kTaskHeads * net.num_transitions());
-      }
     }
   }
   graph.edge_begin.resize(graph.size() + 1, graph.edges.size());

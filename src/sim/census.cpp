@@ -12,12 +12,6 @@
 namespace ppsc {
 namespace sim {
 
-// kMaxPopulation is exactly the largest n with n(n-1) <= LLONG_MAX.
-static_assert(CensusSimulator::kMaxPopulation - 1 <=
-              LLONG_MAX / CensusSimulator::kMaxPopulation);
-static_assert(CensusSimulator::kMaxPopulation >
-              LLONG_MAX / (CensusSimulator::kMaxPopulation + 1));
-
 namespace {
 
 using Wide = unsigned __int128;

@@ -45,16 +45,6 @@ void publish_dispatch(Path path) {
   }
 }
 
-// What a one-shard kernel run that stops at its construction barrier
-// publishes (ShardedSimulator::publish_metrics): one run, no draws.
-void publish_undrawn_kernel_run() {
-  obs::MetricRegistry& registry = obs::MetricRegistry::global();
-  if (!registry.enabled()) return;
-  registry.add("sim.agent.runs", 1);
-  registry.add("sim.agent.draws", 0);
-  registry.add("sim.agent.productive", 0);
-}
-
 // The one run driver's tail, after run(max_steps): every scheduler
 // exposes silent(), census() and publish_metrics(); `steps` is the
 // run's productive step count.
@@ -125,21 +115,6 @@ ConvergenceStats measure_convergence_parallel(
   const SchedulerPlan plan = planned_scheduler(
       options, table.has_value(), cp.protocol.num_states(), population);
 
-  // Threads the sweep may run on: the pool's cap, the request and the
-  // run count.
-  const unsigned workers = static_cast<unsigned>(std::min<std::size_t>(
-      {num_threads == 0 ? util::parallel_width() : num_threads,
-       util::parallel_width(), std::max<std::size_t>(runs, 1)}));
-
-  // A kAuto census already under the handoff floor: the kernel would
-  // stop at its construction barrier with nothing drawn, so every run
-  // starts on the census sampler and no agent array is built.
-  const bool census_from_start = [&] {
-    if (plan.handoff_pairs == 0 || options.max_steps == 0) return false;
-    const long long pairs = table->enabled_pairs(initial);
-    return pairs > 0 && pairs < plan.handoff_pairs;
-  }();
-
   std::vector<RunOutcome> outcomes(runs);
   const auto run_one = [&, plan](std::size_t r) {
     const std::uint64_t seed = options.seed + r;
@@ -154,18 +129,6 @@ ConvergenceStats measure_convergence_parallel(
     Path path = Path::kCensus;
     switch (plan.scheduler) {
       case SchedulerChoice::kSharded: {
-        if (census_from_start) {
-          // The handoff below, from the initial census, on the stream
-          // the one-shard kernel would have handed over.
-          path = Path::kHandoff;
-          shards = 1;
-          publish_undrawn_kernel_run();
-          CensusSimulator census(cp.protocol.net(), initial,
-                                 util::Xoshiro256::stream(seed, shards));
-          census.run(max_steps);
-          outcome = finish(census, cp.protocol, census.steps());
-          break;
-        }
         ShardedOptions sharded;
         sharded.shards = plan.shards;
         ShardedSimulator kernel(*table, initial, seed, sharded);
@@ -179,11 +142,11 @@ ConvergenceStats measure_convergence_parallel(
                            std::min(kernel.steps(), max_steps));
           break;
         }
-        // Stopped under the pair floor. The productive chain's law
-        // depends on the census alone (sim/sharded.h), so the census
-        // sampler continues it exactly from this barrier, on a stream
-        // disjoint from the kernel's shard streams 0..S-1, for the
-        // rest of the budget.
+        // Stopped under the pair floor, at construction included. The
+        // productive chain's law depends on the census alone
+        // (sim/sharded.h), so the census sampler continues it exactly
+        // from this barrier, on a stream disjoint from the kernel's
+        // shard streams 0..S-1, for the rest of the budget.
         path = Path::kHandoff;
         kernel.publish_metrics();
         CensusSimulator census(cp.protocol.net(), kernel.census(),
@@ -204,7 +167,7 @@ ConvergenceStats measure_convergence_parallel(
     span.arg("shards", shards);
     span.arg("steps", outcome.steps);
   };
-  util::parallel_for(runs, run_one, workers);
+  util::parallel_for(runs, run_one, num_threads);
 
   // Aggregation in run-index order: the floating-point sums below are
   // evaluated in the same order regardless of thread count, which is

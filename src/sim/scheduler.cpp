@@ -1,7 +1,15 @@
 #include "sim/scheduler.h"
 
+#include <climits>
+
 namespace ppsc {
 namespace sim {
+
+// kMaxPopulation is exactly the largest n with n(n-1) <= LLONG_MAX.
+static_assert(PairRuleTable::kMaxPopulation - 1 <=
+              LLONG_MAX / PairRuleTable::kMaxPopulation);
+static_assert(PairRuleTable::kMaxPopulation >
+              LLONG_MAX / (PairRuleTable::kMaxPopulation + 1));
 
 std::optional<PairRuleTable> PairRuleTable::build(
     const core::Protocol& protocol) {

@@ -44,8 +44,10 @@ ShardedSimulator::ShardedSimulator(const PairRuleTable& table,
   }
   core::Count population = 0;
   for (const core::Count c : initial) {
-    if (c < 0) {
-      throw std::invalid_argument("ShardedSimulator: negative count");
+    if (c < 0 || c > PairRuleTable::kMaxPopulation - population) {
+      throw std::invalid_argument(
+          "ShardedSimulator: negative count or population above "
+          "PairRuleTable::kMaxPopulation");
     }
     population += c;
   }

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -48,6 +49,22 @@ TEST(Protocol, BuilderAndInitialConfig) {
   EXPECT_EQ(core::Protocol::population(c), 5);
   EXPECT_THROW(p.initial_config({1, 2}), std::invalid_argument);
   EXPECT_THROW(p.initial_config({-1}), std::invalid_argument);
+}
+
+TEST(Protocol, InitialConfigRejectsOverflowingPopulations) {
+  // weighted_threshold({1, 1}, 5) maps both input dimensions to v1, so
+  // the overflow would be in one state's count; example_4_2(1) puts its
+  // input beside one leader, so it would be in the population sum.
+  const auto shared = core::weighted_threshold({1, 1}, 5);
+  EXPECT_THROW(shared.protocol.initial_config({LLONG_MAX, 1}),
+               std::invalid_argument);
+  const auto led = core::example_4_2(1);
+  EXPECT_THROW(led.protocol.initial_config({LLONG_MAX}),
+               std::invalid_argument);
+  // A leaderless protocol holds a population of exactly LLONG_MAX.
+  const auto unary = core::unary_counting(2);
+  const core::Config full = unary.protocol.initial_config({LLONG_MAX});
+  EXPECT_EQ(core::Protocol::population(full), LLONG_MAX);
 }
 
 TEST(Protocol, BuilderRejectsUnknownStates) {

@@ -361,16 +361,16 @@ TEST(ObsEngines, AutoRunHandsTheSlowTailToTheCensusSampler) {
   EXPECT_EQ(static_cast<double>(kernel + census), stats.mean_steps);
 }
 
-TEST(ObsEngines, CensusUnderTheFloorFromTheStartSkipsTheAgentArray) {
+TEST(ObsEngines, AutoUnderTheFloorIsAKernelStoppedAtConstructionThenCensus) {
   // Example 4.2 with 8 leaders at x = 60,000: the initial census has
   // far fewer enabled pairs than the handoff floor, so a kAuto run
-  // starts on the census sampler and builds no agent array. Pinned
-  // against the path it replaces: a forced one-shard kernel stopped
-  // at the floor (at construction, nothing drawn), published, then
-  // the census sampler on the stream the kernel hands over. The
-  // sweep's statistics and its whole metric snapshot (every
-  // sim.census.* count of the chain, sim.agent.runs,
-  // sim.dispatch.handoff) must equal the reference's.
+  // hands off at the kernel's construction barrier. Pinned against
+  // that path spelled out: a forced one-shard kernel stopped at the
+  // floor (at construction, nothing drawn), published, then the census
+  // sampler on the stream the kernel hands over. The sweep's
+  // statistics and its whole metric snapshot (every sim.census.* count
+  // of the chain, sim.agent.runs, sim.dispatch.handoff) must equal the
+  // reference's.
   const auto cp = ppsc::core::example_4_2(8);
   const ppsc::core::Config initial = cp.protocol.initial_config({60000});
   const auto table = ppsc::sim::PairRuleTable::build(cp.protocol);

@@ -1092,6 +1092,121 @@ TEST(KarpMiller, AgreesWithBackwardCoverability) {
   }
 }
 
+namespace {
+
+// The Karp-Miller loop as it stood before it read the net's enabledness
+// index: a dense scan over every transition, with omega-aware
+// enabledness and covering tests of its own. petri::karp_miller must
+// build the same graph node for node.
+bool omega_covers(const Config& a, const Config& b) {
+  for (std::size_t p = 0; p < a.size(); ++p) {
+    if (a[p] == petri::kOmega) continue;
+    if (b[p] == petri::kOmega || a[p] < b[p]) return false;
+  }
+  return true;
+}
+
+bool omega_enabled(const PetriNet& net, std::size_t t, const Config& m) {
+  for (const petri::Arc& arc : net.pre(t)) {
+    if (m[arc.place] != petri::kOmega && m[arc.place] < arc.count) {
+      return false;
+    }
+  }
+  return true;
+}
+
+petri::KarpMillerResult dense_karp_miller(const PetriNet& net,
+                                          const Config& root,
+                                          std::size_t max_nodes) {
+  petri::KarpMillerResult result;
+  std::set<Config> seen = {root};
+  result.nodes.push_back({root, petri::KarpMillerResult::kNoParent, 0});
+  for (std::size_t head = 0; head < result.nodes.size(); ++head) {
+    for (std::size_t t = 0; t < net.num_transitions(); ++t) {
+      const Config current = result.nodes[head].marking;
+      if (!omega_enabled(net, t, current)) continue;
+      Config next = current;
+      for (const petri::Arc& arc : net.delta(t)) {
+        if (next[arc.place] != petri::kOmega) next[arc.place] += arc.count;
+      }
+      bool changed = true;
+      while (changed) {
+        changed = false;
+        for (std::size_t at = head;; at = result.nodes[at].parent) {
+          const Config& ancestor = result.nodes[at].marking;
+          if (omega_covers(next, ancestor) && next != ancestor) {
+            for (std::size_t p = 0; p < next.size(); ++p) {
+              if (next[p] != petri::kOmega && ancestor[p] < next[p]) {
+                next[p] = petri::kOmega;
+                changed = true;
+              }
+            }
+          }
+          if (at == 0) break;
+        }
+      }
+      if (seen.count(next)) continue;
+      if (result.nodes.size() >= max_nodes) {
+        result.truncated = true;
+        continue;
+      }
+      seen.insert(next);
+      result.nodes.push_back({std::move(next), head, t});
+    }
+  }
+  return result;
+}
+
+}  // namespace
+
+TEST(KarpMiller, MatchesTheDenseScanReferenceOnRandomNets) {
+  // The seeded random nets of the explore tests, pumping ones included,
+  // at a budget that completes and at half the nodes, which truncates.
+  ppsc::util::Xoshiro256 rng(31);
+  std::array<std::size_t, kNumShapes> seen{};
+  constexpr std::size_t kBudget = 4000;
+  std::size_t complete = 0;
+  std::size_t truncated = 0;
+  std::size_t pumped = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const PetriNet net = random_net(rng, seen).compile();
+    const std::size_t d = net.num_states();
+    const Config root = random_tokens(rng, d, d, 1 + rng.below(4));
+    const petri::KarpMillerResult full = dense_karp_miller(net, root, kBudget);
+    if (full.truncated) continue;
+    ++complete;
+    for (const std::size_t budget : {kBudget, full.nodes.size() / 2}) {
+      SCOPED_TRACE("budget " + std::to_string(budget));
+      const petri::KarpMillerResult want =
+          budget == kBudget ? full : dense_karp_miller(net, root, budget);
+      const petri::KarpMillerResult got =
+          petri::karp_miller(net, root, budget);
+      ASSERT_EQ(got.nodes.size(), want.nodes.size());
+      for (std::size_t n = 0; n < want.nodes.size(); ++n) {
+        ASSERT_EQ(got.nodes[n].marking, want.nodes[n].marking) << "node " << n;
+        ASSERT_EQ(got.nodes[n].parent, want.nodes[n].parent) << "node " << n;
+        ASSERT_EQ(got.nodes[n].transition, want.nodes[n].transition)
+            << "node " << n;
+      }
+      ASSERT_EQ(got.truncated, want.truncated);
+      truncated += got.truncated ? 1 : 0;
+    }
+    pumped += std::any_of(full.nodes.begin(), full.nodes.end(),
+                          [](const petri::KarpMillerNode& node) {
+                            return std::count(node.marking.begin(),
+                                              node.marking.end(),
+                                              petri::kOmega) > 0;
+                          })
+                  ? 1
+                  : 0;
+  }
+  EXPECT_GE(seen[kNonConservative], 100u);
+  EXPECT_GE(complete, 250u);
+  EXPECT_GE(truncated, 150u);
+  EXPECT_GE(pumped, 100u);
+}
+
 TEST(Bottom, FiniteNetWitness) {
   // chain a -> b from 3 a's: the unique bottom configuration is (0,3).
   PetriNet net(2);

@@ -1246,6 +1246,26 @@ TEST(CensusSimulator, RejectsPopulationsWhosePairCountOverflows) {
                std::invalid_argument);
 }
 
+TEST(ShardedSimulator, RejectsPopulationsWhosePairCountOverflows) {
+  // Past PairRuleTable::kMaxPopulation agents n(n-1) overflows the
+  // enabled-pairs count, so the kernel rejects the census before it
+  // sizes the agent array. Only rejected populations are tried: an
+  // accepted one this large would fill a multi-gigabyte array.
+  const auto cp = core::threshold_belief(80);
+  const auto table = sim::PairRuleTable::build(cp.protocol);
+  ASSERT_TRUE(table.has_value());
+  const core::Config over = cp.protocol.initial_config(
+      {sim::PairRuleTable::kMaxPopulation + 1});
+  EXPECT_THROW(sim::ShardedSimulator rejected(*table, over, 1),
+               std::invalid_argument);
+  // A census whose sum overflows a long long.
+  core::Config wrapping(cp.protocol.num_states());
+  wrapping[0] = LLONG_MAX;
+  wrapping[1] = 1;
+  EXPECT_THROW(sim::ShardedSimulator rejected(*table, wrapping, 1),
+               std::invalid_argument);
+}
+
 TEST(CensusSimulator, RejectsWeightBoundsPastLongLong) {
   // Off pair nets the bound is the sum over widths w of m_w C(n, w).
   // Example 4.1 with n = 5 has one pre multiset of each width 2..4 and
