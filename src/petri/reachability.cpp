@@ -219,16 +219,16 @@ ReachabilityGraph explore(const PetriNet& net, const std::vector<Config>& roots,
       }
       return static_cast<std::uint32_t>(task.enabled.size());
     };
-    // A batch head as the resolve leaves it: its out-edges are
-    // tasks[task].edges[first, first + count).
+    // A batch head as the resolve leaves it: head i's out-edges are
+    // tasks[i / task_heads].edges[first, first + count).
     struct BatchHead {
-      std::size_t task;
       std::size_t first;
       std::uint32_t count;
       std::uint64_t checks;
     };
-    // Every buffer is the caller's and reused from batch to batch, so
-    // the pool's threads allocate nothing that grows with the graph.
+    // Every buffer is the caller's and reused from batch to batch. A pool
+    // thread may grow its task's edge buffer, to at most kTaskHeads heads'
+    // edges: bounded by the net's transitions, not by the graph.
     std::vector<BatchHead> heads;
     std::vector<Task> tasks;
     for (std::size_t first_head = 0;
@@ -252,7 +252,6 @@ ReachabilityGraph explore(const PetriNet& net, const std::vector<Config>& roots,
         for (std::size_t i = task * task_heads; i < (task + 1) * task_heads;
              ++i) {
           BatchHead& bh = heads[i];
-          bh.task = task;
           bh.first = first;
           bh.count = resolve(first_head + i, tasks[task], first, batch > 1,
                              bh.checks);
@@ -279,7 +278,7 @@ ReachabilityGraph explore(const PetriNet& net, const std::vector<Config>& roots,
             std::max(stats.frontier_peak, graph.size() - head);
         graph.edge_begin.push_back(graph.edges.size());
         const BatchHead& bh = heads[i];
-        const ReachEdge* out = tasks[bh.task].edges.data() + bh.first;
+        const ReachEdge* out = tasks[i / task_heads].edges.data() + bh.first;
         stats.enabled_checks += bh.checks;
         Count* const next = tasks[0].next.data();  // the resolve is done
         std::copy_n(graph.counts.data() + head * d, d, next);
